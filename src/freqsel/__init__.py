@@ -1,12 +1,13 @@
 """freqsel: frequency-domain timestep selection for diffusion feature dumps.
 
 Pipeline in one line: load feature maps -> per-map high-frequency energy
-ratio (Gaussian high-pass in the frequency domain) -> per-timestep means ->
-argmax timestep. Everything around that (forward-process simulation, a
-synthetic oracle with a provably correct answer, Fisher-score diagnostics,
-rank correlations, a strict tensor container) supports validating the
-pipeline end to end. All reductions are order-fixed, so results are
-bit-reproducible across runs and thread counts.
+ratio (a separable Gaussian high-pass, X - A @ X @ B, whose energy over the
+map's energy is the HFR) -> per-timestep means -> argmax timestep.
+Everything around that (forward-process simulation, a synthetic oracle with
+a provably correct answer, Fisher-score diagnostics, rank correlations, a
+strict tensor container) supports validating the pipeline end to end. All
+reductions are order-fixed, so results are bit-reproducible across runs and
+thread counts on one machine and numpy/BLAS build.
 """
 from . import errors
 from .diffusion import (
@@ -37,7 +38,6 @@ from .discriminability import (
     spearman,
     write_series_csv,
 )
-from .fft import fft, fft2, fftshift, ifft, ifft2, ifftshift
 from .reduction import pairwise_mean, pairwise_sum
 from .selection import (
     HfrCurve,
@@ -57,7 +57,6 @@ from .spectral import (
     extract_high_freq,
     gaussian_highpass_mask,
     hfr,
-    hfr_per_channel,
 )
 from .tensor_io import (
     DatasetManifest,
@@ -94,13 +93,6 @@ __all__ = [
     "iterate",
     "iter_loaded",
     "load_entry",
-    # fft
-    "fft",
-    "ifft",
-    "fft2",
-    "ifft2",
-    "fftshift",
-    "ifftshift",
     # reduction
     "pairwise_sum",
     "pairwise_mean",
@@ -111,7 +103,6 @@ __all__ = [
     "gaussian_highpass_mask",
     "energy",
     "hfr",
-    "hfr_per_channel",
     "extract_high_freq",
     "decompose",
     # diffusion

@@ -177,6 +177,9 @@ def default_probe_grid(total_timesteps: int) -> tuple[int, ...]:
 
 def _threads_arg(text: str) -> int:
     if text == "auto":
+        # the affinity mask is what a container or taskset actually grants
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return max(1, os.cpu_count() or 1)
     try:
         value = int(text)

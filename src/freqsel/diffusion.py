@@ -51,7 +51,6 @@ from .errors import (
     ScheduleInvalid,
     ShapeMismatch,
 )
-from .fft import fft2, ifft2, ifftshift
 from .tensor_io import (
     DatasetManifest,
     FeatureMap,
@@ -326,20 +325,26 @@ LOW_BAND_RADIUS = 2.0
 
 
 @lru_cache(maxsize=32)
-def _low_band_unshifted(height: int, width: int) -> np.ndarray:
-    cy, cx = height // 2, width // 2
-    dy = np.arange(height, dtype=np.float64)[:, np.newaxis] - cy
-    dx = np.arange(width, dtype=np.float64)[np.newaxis, :] - cx
-    keep = (dy * dy + dx * dx) <= LOW_BAND_RADIUS**2
-    band = ifftshift(keep.astype(np.float64))
-    band.setflags(write=False)
-    return band
+def _low_band_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """In-grid bins k with |k| <= the band radius, and exp(2 pi i k y / n) per row y."""
+    r = int(LOW_BAND_RADIUS)
+    k = np.arange(max(-r, -(n // 2)), min(r, (n - 1) // 2) + 1)
+    # the phase k*y is reduced mod n in integers to keep the argument small
+    basis = np.exp(2j * np.pi * (np.outer(np.arange(n), k) % n) / n)
+    k.setflags(write=False)
+    basis.setflags(write=False)
+    return k, basis
 
 
 def _low_field(shape: tuple[int, int, int], amplitude: float, seed: int) -> np.ndarray:
     c, h, w = shape
     white = standard_normal(c * h * w, seed).reshape(c, h, w)
-    low = ifft2(fft2(white) * _low_band_unshifted(h, w)).real
+    ky, by = _low_band_basis(h)
+    kx, bx = _low_band_basis(w)
+    # the DFT of each channel at the band's bins only, then its inverse
+    spectrum = by.conj().T @ white @ bx.conj()
+    keep = (ky[:, np.newaxis] ** 2 + kx[np.newaxis, :] ** 2) <= LOW_BAND_RADIUS**2
+    low = (by @ (spectrum * keep) @ bx.T).real / (h * w)
     rms = float(np.sqrt(np.mean(low * low)))
     if rms == 0.0:
         raise ProfileInvalid("degenerate background field (all zeros); change the seed")

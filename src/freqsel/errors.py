@@ -50,11 +50,7 @@ class MetaMismatch(FreqselError):
     """Entries at the same timestep disagree on tensor shape."""
 
 
-# --- transforms and filtering -------------------------------------------
-
-class SizeZero(FreqselError):
-    """A transform was asked to run over a zero-length axis."""
-
+# --- filtering ----------------------------------------------------------
 
 class NonPositiveCutoff(FreqselError):
     """High-pass cutoff must be strictly positive."""

@@ -93,7 +93,7 @@ def average_hfr(
 ) -> HfrCurve:
     """Mean HFR per timestep over a manifest, in a fixed reduction order.
 
-    ``threads`` only parallelises per-map work (load + transform); the
+    ``threads`` only parallelises per-map work (load + filter); the
     per-timestep averages are reduced from results in manifest order with
     the fixed pairwise tree, so the curve is bit-identical for any thread
     count. A zero-energy map anywhere aborts with a pointer to the file.

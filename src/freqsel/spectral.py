@@ -1,18 +1,23 @@
 """Gaussian high-pass filtering and high-frequency energy ratios.
 
 The central quantity is the high-frequency ratio (HFR) of a feature map:
-the fraction of total spectral energy that survives a Gaussian high-pass
-filter. With unnormalised forward transforms, Parseval gives
-sum|F|^2 = H*W * sum x^2, so the ratio
+the fraction of its energy that survives a Gaussian high-pass filter. The
+gain 1 - exp(-D^2 / (2 * cutoff^2)) is separable, 1 - e_y(u) * e_x(v)
+with e(k) = exp(-d(k)^2 / (2 * cutoff^2)) and d(k) the signed centred bin
+distance, so each channel X (H x W) filters to
 
-    hfr = sum_c sum_uv gain(u,v)^2 |F_c(u,v)|^2 / sum_c sum_uv |F_c(u,v)|^2
+    high = X - A @ X @ B
 
-equals filtered spatial energy over raw spatial energy without ever
-running an inverse transform. Gains live in [0, 1) (the DC gain is exactly
-zero), so the ratio is bounded to [0, 1), and because both sums scale by
-|s|^2 under x -> s*x the ratio is scale-invariant.
+where A and B are the real symmetric circulant matrices whose DFT
+eigenvalues are e_y and e_x. By Parseval the ratio is then
 
-All spectral sums are accumulated with the fixed pairwise tree from
+    hfr = sum(high^2) / sum(X^2)
+
+one real quadratic form: no complex spectrum and no inverse transform.
+Gains live in [0, 1) (the DC gain is exactly zero), so the ratio is
+bounded to [0, 1) and invariant to rescaling the map.
+
+Energies are accumulated with the fixed pairwise tree from
 :mod:`freqsel.reduction`, so results do not depend on evaluation order.
 """
 from __future__ import annotations
@@ -22,8 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimMismatch, NonPositiveCutoff, ZeroEnergyFeature
-from .fft import fft2, fftshift, ifft2, ifftshift
+from .errors import DimMismatch, NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
 from .reduction import pairwise_sum
 from .tensor_io import FeatureMap
 
@@ -34,7 +38,6 @@ __all__ = [
     "gaussian_highpass_mask",
     "energy",
     "hfr",
-    "hfr_per_channel",
     "extract_high_freq",
     "decompose",
 ]
@@ -49,9 +52,9 @@ class HighPassMask:
 
     ``gains`` is stored centred (zero-frequency bin at (H//2, W//2)) and
     read-only. gain(u, v) = 1 - exp(-D^2 / (2 * cutoff^2)) with D the
-    Euclidean distance from the centre bin, then symmetrised so the
-    unshifted grid satisfies g[u, v] = g[(H-u) % H, (W-v) % W] exactly and
-    real inputs stay real after filtering.
+    Euclidean distance from the centre bin, built as 1 - e_y(u) * e_x(v),
+    so the unshifted grid satisfies g[u, v] = g[(H-u) % H, (W-v) % W]
+    exactly and real inputs stay real after filtering.
     """
 
     height: int
@@ -61,7 +64,7 @@ class HighPassMask:
 
     def unshifted(self) -> np.ndarray:
         """Gains in standard DFT layout (zero-frequency bin at [0, 0])."""
-        return ifftshift(self.gains)
+        return np.roll(self.gains, (-(self.height // 2), -(self.width // 2)), axis=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -72,21 +75,18 @@ class Decomposition:
     low: FeatureMap
 
 
-def _conjugate_symmetrise(unshifted: np.ndarray) -> np.ndarray:
-    h, w = unshifted.shape
-    flipped = unshifted[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
-    # the Gaussian grid is already symmetric, so this halving is exact and
-    # serves as a guarantee rather than a correction
-    return 0.5 * (unshifted + flipped)
+def _gaussian_eigenvalues(n: int, cutoff: float) -> np.ndarray:
+    """e(k) = exp(-d(k)^2 / (2 * cutoff^2)) in DFT order, d the centred bin distance."""
+    d = (np.arange(n) + n // 2) % n - n // 2
+    return np.exp(-(d * d) / (2.0 * cutoff * cutoff))
 
 
 @lru_cache(maxsize=128)
 def _mask_cached(height: int, width: int, cutoff: float) -> HighPassMask:
-    cy, cx = height // 2, width // 2
-    dy = np.arange(height, dtype=np.float64)[:, np.newaxis] - cy
-    dx = np.arange(width, dtype=np.float64)[np.newaxis, :] - cx
-    centred = 1.0 - np.exp(-(dy * dy + dx * dx) / (2.0 * cutoff * cutoff))
-    gains = fftshift(_conjugate_symmetrise(ifftshift(centred)))
+    unshifted = 1.0 - np.outer(
+        _gaussian_eigenvalues(height, cutoff), _gaussian_eigenvalues(width, cutoff)
+    )
+    gains = np.roll(unshifted, (height // 2, width // 2), axis=(0, 1))
     gains.setflags(write=False)
     return HighPassMask(height, width, cutoff, gains)
 
@@ -101,11 +101,19 @@ def gaussian_highpass_mask(height: int, width: int, cutoff: float = DEFAULT_CUTO
 
 
 @lru_cache(maxsize=128)
-def _gain_sq_unshifted(height: int, width: int, cutoff: float) -> np.ndarray:
-    g = _mask_cached(height, width, cutoff).unshifted()
-    g2 = g * g
-    g2.setflags(write=False)
-    return g2
+def _lowpass_circulant(n: int, cutoff: float) -> np.ndarray:
+    """M[i, j] = a[(i - j) mod n] with a = inverse DFT of the Gaussian eigenvalues.
+
+    a[d] = (1/n) * sum_k e(k) cos(2 pi k d / n); the phase k*d is reduced
+    mod n in integers to keep the cosine argument small. a is even in d,
+    so indexing by the shorter circular distance makes M exactly symmetric.
+    """
+    k = np.arange(n)
+    a = np.cos(2.0 * np.pi * (np.outer(k, k) % n) / n) @ _gaussian_eigenvalues(n, cutoff) / n
+    lag = (k[:, np.newaxis] - k[np.newaxis, :]) % n
+    m = a[np.minimum(lag, n - lag)]
+    m.setflags(write=False)
+    return m
 
 
 def energy(fmap: FeatureMap) -> float:
@@ -113,60 +121,39 @@ def energy(fmap: FeatureMap) -> float:
     return pairwise_sum(np.square(fmap.values))
 
 
-def _spectral_power(fmap: FeatureMap) -> np.ndarray:
-    spectra = fft2(fmap.values)
-    return spectra.real * spectra.real + spectra.imag * spectra.imag
+def extract_high_freq(fmap: FeatureMap, mask: HighPassMask) -> FeatureMap:
+    """Filter a map through the high-pass gains: X - A @ X @ B per channel."""
+    if (mask.height, mask.width) != (fmap.height, fmap.width):
+        raise DimMismatch(
+            f"mask is {mask.height}x{mask.width} but map is {fmap.height}x{fmap.width}"
+        )
+    if not np.isfinite(fmap.values).all():
+        raise NonFiniteValue(
+            f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) contains NaN or Inf"
+        )
+    a = _lowpass_circulant(mask.height, mask.cutoff)
+    b = _lowpass_circulant(mask.width, mask.cutoff)
+    return FeatureMap(fmap.values - a @ fmap.values @ b, fmap.meta)
 
 
 def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     """High-frequency energy ratio of one map, channels pooled.
 
-    Numerator and denominator are summed per channel with the fixed pair
-    tree, then combined pairwise across channels, so the value is
-    independent of how callers batch or thread the surrounding loop.
+    The map is first scaled by the power of two that brings max |x| into
+    [0.5, 1). That scaling is exact, so in-range results keep their bits,
+    and the squared energies can neither overflow nor underflow anywhere
+    in the finite float64 range.
     """
-    if not cutoff > 0.0:
-        raise NonPositiveCutoff(f"cutoff must be > 0, got {cutoff}")
-    g2 = _gain_sq_unshifted(fmap.height, fmap.width, float(cutoff))
-    power = _spectral_power(fmap)
-    total = pairwise_sum([pairwise_sum(power[c]) for c in range(fmap.channels)])
+    mask = gaussian_highpass_mask(fmap.height, fmap.width, cutoff)
+    exponent = np.frexp(np.max(np.abs(fmap.values)))[1]
+    scaled = FeatureMap(np.ldexp(fmap.values, -exponent), fmap.meta)
+    high = extract_high_freq(scaled, mask)
+    total = energy(scaled)
     if total == 0.0:
         raise ZeroEnergyFeature(
             f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) has zero energy"
         )
-    kept = pairwise_sum([pairwise_sum(g2 * power[c]) for c in range(fmap.channels)])
-    return kept / total
-
-
-def hfr_per_channel(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
-    """Diagnostic variant: one ratio per channel."""
-    if not cutoff > 0.0:
-        raise NonPositiveCutoff(f"cutoff must be > 0, got {cutoff}")
-    g2 = _gain_sq_unshifted(fmap.height, fmap.width, float(cutoff))
-    power = _spectral_power(fmap)
-    out = np.empty(fmap.channels, dtype=np.float64)
-    for c in range(fmap.channels):
-        total = pairwise_sum(power[c])
-        if total == 0.0:
-            raise ZeroEnergyFeature(
-                f"feature map {fmap.meta.image_id!r} channel {c} has zero energy"
-            )
-        out[c] = pairwise_sum(g2 * power[c]) / total
-    return out
-
-
-def _apply_gains(fmap: FeatureMap, gains_unshifted: np.ndarray) -> FeatureMap:
-    filtered = ifft2(fft2(fmap.values) * gains_unshifted)
-    return FeatureMap(filtered.real, fmap.meta)
-
-
-def extract_high_freq(fmap: FeatureMap, mask: HighPassMask) -> FeatureMap:
-    """Filter a map through the high-pass gains (per channel)."""
-    if (mask.height, mask.width) != (fmap.height, fmap.width):
-        raise DimMismatch(
-            f"mask is {mask.height}x{mask.width} but map is {fmap.height}x{fmap.width}"
-        )
-    return _apply_gains(fmap, mask.unshifted())
+    return energy(high) / total
 
 
 def decompose(fmap: FeatureMap, mask: HighPassMask) -> Decomposition:

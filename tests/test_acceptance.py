@@ -22,7 +22,6 @@ from freqsel import (
     average_hfr,
     energy,
     extract_high_freq,
-    fft2,
     fisher_score,
     forward_noise,
     gaussian_bump_curve,
@@ -68,19 +67,24 @@ def criterion(num, label, budget_s):
     assert within, f"criterion {num} blew its runtime budget: {elapsed:.2f}s"
 
 
-def test_criterion_1_fft_matches_direct_dft():
-    with criterion(1, "fft vs direct DFT + Parseval", 10.0):
+def test_criterion_1_kernel_matches_direct_dft():
+    with criterion(1, "high-pass kernel vs direct DFT + Parseval", 10.0):
         rng = np.random.default_rng(101)
+        cutoffs = np.geomspace(0.5, 120.0, 11)
         for h in range(1, 33):
             for w in range(1, 33):
-                x = rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w))
-                assert rel_err(fft2(x), naive_dft2(x)) <= 1e-9, (h, w)
-        for _ in range(200):
-            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 49)), int(rng.integers(1, 49)))
-            x = rng.normal(size=shape)
-            spatial = float(np.sum(x * x))
-            spectral = float(np.sum(np.abs(fft2(x)) ** 2)) / (shape[1] * shape[2])
-            assert abs(spatial - spectral) <= 1e-10 * spatial, shape
+                fmap = FeatureMap(rng.normal(size=(h, w)))
+                cutoff = float(cutoffs[(h + w) % len(cutoffs)])
+                mask = gaussian_highpass_mask(h, w, cutoff)
+                gains = mask.unshifted()
+                spectrum = naive_dft2(fmap.values[0])
+                power = np.abs(spectrum) ** 2
+                # inverse DFT through the forward oracle: conj(DFT(conj(Y))) / (H*W)
+                want = np.conj(naive_dft2(np.conj(gains * spectrum))).real / (h * w)
+                assert rel_err(extract_high_freq(fmap, mask).values[0], want) <= 1e-9, (h, w, cutoff)
+                parseval = np.sum(gains**2 * power) / np.sum(power)
+                assert rel_err(hfr(fmap, cutoff), parseval) <= 1e-9, (h, w, cutoff)
+                assert rel_err(energy(fmap), np.sum(power) / (h * w)) <= 1e-9, (h, w)
 
 
 def test_criterion_2_hfr_invariants():

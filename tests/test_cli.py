@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import freqsel
 from freqsel import read_tensor, write_series_csv, write_tensor
-from freqsel.cli import default_probe_grid, main, parse_timestep_grid
+from freqsel.cli import _threads_arg, default_probe_grid, main, parse_timestep_grid
 
 from util import make_map, write_dataset
 
@@ -179,6 +182,29 @@ def test_reruns_byte_identical_and_thread_independent(tmp_path):
         ) == 0
         outputs.append((curve_path.read_bytes(), report_path.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_blas_threads_never_change_bytes(tmp_path):
+    manifest = make_oracle(tmp_path, **{"--images": "2", "--shape": "4,64,64", "--timesteps": "4..20..4"})
+    src = str(Path(freqsel.__file__).resolve().parents[1])
+    curves = []
+    for blas, threads in (("1", "1"), ("2", "1"), ("2", "2"), ("1", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        curve = tmp_path / f"blas{blas}_pool{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqsel", "hfr", "--manifest", str(manifest),
+             "--out", str(curve), "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        curves.append(curve.read_bytes())
+    assert all(c == curves[0] for c in curves)
+
+
+def test_threads_auto_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _threads_arg("auto") == 1
 
 
 def test_oracle_rerun_byte_identical(tmp_path):
