@@ -38,7 +38,7 @@ from .discriminability import (
     spearman,
     write_series_csv,
 )
-from .reduction import pairwise_mean, pairwise_sum
+from .reduction import pairwise_sum
 from .selection import (
     HfrCurve,
     SelectionReport,
@@ -63,10 +63,8 @@ from .tensor_io import (
     FeatureMap,
     FeatureMeta,
     ManifestEntry,
-    flatten_tokens,
     iter_loaded,
     load_entry,
-    iterate,
     load_manifest,
     read_tensor,
     reshape_tokens,
@@ -87,15 +85,12 @@ __all__ = [
     "read_tensor",
     "write_tensor",
     "reshape_tokens",
-    "flatten_tokens",
     "load_manifest",
     "save_manifest",
-    "iterate",
     "iter_loaded",
     "load_entry",
     # reduction
     "pairwise_sum",
-    "pairwise_mean",
     # spectral
     "DEFAULT_CUTOFF",
     "HighPassMask",

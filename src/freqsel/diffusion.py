@@ -38,7 +38,6 @@ provably correct selection answer.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -57,7 +56,9 @@ from .tensor_io import (
     FeatureMeta,
     ManifestEntry,
     atomic_write_text,
+    csv_text,
     iter_loaded,
+    read_csv,
     save_manifest,
     write_tensor,
 )
@@ -80,6 +81,8 @@ __all__ = [
 ]
 
 DEFAULT_TOTAL_TIMESTEPS = 1000
+
+_SCHEDULE_HEADER = ("t", "alpha")
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -138,32 +141,15 @@ def linear_schedule(total_timesteps: int = DEFAULT_TOTAL_TIMESTEPS) -> NoiseSche
 
 def load_schedule_csv(path) -> NoiseSchedule:
     """Parse a ``t,alpha`` CSV covering t = 1..T contiguously."""
-    p = Path(path)
-    try:
-        with open(p, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ScheduleInvalid(f"cannot read schedule {p}: {exc}") from exc
-    if not rows or rows[0] != ["t", "alpha"]:
-        raise ScheduleInvalid(f"{p}: first line must be the header 't,alpha'")
-    alphas = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 2:
-            raise ScheduleInvalid(f"{p}: row {i} must have exactly two fields")
-        try:
-            t, alpha = int(row[0]), float(row[1])
-        except ValueError as exc:
-            raise ScheduleInvalid(f"{p}: row {i} is not numeric: {row}") from exc
-        if t != i:
-            raise ScheduleInvalid(f"{p}: row {i} has t={t}; rows must run 1..T in order")
-        alphas.append(alpha)
-    return NoiseSchedule(tuple(alphas))
+    rows = read_csv(path, _SCHEDULE_HEADER, (int, float), ScheduleInvalid)
+    for expected, (lineno, (t, _)) in enumerate(rows, start=1):
+        if t != expected:
+            raise ScheduleInvalid(f"{path}: line {lineno} has t={t}; rows must run 1..T in order")
+    return NoiseSchedule(tuple(alpha for _, (_, alpha) in rows))
 
 
 def save_schedule_csv(schedule: NoiseSchedule, path) -> None:
-    lines = ["t,alpha"]
-    lines += [f"{t},{a!r}" for t, a in enumerate(schedule.alphas, start=1)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, csv_text(_SCHEDULE_HEADER, enumerate(schedule.alphas, start=1)))
 
 
 def forward_noise(z0: FeatureMap, eps: FeatureMap, alpha: float) -> FeatureMap:

@@ -17,7 +17,6 @@ Pearson on average-tie ranks (stable mergesort ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +28,8 @@ from .errors import (
     InvalidEmbeddingSet,
     SeriesInvalid,
 )
-from .reduction import pairwise_sum
-from .tensor_io import FeatureMap, atomic_write_text
+from .reduction import pairwise_sum, pow2_scale
+from .tensor_io import FeatureMap, atomic_write_text, csv_text, read_csv
 
 __all__ = [
     "LabeledEmbeddingSet",
@@ -44,6 +43,8 @@ __all__ = [
     "read_series_csv",
     "write_series_csv",
 ]
+
+_SERIES_HEADER = ("t", "value")
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,14 @@ def pool_tokens(source) -> np.ndarray:
 
 
 def fisher_score(data: LabeledEmbeddingSet) -> FisherResult:
-    """Trace-form Fisher score; class order cannot affect the result."""
-    emb, labels = data.embeddings, data.labels
+    """Trace-form Fisher score; class order cannot affect the result.
+
+    The traces are computed on the embeddings scaled by one exact power of
+    two, so the score is finite over the whole float64 range; the reported
+    traces are scaled back and may themselves overflow or underflow.
+    """
+    emb, exponent = pow2_scale(data.embeddings)
+    labels = data.labels
     grand_mean = pool_tokens(emb)
     within_parts = []
     between_parts = []
@@ -123,7 +130,9 @@ def fisher_score(data: LabeledEmbeddingSet) -> FisherResult:
         raise DegenerateWithinScatter(
             "all classes are internally constant; the Fisher ratio is undefined"
         )
-    return FisherResult(trace_between, trace_within, trace_between / trace_within)
+    with np.errstate(over="ignore"):
+        traces = np.ldexp([trace_between, trace_within], 2 * exponent)
+    return FisherResult(float(traces[0]), float(traces[1]), trace_between / trace_within)
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -143,6 +152,7 @@ def _check_pair(xs: np.ndarray, ys: np.ndarray) -> None:
 
 
 def _pearson_checked(xs: np.ndarray, ys: np.ndarray) -> float:
+    xs, ys = pow2_scale(xs)[0], pow2_scale(ys)[0]
     xc = xs - pairwise_sum(xs) / xs.size
     yc = ys - pairwise_sum(ys) / ys.size
     ssx = pairwise_sum(xc * xc)
@@ -193,36 +203,20 @@ def correlate(xs, ys) -> Correlation:
 
 def read_series_csv(path) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Parse a ``t,value`` CSV; timesteps must be strictly increasing ints."""
-    p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SeriesInvalid(f"cannot read series {p}: {exc}") from exc
-    if not lines or lines[0].strip() != "t,value":
-        raise SeriesInvalid(f"{p}: first line must be the header 't,value'")
     ts: list[int] = []
     vs: list[float] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise SeriesInvalid(f"{p}: line {i} must have exactly two fields")
-        try:
-            t, v = int(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise SeriesInvalid(f"{p}: line {i} is not numeric: {line!r}") from exc
+    for lineno, (t, v) in read_csv(path, _SERIES_HEADER, (int, float), SeriesInvalid):
         if not np.isfinite(v):
-            raise SeriesInvalid(f"{p}: line {i} has a non-finite value")
+            raise SeriesInvalid(f"{path}: line {lineno} has a non-finite value")
         if ts and t <= ts[-1]:
-            raise SeriesInvalid(f"{p}: timesteps must be strictly increasing (line {i})")
+            raise SeriesInvalid(f"{path}: timesteps must be strictly increasing (line {lineno})")
         ts.append(t)
         vs.append(v)
     if not ts:
-        raise SeriesInvalid(f"{p}: series has no data rows")
+        raise SeriesInvalid(f"{path}: series has no data rows")
     return tuple(ts), tuple(vs)
 
 
 def write_series_csv(timesteps, values, path) -> None:
-    rows = ["t,value"] + [f"{int(t)},{float(v)!r}" for t, v in zip(timesteps, values)]
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    rows = ((int(t), float(v)) for t, v in zip(timesteps, values))
+    atomic_write_text(path, csv_text(_SERIES_HEADER, rows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pairwise_sum", "pairwise_mean"]
+__all__ = ["pairwise_sum"]
 
 
 def pairwise_sum(values) -> float:
@@ -28,9 +28,10 @@ def pairwise_sum(values) -> float:
     return float(a[0])
 
 
-def pairwise_mean(values) -> float:
-    """Arithmetic mean built on :func:`pairwise_sum`; 0 elements is an error."""
-    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        raise ValueError("mean of zero elements")
-    return pairwise_sum(a) / a.size
+def pow2_scale(values) -> tuple[np.ndarray, int]:
+    """(scaled, exponent) with values == ldexp(scaled, exponent) and max |scaled| in
+    [0.5, 1) (exponent 0 if all zero): squares of `scaled` neither overflow nor
+    underflow, and the scaling is exact, so in-range results keep their bits."""
+    a = np.asarray(values, dtype=np.float64)
+    exponent = int(np.frexp(np.max(np.abs(a)))[1]) if a.size else 0
+    return np.ldexp(a, -exponent), exponent

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCurve, EmptyTimestep, MetaMismatch, SeriesInvalid, ZeroEnergyFeature
+from .errors import EmptyCurve, EmptyTimestep, SeriesInvalid, ZeroEnergyFeature
 from .reduction import pairwise_sum
 from .spectral import DEFAULT_CUTOFF, hfr
-from .tensor_io import DatasetManifest, atomic_write_text, load_entry
+from .tensor_io import DatasetManifest, atomic_write_text, check_timestep_shape, csv_text, load_entry, read_csv
 
 __all__ = [
     "HfrCurve",
@@ -31,6 +30,8 @@ __all__ = [
     "report_to_dict",
     "write_report_json",
 ]
+
+_CURVE_HEADER = ("t", "mean_hfr", "n")
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,9 @@ def average_hfr(
     # shape agreement is checked on the ordered results, so the verdict is
     # the same no matter how the pool interleaved the work
     by_timestep: dict[int, list[float]] = {t: [] for t in steps}
-    first_shape: dict[int, tuple] = {}
+    seen: dict = {}
     for entry, shape, value in results:
-        if not manifest.allow_ragged:
-            prev = first_shape.setdefault(entry.timestep, (shape, entry.path))
-            if shape != prev[0]:
-                raise MetaMismatch(
-                    f"timestep {entry.timestep}: {entry.path} has shape {shape} "
-                    f"but {prev[1]} has shape {prev[0]}"
-                )
+        check_timestep_shape(manifest, seen, entry, shape)
         by_timestep[entry.timestep].append(value)
 
     means = tuple(pairwise_sum(by_timestep[t]) / len(by_timestep[t]) for t in steps)
@@ -151,11 +146,7 @@ def select_timestep(curve: HfrCurve, tie_epsilon: float = 1e-4, config: dict | N
 
 
 def curve_to_csv_text(curve: HfrCurve) -> str:
-    lines = ["t,mean_hfr,n"]
-    lines += [
-        f"{t},{v!r},{n}" for t, v, n in zip(curve.timesteps, curve.mean_hfr, curve.counts)
-    ]
-    return "\n".join(lines) + "\n"
+    return csv_text(_CURVE_HEADER, zip(curve.timesteps, curve.mean_hfr, curve.counts))
 
 
 def write_curve_csv(curve: HfrCurve, path) -> None:
@@ -165,29 +156,9 @@ def write_curve_csv(curve: HfrCurve, path) -> None:
 def read_curve_csv(path, cutoff: float = DEFAULT_CUTOFF) -> HfrCurve:
     """Parse a ``t,mean_hfr,n`` CSV. The cutoff is not stored in the CSV and
     must be supplied by the caller (it is only echoed into reports)."""
-    p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SeriesInvalid(f"cannot read curve {p}: {exc}") from exc
-    if not lines or lines[0].strip() != "t,mean_hfr,n":
-        raise SeriesInvalid(f"{p}: first line must be the header 't,mean_hfr,n'")
-    ts: list[int] = []
-    vs: list[float] = []
-    ns: list[int] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise SeriesInvalid(f"{p}: line {i} must have exactly three fields")
-        try:
-            ts.append(int(parts[0]))
-            vs.append(float(parts[1]))
-            ns.append(int(parts[2]))
-        except ValueError as exc:
-            raise SeriesInvalid(f"{p}: line {i} is not numeric: {line!r}") from exc
-    return HfrCurve(tuple(ts), tuple(vs), tuple(ns), float(cutoff))
+    rows = [row for _, row in read_csv(path, _CURVE_HEADER, (int, float, int), SeriesInvalid)]
+    ts, vs, ns = zip(*rows) if rows else ((), (), ())
+    return HfrCurve(ts, vs, ns, float(cutoff))
 
 
 def report_to_dict(report: SelectionReport) -> dict:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
-from .reduction import pairwise_sum
+from .reduction import pairwise_sum, pow2_scale
 from .tensor_io import FeatureMap
 
 __all__ = [
@@ -145,8 +145,7 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     in the finite float64 range.
     """
     mask = gaussian_highpass_mask(fmap.height, fmap.width, cutoff)
-    exponent = np.frexp(np.max(np.abs(fmap.values)))[1]
-    scaled = FeatureMap(np.ldexp(fmap.values, -exponent), fmap.meta)
+    scaled = FeatureMap(pow2_scale(fmap.values)[0], fmap.meta)
     high = extract_high_freq(scaled, mask)
     total = energy(scaled)
     if total == 0.0:

@@ -32,6 +32,12 @@ JSON index binding tensor files to dataset identity::
 Relative entry paths resolve against the manifest's own directory. All
 tensors sharing a timestep must share a shape unless the manifest sets
 ``"allow_ragged": true``.
+
+Text files
+----------
+Manifests and CSVs are UTF-8. The curve, series and schedule CSVs share one
+dialect: a fixed header line, then unquoted comma-separated fields; blank
+lines are ignored.
 """
 from __future__ import annotations
 
@@ -42,11 +48,12 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    FreqselError,
     IoFailure,
     MalformedHeader,
     ManifestSchemaError,
@@ -66,12 +73,10 @@ __all__ = [
     "read_tensor",
     "write_tensor",
     "reshape_tokens",
-    "flatten_tokens",
     "load_manifest",
     "save_manifest",
     "load_entry",
     "iter_loaded",
-    "iterate",
     "atomic_write_bytes",
     "atomic_write_text",
 ]
@@ -246,6 +251,50 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def read_text(path, malformed: type[FreqselError]) -> str:
+    """The UTF-8 text of a file: IoFailure if the OS refuses, `malformed` if it does not decode."""
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise malformed(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def read_csv(
+    path, header: Sequence[str], types: Sequence[type], malformed: type[FreqselError]
+) -> list[tuple[int, tuple]]:
+    """(file line number, converted fields) for each non-blank row of a CSV.
+
+    The first line must be `header`; every other non-blank line must have
+    one field per entry of `types`, each converted by calling its type.
+    """
+    lines = read_text(path, malformed).splitlines()
+    head = ",".join(header)
+    if not lines or lines[0].strip() != head:
+        raise malformed(f"{path}: first line must be the header {head!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != len(types):
+            raise malformed(f"{path}: line {lineno} must have exactly {len(types)} fields")
+        try:
+            rows.append((lineno, tuple(kind(f) for kind, f in zip(types, fields))))
+        except ValueError as exc:
+            raise malformed(f"{path}: line {lineno} is not numeric: {line!r}") from exc
+    return rows
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header line, then one line of comma-joined ``repr`` per row of Python scalars."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_tensor(fmap: FeatureMap, path, dtype: str | None = None) -> None:
     """Serialise a feature map; `dtype` defaults to the map's own."""
     dtype = fmap.meta.dtype if dtype is None else dtype
@@ -274,11 +323,6 @@ def reshape_tokens(tokens, height: int, width: int, meta: FeatureMeta | None = N
         )
     values = arr.reshape(height, width, arr.shape[1]).transpose(2, 0, 1)
     return FeatureMap(values, meta or FeatureMeta())
-
-
-def flatten_tokens(fmap: FeatureMap) -> np.ndarray:
-    """Inverse of :func:`reshape_tokens`: (channels, H, W) -> (H*W, channels)."""
-    return fmap.values.transpose(1, 2, 0).reshape(fmap.height * fmap.width, fmap.channels)
 
 
 @dataclass(frozen=True)
@@ -347,11 +391,7 @@ def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest; every referenced file must exist."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read manifest {p}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(p, ManifestSchemaError))
     except json.JSONDecodeError as exc:
         raise ManifestSchemaError(f"{p}: not valid JSON ({exc})") from exc
 
@@ -404,6 +444,21 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> FeatureMap:
     return read_tensor(target, meta)
 
 
+def check_timestep_shape(
+    manifest: DatasetManifest, seen: dict, entry: ManifestEntry, shape: tuple[int, ...]
+) -> None:
+    """Unless the manifest allows ragged data, all maps sharing a timestep must
+    share a shape. `seen` records the first shape per timestep across calls."""
+    if manifest.allow_ragged:
+        return
+    first_shape, first_path = seen.setdefault(entry.timestep, (shape, entry.path))
+    if shape != first_shape:
+        raise MetaMismatch(
+            f"timestep {entry.timestep}: {entry.path} has shape {shape} "
+            f"but {first_path} has shape {first_shape}"
+        )
+
+
 def iter_loaded(
     manifest: DatasetManifest, timesteps: Iterable[int] | None = None
 ) -> Iterator[tuple[ManifestEntry, FeatureMap]]:
@@ -413,24 +468,10 @@ def iter_loaded(
     share a shape; the first disagreement aborts the iteration.
     """
     wanted = None if timesteps is None else set(timesteps)
-    seen: dict[int, tuple[tuple[int, ...], str]] = {}
+    seen: dict = {}
     for entry in manifest.entries:
         if wanted is not None and entry.timestep not in wanted:
             continue
         fmap = load_entry(manifest, entry)
-        if not manifest.allow_ragged:
-            dims = fmap.values.shape
-            first_dims, first_path = seen.setdefault(entry.timestep, (dims, entry.path))
-            if dims != first_dims:
-                raise MetaMismatch(
-                    f"timestep {entry.timestep}: {entry.path} has shape {dims} "
-                    f"but {first_path} has shape {first_dims}"
-                )
+        check_timestep_shape(manifest, seen, entry, fmap.values.shape)
         yield entry, fmap
-
-
-def iterate(manifest: DatasetManifest, timestep: int | None = None) -> Iterator[FeatureMap]:
-    """Yield feature maps in manifest order, optionally for one timestep."""
-    steps = None if timestep is None else (timestep,)
-    for _, fmap in iter_loaded(manifest, steps):
-        yield fmap

@@ -19,6 +19,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def child_env(**overrides):
+    """os.environ plus `overrides`, with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(freqsel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def make_oracle(tmp_path, **overrides):
     out = tmp_path / "data"
     args = {
@@ -73,6 +81,32 @@ def test_data_errors_exit_2_with_error_class(tmp_path, capsys):
     bad_json.write_text("{")
     assert run("select", "--manifest", str(bad_json)) == 2
     assert capsys.readouterr().err.startswith("ManifestSchemaError:")
+
+
+@pytest.mark.parametrize(
+    "command, flag, error",
+    [
+        ("select", "--curve", "SeriesInvalid"),
+        ("correlate", "--xs", "SeriesInvalid"),
+        ("simulate", "--schedule", "ScheduleInvalid"),
+        ("hfr", "--manifest", "ManifestSchemaError"),
+    ],
+)
+def test_non_utf8_text_input_exits_2_naming_the_file(tmp_path, capsys, command, flag, error):
+    clean = write_dataset(tmp_path / "clean", [make_map(np.ones((1, 4, 4)), "a", 1)], 1)
+    write_series_csv((1, 2, 3), (0.1, 0.2, 0.3), tmp_path / "ys.csv")
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("t,value\n1,0.5 \u00b5\n".encode("latin-1"))
+    others = {
+        "select": [],
+        "correlate": ["--ys", str(tmp_path / "ys.csv")],
+        "simulate": ["--manifest", str(clean), "--out", str(tmp_path / "sim")],
+        "hfr": ["--out", str(tmp_path / "c.csv")],
+    }[command]
+    assert run(command, flag, str(bad), *others) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: {bad}")
+    assert "Traceback" not in err
 
 
 def test_corrupt_tensor_reported_with_class(tmp_path, capsys):
@@ -186,11 +220,9 @@ def test_reruns_byte_identical_and_thread_independent(tmp_path):
 
 def test_blas_threads_never_change_bytes(tmp_path):
     manifest = make_oracle(tmp_path, **{"--images": "2", "--shape": "4,64,64", "--timesteps": "4..20..4"})
-    src = str(Path(freqsel.__file__).resolve().parents[1])
     curves = []
     for blas, threads in (("1", "1"), ("2", "1"), ("2", "2"), ("1", "2")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = child_env(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
         curve = tmp_path / f"blas{blas}_pool{threads}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "freqsel", "hfr", "--manifest", str(manifest),
@@ -326,7 +358,7 @@ def test_correlate_misaligned_series(tmp_path, capsys):
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "freqsel", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "freqsel", "--help"], env=child_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "correlate" in proc.stdout

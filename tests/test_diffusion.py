@@ -10,6 +10,7 @@ from freqsel import (
     forward_noise,
     gaussian_bump_curve,
     hfr,
+    iter_loaded,
     linear_schedule,
     load_manifest,
     load_schedule_csv,
@@ -69,9 +70,14 @@ def test_alpha_indexing_conventions():
 def test_schedule_csv_roundtrip(tmp_path):
     sched = NoiseSchedule((0.0, 0.25, 0.5, 1.0))
     save_schedule_csv(sched, tmp_path / "s.csv")
-    text = (tmp_path / "s.csv").read_text()
-    assert text.splitlines()[0] == "t,alpha"
+    assert (tmp_path / "s.csv").read_text() == "t,alpha\n1,0.0\n2,0.25\n3,0.5\n4,1.0\n"
     assert load_schedule_csv(tmp_path / "s.csv").alphas == sched.alphas
+
+
+def test_schedule_csv_ignores_blank_lines(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("t,alpha\n1,0.0\n\n2,0.5\n\n")
+    assert load_schedule_csv(path).alphas == (0.0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -191,9 +197,7 @@ def test_simulate_forward_writes_expected_dataset(tmp_path):
     back = load_manifest(tmp_path / "noised" / "manifest.json")
     assert back.entries == out.entries
     # alpha = 1 at t = 10 for this schedule: output is pure seeded noise
-    from freqsel import iterate
-
-    noised_t10 = list(iterate(back, timestep=10))
+    noised_t10 = [fmap for _, fmap in iter_loaded(back, (10,))]
     for i, fmap in enumerate(noised_t10):
         eps = sample_noise((1, 8, 8), stream_seed(4, i, 10))
         assert np.array_equal(fmap.values, eps.values)
@@ -281,9 +285,7 @@ def test_oracle_per_image_hfr_monotone_in_amplitude(tmp_path):
     manifest = oracle_features(
         profile, linear_schedule(total), 1, (1, 20, 20), seed=3, out_dir=tmp_path
     )
-    from freqsel import iterate
-
-    values = [hfr(m, 30.0) for m in iterate(manifest)]
+    values = [hfr(m, 30.0) for _, m in iter_loaded(manifest)]
     assert values == sorted(values)
     assert values[0] < values[-1]
 

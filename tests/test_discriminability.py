@@ -91,6 +91,27 @@ def test_fisher_invariant_under_sample_order():
     assert a.score == pytest.approx(b.score, rel=1e-12)
 
 
+# power-of-two scales keep the inputs exact, so the score is exactly 25; the
+# decimal scales round the inputs, whose exact score is then 25 to within 6e-16
+@pytest.mark.parametrize("scale, rel", [(2.0**531, 0.0), (2.0**-565, 0.0), (1e160, 1e-15), (1e-170, 1e-15)])
+def test_fisher_worked_example_over_float64_range(scale, rel):
+    emb = np.array([[0.0], [2.0], [10.0], [12.0]]) * scale
+    result = fisher_score(LabeledEmbeddingSet(emb, np.array([0, 0, 1, 1])))
+    assert result.score == pytest.approx(25.0, rel=rel, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    exponent=st.integers(min_value=-300, max_value=300),
+)
+def test_fisher_finite_and_scale_free_over_float64_range(seed, exponent):
+    emb, labels = rand_instance(seed)
+    base = fisher_score(LabeledEmbeddingSet(emb, labels)).score
+    scaled = fisher_score(LabeledEmbeddingSet(emb * 10.0**exponent, labels)).score
+    assert scaled == pytest.approx(base, rel=1e-12)
+
+
 def test_fisher_degenerate_within_scatter():
     data = LabeledEmbeddingSet(np.array([[1.0], [1.0], [5.0], [5.0]]), np.array([0, 0, 1, 1]))
     with pytest.raises(DegenerateWithinScatter):
@@ -158,6 +179,26 @@ def test_correlations_bounded(seed):
     result = correlate(rng.normal(size=9), rng.normal(size=9))
     assert -1.0 <= result.pearson <= 1.0
     assert -1.0 <= result.spearman <= 1.0
+
+
+def test_pearson_exact_at_extreme_scales():
+    assert pearson([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]) == 1.0
+    assert pearson([1e-200, 2e-200, 3e-200], [3.0, 2.0, 1.0]) == -1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    exponent=st.integers(min_value=-300, max_value=300),
+)
+def test_correlations_scale_free_over_float64_range(seed, exponent):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=11)
+    ys = 0.5 * xs + rng.normal(size=11)
+    # each series lives at its own scale
+    big, small = xs * 10.0**exponent, ys * 10.0**-exponent
+    assert pearson(big, small) == pytest.approx(pearson(xs, ys), abs=1e-12)
+    assert spearman(big, small) == pytest.approx(spearman(xs, ys), abs=1e-12)
 
 
 def test_constant_series_rejected():

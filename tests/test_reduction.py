@@ -1,11 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freqsel import pairwise_mean, pairwise_sum
+from freqsel import pairwise_sum
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
@@ -13,8 +12,6 @@ finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 def test_empty_and_singleton():
     assert pairwise_sum([]) == 0.0
     assert pairwise_sum([3.5]) == 3.5
-    with pytest.raises(ValueError):
-        pairwise_mean([])
 
 
 @given(st.lists(finite, min_size=1, max_size=400))
@@ -44,8 +41,3 @@ def test_fixed_tree_is_not_left_to_right():
     assert naive == 0.0
     assert pairwise_sum(values) == 2.0
     assert math.fsum(values) == 4.0
-
-
-@given(st.lists(finite, min_size=1, max_size=50))
-def test_mean_consistent_with_sum(values):
-    assert pairwise_mean(values) == pairwise_sum(values) / len(values)

@@ -12,8 +12,7 @@ from freqsel import (
     FeatureMap,
     FeatureMeta,
     ManifestEntry,
-    flatten_tokens,
-    iterate,
+    iter_loaded,
     load_manifest,
     read_tensor,
     reshape_tokens,
@@ -163,6 +162,14 @@ def test_corrupted_files_rejected(tmp_path, name, raw, expected):
         read_tensor(path)
 
 
+# --- text files ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("reader", [freqsel.read_curve_csv, freqsel.read_series_csv, freqsel.load_schedule_csv])
+def test_missing_csv_is_io_failure_naming_the_file(tmp_path, reader):
+    with pytest.raises(IoFailure, match="ghost.csv"):
+        reader(tmp_path / "ghost.csv")
+
+
 # --- token folding ---------------------------------------------------------------
 
 def test_reshape_tokens_roundtrip():
@@ -171,7 +178,8 @@ def test_reshape_tokens_roundtrip():
     assert fmap.values.shape == (4, 2, 3)
     # token 0 is the top-left grid cell, channels spread over axis 0
     assert np.array_equal(fmap.values[:, 0, 0], tokens[0])
-    assert np.array_equal(flatten_tokens(fmap), tokens)
+    # token k sits at grid cell (k // width, k % width)
+    assert np.array_equal(fmap.values.transpose(1, 2, 0).reshape(6, 4), tokens)
 
 
 def test_reshape_tokens_validates():
@@ -208,17 +216,17 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest.total_timesteps == 5
     assert manifest.timesteps() == (1, 5)
     assert [e.image_id for e in manifest.entries_at(1)] == ["img0", "img1"]
-    loaded = list(iterate(manifest))
+    loaded = [fmap for _, fmap in iter_loaded(manifest)]
     assert [m.meta.timestep for m in loaded] == [1, 1, 5]
     assert loaded[2].values[0, 0, 0] == 3.0
     # paths resolve relative to the manifest directory
     assert manifest.resolve(manifest.entries[0]).parent == tmp_path
 
 
-def test_iterate_single_timestep(tmp_path):
+def test_iter_loaded_single_timestep(tmp_path):
     maps = [make_map(np.ones((1, 2, 2)), f"i{t}", t) for t in (1, 2, 2, 3)]
     manifest = load_manifest(write_dataset(tmp_path, maps, 3))
-    got = [m.meta.image_id for m in iterate(manifest, timestep=2)]
+    got = [m.meta.image_id for _, m in iter_loaded(manifest, (2,))]
     assert got == ["i2", "i2"]
 
 
@@ -292,10 +300,10 @@ def test_ragged_shapes_rejected_then_allowed(tmp_path):
     ]
     manifest = load_manifest(write_dataset(tmp_path, maps, 4))
     with pytest.raises(MetaMismatch):
-        list(iterate(manifest))
+        list(iter_loaded(manifest))
     ragged_dir = tmp_path / "ragged"
     manifest2 = load_manifest(write_dataset(ragged_dir, maps, 4, allow_ragged=True))
-    assert len(list(iterate(manifest2))) == 2
+    assert len(list(iter_loaded(manifest2))) == 2
 
 
 def test_different_timesteps_may_differ_in_shape(tmp_path):
@@ -304,4 +312,4 @@ def test_different_timesteps_may_differ_in_shape(tmp_path):
         make_map(np.ones((1, 3, 3)), "b", 2),
     ]
     manifest = load_manifest(write_dataset(tmp_path, maps, 2))
-    assert len(list(iterate(manifest))) == 2
+    assert len(list(iter_loaded(manifest))) == 2
