@@ -158,7 +158,10 @@ def read_curve_csv(path, cutoff: float = DEFAULT_CUTOFF) -> HfrCurve:
     must be supplied by the caller (it is only echoed into reports)."""
     rows = [row for _, row in read_csv(path, _CURVE_HEADER, (int, float, int), SeriesInvalid)]
     ts, vs, ns = zip(*rows) if rows else ((), (), ())
-    return HfrCurve(ts, vs, ns, float(cutoff))
+    try:
+        return HfrCurve(ts, vs, ns, float(cutoff))
+    except SeriesInvalid as exc:
+        raise SeriesInvalid(f"{path}: {exc}") from None
 
 
 def report_to_dict(report: SelectionReport) -> dict:

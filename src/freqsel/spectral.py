@@ -116,9 +116,21 @@ def _lowpass_circulant(n: int, cutoff: float) -> np.ndarray:
     return m
 
 
+def _sum_squares(values: np.ndarray) -> float:
+    return pairwise_sum(np.square(values))
+
+
 def energy(fmap: FeatureMap) -> float:
-    """Total energy sum(values^2), accumulated pairwise."""
-    return pairwise_sum(np.square(fmap.values))
+    """Total energy sum(values^2), accumulated pairwise.
+
+    The squares are taken after the exact power-of-two pre-scale that
+    :func:`hfr` uses and the sum is scaled back, so no square overflows or
+    underflows on the way; the result is inf only if the energy itself
+    exceeds the float64 range (16 values of 1e160 have energy 1.6e321).
+    """
+    scaled, exponent = pow2_scale(fmap.values)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_sum_squares(scaled), 2 * exponent))
 
 
 def extract_high_freq(fmap: FeatureMap, mask: HighPassMask) -> FeatureMap:
@@ -147,12 +159,12 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     mask = gaussian_highpass_mask(fmap.height, fmap.width, cutoff)
     scaled = FeatureMap(pow2_scale(fmap.values)[0], fmap.meta)
     high = extract_high_freq(scaled, mask)
-    total = energy(scaled)
+    total = _sum_squares(scaled.values)
     if total == 0.0:
         raise ZeroEnergyFeature(
             f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) has zero energy"
         )
-    return energy(high) / total
+    return _sum_squares(high.values) / total
 
 
 def decompose(fmap: FeatureMap, mask: HighPassMask) -> Decomposition:

@@ -35,9 +35,9 @@ tensors sharing a timestep must share a shape unless the manifest sets
 
 Text files
 ----------
-Manifests and CSVs are UTF-8. The curve, series and schedule CSVs share one
-dialect: a fixed header line, then unquoted comma-separated fields; blank
-lines are ignored.
+Manifests and CSVs are UTF-8; a leading byte-order mark is skipped. The
+curve, series and schedule CSVs share one dialect: a fixed header line,
+then unquoted comma-separated fields; blank lines are ignored.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ import ast
 import json
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -231,14 +230,23 @@ def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
     return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like `chunks` in order via a sibling temp file and a rename.
+
+    Readers never see a partial file, and a process crash never leaves one.
+    Nothing is fsynced, so after a power loss the file may be empty or
+    missing. The temp file is created with mode 0o666, so the kernel applies
+    the umask (and any default ACL) as it does to any new file; reading the
+    umask instead would mean setting it, for every thread, for a moment.
+    """
     p = Path(path)
+    tmp = p.parent / f"{p.name}.{os.urandom(6).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, p)
         except BaseException:
             os.unlink(tmp)
@@ -252,10 +260,11 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def read_text(path, malformed: type[FreqselError]) -> str:
-    """The UTF-8 text of a file: IoFailure if the OS refuses, `malformed` if it does not decode."""
+    """The UTF-8 text of a file, without a leading byte-order mark: IoFailure
+    if the OS refuses, `malformed` if it does not decode."""
     p = Path(path)
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoFailure(f"cannot read {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -297,13 +306,22 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def write_tensor(fmap: FeatureMap, path, dtype: str | None = None) -> None:
     """Serialise a feature map; `dtype` defaults to the map's own."""
-    dtype = fmap.meta.dtype if dtype is None else dtype
+    write_array(fmap.values, path, fmap.meta.dtype if dtype is None else dtype)
+
+
+def write_array(values: np.ndarray, path, dtype: str) -> None:
+    """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`.
+
+    The payload is cast straight to the file's dtype (no copy at all for
+    C-ordered f64 on a little-endian host) and written after the header,
+    never joined to it.
+    """
     if dtype not in _DESCR_BY_DTYPE:
         raise UnsupportedDtype(f"cannot write dtype {dtype!r} (need 'f32' or 'f64')")
-    _check_finite(fmap.values, str(path))
+    _check_finite(values, str(path))
     descr = _DESCR_BY_DTYPE[dtype]
-    payload = np.ascontiguousarray(fmap.values).astype(descr).tobytes()
-    atomic_write_bytes(path, _build_header(fmap.values.shape, descr) + payload)
+    payload = np.ascontiguousarray(values, dtype=descr)
+    atomic_write_bytes(path, _build_header(values.shape, descr), payload)
 
 
 def reshape_tokens(tokens, height: int, width: int, meta: FeatureMeta | None = None) -> FeatureMap:

@@ -109,6 +109,14 @@ def test_non_utf8_text_input_exits_2_naming_the_file(tmp_path, capsys, command, 
     assert "Traceback" not in err
 
 
+def test_invalid_curve_values_exit_2_naming_the_file(tmp_path, capsys):
+    curve = tmp_path / "c.csv"
+    curve.write_text("t,mean_hfr,n\n1,1.5,2\n")
+    assert run("select", "--curve", str(curve)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"SeriesInvalid: {curve}: curve values must be finite")
+
+
 def test_corrupt_tensor_reported_with_class(tmp_path, capsys):
     target = tmp_path / "broken.npy"
     target.write_bytes(b"\x00garbage")

@@ -21,7 +21,9 @@ from freqsel import (
     standard_normal,
     stream_seed,
     uniforms,
+    write_tensor,
 )
+from freqsel import diffusion
 from freqsel.errors import (
     FrequencyTooHigh,
     ProfileInvalid,
@@ -29,7 +31,15 @@ from freqsel.errors import (
     ShapeMismatch,
 )
 
-from util import make_map, mix64_py, normals_py, stream_bits_py, write_dataset
+from util import (
+    make_map,
+    mix64_py,
+    normals_py,
+    standard_normal_whole,
+    stream_bits_py,
+    uniforms_whole,
+    write_dataset,
+)
 
 
 # --- schedules -----------------------------------------------------------------
@@ -133,11 +143,76 @@ def test_forward_noise_validation():
 
 # --- noise stream -----------------------------------------------------------------
 
+STREAM_SEEDS = (0, 2**63, (1 << 64) - 1, stream_seed(3, 1, 2))
+DEFAULT_BLOCK = diffusion._BLOCK_PAIRS
+
+
+def _streamed_bits(seed, count):
+    blocks = diffusion._stream_blocks(seed, count, 2 * diffusion._BLOCK_PAIRS)
+    return np.concatenate([bits.copy() for _, bits in blocks])
+
+
 def test_stream_matches_pure_python_reference():
+    # the uint64 stream and the uniforms are integer arithmetic: exact everywhere
+    for seed in (0, 1, 42):
+        want = stream_bits_py(seed, 100_000)
+        assert _streamed_bits(seed, 100_000).tolist() == want
+        assert uniforms(100_000, seed).tolist() == [(b >> 11) * 2.0**-53 for b in want]
+
+
+def test_normals_within_two_ulp_of_pure_python_reference():
+    # numpy's log/cos/sin are its own SIMD code, not libm: a few draws in a
+    # thousand differ from math.log/cos/sin in the last bit or two
     for seed in (0, 1, 42, 2**63, (1 << 64) - 1):
-        got = standard_normal(17, seed)
-        want = normals_py(17, seed)
-        assert np.array_equal(got, np.asarray(want))
+        got = standard_normal(20_000, seed)
+        want = np.asarray(normals_py(20_000, seed))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+def _block_counts(block):
+    """Counts on each side of the pair and normal boundaries of one block size."""
+    return sorted(
+        {0, 1, 2, 3, block - 1, block, block + 1, 2 * block + 7}
+        | {2 * block - 1, 2 * block, 2 * block + 1, 4 * block + 7}
+    )
+
+
+@pytest.mark.parametrize("block", [1, 7, DEFAULT_BLOCK])
+def test_streamed_normals_match_whole_array_reference(monkeypatch, block):
+    monkeypatch.setattr(diffusion, "_BLOCK_PAIRS", block)
+    counts = _block_counts(block) + ([320 * 64 * 64] if block == DEFAULT_BLOCK else [1001])
+    for seed in STREAM_SEEDS:
+        for count in counts:
+            got = standard_normal(count, seed)
+            assert got.shape == (count,)
+            assert np.array_equal(got, standard_normal_whole(count, seed)), (seed, count)
+
+
+@pytest.mark.parametrize("block", [1, 7, DEFAULT_BLOCK])
+def test_streamed_uniforms_match_whole_array_reference(monkeypatch, block):
+    monkeypatch.setattr(diffusion, "_BLOCK_PAIRS", block)
+    for seed in STREAM_SEEDS:
+        for count in _block_counts(block) + [1001]:
+            assert np.array_equal(uniforms(count, seed), uniforms_whole(count, seed)), (seed, count)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_simulate_and_oracle_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block):
+    def outputs(tag):
+        clean = [make_map(np.random.default_rng(i).normal(size=(3, 5, 7)), f"img{i}", 1) for i in range(2)]
+        manifest = load_manifest(write_dataset(tmp_path / tag / "clean", clean, 1))
+        simulate_forward(manifest, linear_schedule(10), (1, 4, 10), seed=8, out_dir=tmp_path / tag / "sim", dtype="f32")
+        profile = OracleProfile(2, 1.0, (0.5, 1.0, 0.2), 2)
+        oracle_features(profile, linear_schedule(3), 2, (3, 9, 11), 4, tmp_path / tag / "oracle")
+        return {
+            p.relative_to(tmp_path / tag): p.read_bytes()
+            for p in sorted((tmp_path / tag).rglob("*"))
+            if p.is_file()
+        }
+
+    default = outputs("default")
+    monkeypatch.setattr(diffusion, "_BLOCK_PAIRS", block)
+    assert outputs("small") == default
 
 
 def test_stream_known_first_output():
@@ -203,6 +278,21 @@ def test_simulate_forward_writes_expected_dataset(tmp_path):
         assert np.array_equal(fmap.values, eps.values)
     # source identity survives alongside the new timestep
     assert [e.image_id for e in back.entries_at(5)] == ["img0", "img1", "img2"]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_simulate_forward_matches_library_chain(tmp_path, dtype):
+    # the in-place path writes what sample_noise -> forward_noise -> write_tensor writes
+    clean = [make_map(np.random.default_rng(i).normal(size=(2, 5, 3)) * 10, f"img{i}", 1) for i in range(2)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    sched = linear_schedule(7)
+    simulate_forward(manifest, sched, (1, 3, 7), seed=6, out_dir=tmp_path / "sim", dtype=dtype)
+    for t in (1, 3, 7):
+        for i, (_, z0) in enumerate(iter_loaded(manifest)):
+            eps = sample_noise((2, 5, 3), stream_seed(6, i, t))
+            write_tensor(forward_noise(z0, eps, sched.alpha(t)), tmp_path / "want.npy", dtype)
+            got = (tmp_path / "sim" / f"t{t:04d}_i{i:04d}.npy").read_bytes()
+            assert got == (tmp_path / "want.npy").read_bytes()
 
 
 def test_simulate_forward_deterministic_bytes(tmp_path):

@@ -131,6 +131,31 @@ def test_curve_csv_rejects_malformed(tmp_path):
         read_curve_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows,rule",
+    [
+        ("1,1.5,2\n", "values must be finite"),
+        ("2,0.5,1\n1,0.5,1\n", "strictly increasing"),
+        ("1,0.5,0\n", "counts must be >= 1"),
+    ],
+    ids=["value", "timestep_order", "count"],
+)
+def test_curve_csv_rule_errors_name_the_file(tmp_path, rows, rule):
+    path = tmp_path / "c.csv"
+    path.write_text("t,mean_hfr,n\n" + rows)
+    with pytest.raises(SeriesInvalid) as info:
+        read_curve_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert rule in str(info.value)
+
+
+def test_curve_csv_with_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("t,mean_hfr,n\n1,0.25,4\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_curve_csv(path) == HfrCurve((1,), (0.25,), (4,))
+
+
 # --- selection ---------------------------------------------------------------------------
 
 def test_select_picks_argmax():

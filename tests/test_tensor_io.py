@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -29,6 +30,7 @@ from freqsel.errors import (
     RankError,
     ShapeMismatch,
 )
+from freqsel.tensor_io import atomic_write_bytes, atomic_write_text
 
 from util import corrupt_corpus, make_map, write_dataset
 
@@ -154,6 +156,29 @@ def test_overwrite_is_atomic_replace(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_writes_honour_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_tensor(make_map(np.ones((1, 2, 2))), tmp_path / "x.npy", "f32")
+        atomic_write_text(tmp_path / "x.txt", "text\n")
+        save_manifest(DatasetManifest(1, (ManifestEntry("x.npy", "x", 1, ""),), False, tmp_path), tmp_path / "m.json")
+    finally:
+        os.umask(old)
+    for name in ("x.npy", "x.txt", "m.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_atomic_write_joins_chunks_and_leaves_no_temp_on_failure(tmp_path):
+    path = tmp_path / "x.bin"
+    atomic_write_bytes(path, b"ab", memoryview(b"cd"), np.arange(2, dtype="<u1"))
+    assert path.read_bytes() == b"abcd\x00\x01"
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"new", 3)
+    assert path.read_bytes() == b"abcd\x00\x01"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+
+
 @pytest.mark.parametrize("name,raw,expected", corrupt_corpus(), ids=[c[0] for c in corrupt_corpus()])
 def test_corrupted_files_rejected(tmp_path, name, raw, expected):
     path = tmp_path / f"{name}.npy"
@@ -228,6 +253,13 @@ def test_iter_loaded_single_timestep(tmp_path):
     manifest = load_manifest(write_dataset(tmp_path, maps, 3))
     got = [m.meta.image_id for _, m in iter_loaded(manifest, (2,))]
     assert got == ["i2", "i2"]
+
+
+def test_manifest_with_byte_order_mark_loads(tmp_path):
+    manifest_path = write_dataset(tmp_path, [make_map(np.ones((1, 2, 2)), "a", 2)], 3)
+    manifest_path.write_bytes(b"\xef\xbb\xbf" + manifest_path.read_bytes())
+    assert load_manifest(manifest_path).entries == load_manifest(manifest_path).entries
+    assert [e.image_id for e in load_manifest(manifest_path).entries] == ["a"]
 
 
 def test_save_manifest_roundtrip(tmp_path):

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: the DFT
 oracle is the quadratic-time definition evaluated by matrix product, the
 Fisher oracle materialises full scatter matrices, and the stream oracle is
-a pure-Python big-int reimplementation of the documented generator.
+a pure-Python big-int reimplementation of the documented generator (plus
+the whole-array numpy form the streamed generator must match bit for bit).
 """
 from __future__ import annotations
 
@@ -75,6 +76,34 @@ def normals_py(count: int, seed: int) -> list[float]:
         r = math.sqrt(-2.0 * math.log(u1))
         out.append(r * math.cos(2.0 * math.pi * u2))
         out.append(r * math.sin(2.0 * math.pi * u2))
+    return out[:count]
+
+
+# --- whole-array numpy form of the noise stream ----------------------------------
+# The generator as it stood before it was streamed in blocks: one array per
+# step over the whole count. The streamed generator must match it bit for bit.
+
+def stream_bits_whole(seed: int, count: int) -> np.ndarray:
+    z = np.uint64(seed & MASK64) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniforms_whole(count: int, seed: int) -> np.ndarray:
+    return (stream_bits_whole(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def standard_normal_whole(count: int, seed: int) -> np.ndarray:
+    pairs = (count + 1) // 2
+    bits = stream_bits_whole(seed, 2 * pairs)
+    u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
     return out[:count]
 
 
