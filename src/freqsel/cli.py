@@ -20,7 +20,7 @@ which is why it is excluded from the config echoed into reports.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,7 +56,7 @@ from .selection import (
     write_report_json,
 )
 from .spectral import DEFAULT_CUTOFF, decompose, gaussian_highpass_mask
-from .tensor_io import atomic_write_text, iter_loaded, load_manifest, read_tensor, write_tensor
+from .tensor_io import atomic_write_json, load_manifest, map_loaded, read_tensor, write_tensor
 
 __all__ = ["main", "build_parser", "RunConfig", "parse_timestep_grid", "default_probe_grid"]
 
@@ -110,24 +110,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str, zero_ok: bool) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise argparse.ArgumentTypeError(f"must be finite and {'>=' if zero_ok else '>'} 0, got {text}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, zero_ok=False)
 
 
 def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+    return _finite_float(text, zero_ok=True)
 
 
 def _positive_int(text: str) -> int:
@@ -387,28 +385,23 @@ def cmd_decompose(args) -> int:
 def cmd_fisher(args) -> int:
     manifest = load_manifest(args.manifest)
     steps = args.timesteps if args.timesteps is not None else manifest.timesteps()
-    if not steps:
-        raise EmptyTimestep("manifest has no entries")
-    pooled: dict[int, list] = {t: [] for t in steps}
-    labels: dict[int, list[int]] = {t: [] for t in steps}
-    for entry, fmap in iter_loaded(manifest, steps):
-        if entry.label is None:
+    for entry in manifest.entries:
+        if entry.timestep in steps and entry.label is None:
             raise ManifestSchemaError(
                 f"fisher needs a label on every entry; {entry.path} (t={entry.timestep}) has none"
             )
-        pooled[entry.timestep].append(pool_tokens(fmap))
-        labels[entry.timestep].append(entry.label)
+    pooled: dict[int, list] = {t: [] for t in steps}
+    for entry, embedding in map_loaded(manifest, pool_tokens, steps):
+        pooled[entry.timestep].append((embedding, entry.label))
     rows = []
     for t in steps:
-        if not pooled[t]:
-            raise EmptyTimestep(f"no feature maps at timestep {t}")
-        result = fisher_score(LabeledEmbeddingSet(pooled[t], labels[t]))
+        result = fisher_score(LabeledEmbeddingSet(*zip(*pooled[t])))
         rows.append(
             {
                 "t": t,
                 "n": len(pooled[t]),
-                "trace_between": result.trace_between,
-                "trace_within": result.trace_within,
+                "trace_between": _finite_or_none(result.trace_between),
+                "trace_within": _finite_or_none(result.trace_within),
                 "score": result.score,
             }
         )
@@ -422,8 +415,12 @@ def cmd_fisher(args) -> int:
             "note": "label-dependent diagnostic; selection itself never reads labels",
             "config": config.echo(),
         }
-        atomic_write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        atomic_write_json(args.out, doc)
     return 0
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def cmd_simulate(args) -> int:
@@ -480,7 +477,7 @@ def cmd_correlate(args) -> int:
             "n": len(xs_v),
             "config": config.echo(),
         }
-        atomic_write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        atomic_write_json(args.out, doc)
     return 0
 
 

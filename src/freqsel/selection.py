@@ -8,16 +8,14 @@ resolved.
 """
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCurve, EmptyTimestep, SeriesInvalid, ZeroEnergyFeature
+from .errors import EmptyCurve, SeriesInvalid
 from .reduction import pairwise_sum
 from .spectral import DEFAULT_CUTOFF, hfr
-from .tensor_io import DatasetManifest, atomic_write_text, check_timestep_shape, csv_text, load_entry, read_csv
+from .tensor_io import DatasetManifest, atomic_write_json, atomic_write_text, csv_text, map_loaded, read_csv
 
 __all__ = [
     "HfrCurve",
@@ -74,18 +72,6 @@ class SelectionReport:
     config: dict = field(default_factory=dict)
 
 
-def _hfr_job(manifest: DatasetManifest, entry, cutoff: float):
-    fmap = load_entry(manifest, entry)
-    try:
-        value = hfr(fmap, cutoff)
-    except ZeroEnergyFeature:
-        raise ZeroEnergyFeature(
-            f"{manifest.resolve(entry)}: zero-energy feature map "
-            f"(image {entry.image_id!r}, t={entry.timestep})"
-        ) from None
-    return entry, fmap.values.shape, value
-
-
 def average_hfr(
     manifest: DatasetManifest,
     cutoff: float = DEFAULT_CUTOFF,
@@ -94,40 +80,15 @@ def average_hfr(
 ) -> HfrCurve:
     """Mean HFR per timestep over a manifest, in a fixed reduction order.
 
-    ``threads`` only parallelises per-map work (load + filter); the
-    per-timestep averages are reduced from results in manifest order with
-    the fixed pairwise tree, so the curve is bit-identical for any thread
-    count. A zero-energy map anywhere aborts with a pointer to the file.
+    Maps are loaded and scored by :func:`~freqsel.tensor_io.map_loaded`,
+    under its rules; ``threads`` only parallelises that per-map work. The
+    means are reduced in manifest order with the fixed pairwise tree, so
+    the curve is bit-identical for any thread count.
     """
-    if timesteps is None:
-        steps = manifest.timesteps()
-        if not steps:
-            raise EmptyTimestep("manifest has no entries")
-    else:
-        steps = tuple(sorted(set(int(t) for t in timesteps)))
-        if not steps:
-            raise EmptyTimestep("no timesteps requested")
-    wanted = set(steps)
-    tasks = [e for e in manifest.entries if e.timestep in wanted]
-    present = {e.timestep for e in tasks}
-    for t in steps:
-        if t not in present:
-            raise EmptyTimestep(f"no feature maps at timestep {t}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda e: _hfr_job(manifest, e, cutoff), tasks))
-    else:
-        results = [_hfr_job(manifest, e, cutoff) for e in tasks]
-
-    # shape agreement is checked on the ordered results, so the verdict is
-    # the same no matter how the pool interleaved the work
+    steps = manifest.timesteps() if timesteps is None else tuple(sorted({int(t) for t in timesteps}))
     by_timestep: dict[int, list[float]] = {t: [] for t in steps}
-    seen: dict = {}
-    for entry, shape, value in results:
-        check_timestep_shape(manifest, seen, entry, shape)
+    for entry, value in map_loaded(manifest, lambda fmap: hfr(fmap, cutoff), steps, threads):
         by_timestep[entry.timestep].append(value)
-
     means = tuple(pairwise_sum(by_timestep[t]) / len(by_timestep[t]) for t in steps)
     counts = tuple(len(by_timestep[t]) for t in steps)
     return HfrCurve(steps, means, counts, float(cutoff))
@@ -179,4 +140,4 @@ def report_to_dict(report: SelectionReport) -> dict:
 
 
 def write_report_json(report: SelectionReport, path) -> None:
-    atomic_write_text(path, json.dumps(report_to_dict(report), indent=2) + "\n")
+    atomic_write_json(path, report_to_dict(report))

@@ -95,8 +95,8 @@ def gaussian_highpass_mask(height: int, width: int, cutoff: float = DEFAULT_CUTO
     """Build (or fetch from cache) the gain grid for one configuration."""
     if height < 1 or width < 1:
         raise DimMismatch(f"mask dims must be >= 1, got {height}x{width}")
-    if not cutoff > 0.0:
-        raise NonPositiveCutoff(f"cutoff must be > 0, got {cutoff}")
+    if not (np.isfinite(cutoff) and cutoff > 0.0):
+        raise NonPositiveCutoff(f"cutoff must be finite and > 0, got {cutoff}")
     return _mask_cached(int(height), int(width), float(cutoff))
 
 
@@ -162,7 +162,7 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     total = _sum_squares(scaled.values)
     if total == 0.0:
         raise ZeroEnergyFeature(
-            f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) has zero energy"
+            f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
         )
     return _sum_squares(high.values) / total
 

@@ -29,9 +29,13 @@ JSON index binding tensor files to dataset identity::
      "entries": [{"path": str, "image_id": str, "timestep": int,
                   "group": str, "label": int|null, "accuracy": float|null}]}
 
-Relative entry paths resolve against the manifest's own directory. All
-tensors sharing a timestep must share a shape unless the manifest sets
-``"allow_ragged": true``.
+Relative entry paths resolve against the manifest's own directory. Tensors
+are read through :func:`map_loaded`, which reports the first fault in
+manifest order for any thread count: ``EmptyTimestep`` for a requested
+timestep without entries (before any read), ``MetaMismatch`` for tensors at
+one timestep that differ in shape unless ``"allow_ragged": true``, and a
+``FreqselError`` from loading or mapping a tensor as the same class, naming
+the file.
 
 Text files
 ----------
@@ -45,13 +49,16 @@ import ast
 import json
 import os
 import struct
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    EmptyTimestep,
     FreqselError,
     IoFailure,
     MalformedHeader,
@@ -259,6 +266,11 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def atomic_write_json(path, doc) -> None:
+    """Write `doc` as indented strict JSON; a NaN or Inf in it is a ValueError."""
+    atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
 def read_text(path, malformed: type[FreqselError]) -> str:
     """The UTF-8 text of a file, without a leading byte-order mark: IoFailure
     if the OS refuses, `malformed` if it does not decode."""
@@ -451,7 +463,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     }
     if manifest.allow_ragged:
         doc["allow_ragged"] = True
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_json(path, doc)
 
 
 def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> FeatureMap:
@@ -462,34 +474,63 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> FeatureMap:
     return read_tensor(target, meta)
 
 
-def check_timestep_shape(
-    manifest: DatasetManifest, seen: dict, entry: ManifestEntry, shape: tuple[int, ...]
-) -> None:
-    """Unless the manifest allows ragged data, all maps sharing a timestep must
-    share a shape. `seen` records the first shape per timestep across calls."""
-    if manifest.allow_ragged:
-        return
-    first_shape, first_path = seen.setdefault(entry.timestep, (shape, entry.path))
-    if shape != first_shape:
-        raise MetaMismatch(
-            f"timestep {entry.timestep}: {entry.path} has shape {shape} "
-            f"but {first_path} has shape {first_shape}"
-        )
+def map_loaded(
+    manifest: DatasetManifest, fn: Callable[[FeatureMap], object], timesteps=None, threads: int = 1
+) -> Iterator[tuple[ManifestEntry, object]]:
+    """Yield (entry, fn(map)) for the wanted entries, in manifest order. With
+    ``threads > 1`` up to ``2 * threads`` entries are loaded and mapped ahead
+    on a pool, shut down when the generator ends or is closed."""
+    if timesteps is None:
+        tasks = manifest.entries
+    else:
+        wanted = set(timesteps)
+        if not wanted:
+            raise EmptyTimestep(
+                "no timesteps requested" if manifest.entries else "manifest has no entries"
+            )
+        tasks = [e for e in manifest.entries if e.timestep in wanted]
+        missing = wanted - {e.timestep for e in tasks}
+        if missing:
+            raise EmptyTimestep(f"no feature maps at timestep {min(missing)}")
+
+    def job(entry: ManifestEntry):
+        try:
+            fmap = load_entry(manifest, entry)
+            return entry, fmap.values.shape, fn(fmap)
+        except FreqselError as exc:
+            path = str(manifest.resolve(entry))
+            raise exc if path in str(exc) else type(exc)(f"{path}: {exc}")
+
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    try:
+        results = map(job, tasks) if pool is None else _ahead(pool, job, tasks, 2 * threads)
+        first: dict[int, tuple] = {}
+        for entry, shape, value in results:
+            first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
+            if shape != first_shape and not manifest.allow_ragged:
+                raise MetaMismatch(
+                    f"timestep {entry.timestep}: {entry.path} has shape {shape} "
+                    f"but {first_path} has shape {first_shape}"
+                )
+            yield entry, value
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _ahead(pool: ThreadPoolExecutor, job, items, depth: int) -> Iterator:
+    """job(item) for each item in order, with at most `depth` submitted ahead."""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(job, item))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def iter_loaded(
     manifest: DatasetManifest, timesteps: Iterable[int] | None = None
 ) -> Iterator[tuple[ManifestEntry, FeatureMap]]:
-    """Yield (entry, map) pairs in manifest order, optionally filtered.
-
-    Unless the manifest allows ragged data, all maps sharing a timestep must
-    share a shape; the first disagreement aborts the iteration.
-    """
-    wanted = None if timesteps is None else set(timesteps)
-    seen: dict = {}
-    for entry in manifest.entries:
-        if wanted is not None and entry.timestep not in wanted:
-            continue
-        fmap = load_entry(manifest, entry)
-        check_timestep_shape(manifest, seen, entry, fmap.values.shape)
-        yield entry, fmap
+    """Yield (entry, map) pairs in manifest order, under the rules of :func:`map_loaded`."""
+    return map_loaded(manifest, lambda fmap: fmap, timesteps)

@@ -60,6 +60,17 @@ def test_usage_errors_exit_1(capsys):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("flag", ["--cutoff", "--tie-epsilon"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_float_flags_exit_1(tmp_path, capsys, flag, value):
+    curve = tmp_path / "c.csv"
+    curve.write_text("t,mean_hfr,n\n1,0.5,2\n")
+    out = tmp_path / "report.json"
+    assert run("select", "--curve", str(curve), f"{flag}={value}", "--out", str(out)) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert run("select", "--help") == 0
@@ -338,6 +349,27 @@ def test_fisher_requires_labels(tmp_path, capsys):
     manifest = write_dataset(tmp_path, maps, 1)
     assert run("fisher", "--manifest", str(manifest)) == 2
     assert capsys.readouterr().err.startswith("ManifestSchemaError:")
+    # a label missing on the last entry wins over a corrupt first tensor:
+    # labels are checked before any tensor is read
+    manifest = write_dataset(tmp_path / "partial", maps, 1, labels={0: 0, 1: 0, 2: 1})
+    (tmp_path / "partial" / "t0001_0000.npy").write_bytes(b"\x00garbage")
+    assert run("fisher", "--manifest", str(manifest)) == 2
+    assert capsys.readouterr().err.startswith("ManifestSchemaError:")
+
+
+def test_fisher_out_is_strict_json_when_traces_overflow(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    maps = [make_map(1e160 * (cls + rng.random((2, 4, 4))), f"i{i}", 1) for i, cls in enumerate((0, 0, 4, 4))]
+    manifest = write_dataset(tmp_path, maps, 1, labels={0: 0, 1: 0, 2: 1, 3: 1})
+    out = tmp_path / "fisher.json"
+    assert run("fisher", "--manifest", str(manifest), "--out", str(out)) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    (row,) = json.loads(out.read_text(), parse_constant=reject)["per_timestep"]
+    assert row["trace_between"] is None and row["trace_within"] is None
+    assert np.isfinite(row["score"]) and row["score"] > 0.0
 
 
 def test_correlate_command(tmp_path, capsys):

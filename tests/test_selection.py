@@ -85,10 +85,14 @@ def test_ragged_shapes_fail_under_threads(tmp_path):
         make_map(np.ones((1, 4, 4)), "a", 2),
         make_map(np.ones((1, 5, 5)) * 2, "b", 2),
     ]
-    manifest = load_manifest(write_dataset(tmp_path, maps, 2))
-    for threads in (1, 4):
-        with pytest.raises(MetaMismatch):
-            average_hfr(manifest, 6.0, threads=threads)
+    # with a zero-energy map after the ragged one: the first fault in
+    # manifest order wins, however the pool interleaves the work
+    later_zero_map = [make_map(np.ones((1, 4, 4)), "c", 2), make_map(np.zeros((1, 4, 4)), "d", 2)]
+    for name, dataset in (("ragged", maps), ("ragged_then_zero", maps + later_zero_map)):
+        manifest = load_manifest(write_dataset(tmp_path / name, dataset, 2))
+        for threads in (1, 4):
+            with pytest.raises(MetaMismatch):
+                average_hfr(manifest, 6.0, threads=threads)
 
 
 # --- curve type and CSV -----------------------------------------------------------------

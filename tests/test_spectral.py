@@ -199,6 +199,14 @@ def test_hfr_bad_cutoff_rejected():
         hfr(rand_map(1, 8, 8, 0), 0.0)
 
 
+@pytest.mark.parametrize("cutoff", [np.inf, -np.inf, np.nan])
+def test_non_finite_cutoff_rejected(cutoff):
+    with pytest.raises(NonPositiveCutoff, match="must be finite and > 0"):
+        gaussian_highpass_mask(8, 8, cutoff)
+    with pytest.raises(NonPositiveCutoff):
+        hfr(rand_map(1, 8, 8, 0), cutoff)
+
+
 def test_hfr_independent_of_channel_order():
     fmap = rand_map(4, 8, 8, 21)
     swapped = make_map(fmap.values[::-1])

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from freqsel import (
     write_tensor,
 )
 from freqsel.errors import (
+    EmptyTimestep,
     IoFailure,
     MalformedHeader,
     ManifestSchemaError,
@@ -29,8 +31,9 @@ from freqsel.errors import (
     NonFiniteValue,
     RankError,
     ShapeMismatch,
+    ZeroEnergyFeature,
 )
-from freqsel.tensor_io import atomic_write_bytes, atomic_write_text
+from freqsel.tensor_io import atomic_write_bytes, atomic_write_text, map_loaded
 
 from util import corrupt_corpus, make_map, write_dataset
 
@@ -253,6 +256,71 @@ def test_iter_loaded_single_timestep(tmp_path):
     manifest = load_manifest(write_dataset(tmp_path, maps, 3))
     got = [m.meta.image_id for _, m in iter_loaded(manifest, (2,))]
     assert got == ["i2", "i2"]
+    with pytest.raises(EmptyTimestep, match="no feature maps at timestep 4"):
+        next(iter_loaded(manifest, (2, 4)))
+
+
+# --- the ordered load path -------------------------------------------------------
+
+def _numbered_dataset(tmp_path, n=16):
+    maps = [make_map(np.full((1, 4, 4), i + 1.0), f"i{i}", 1) for i in range(n)]
+    return load_manifest(write_dataset(tmp_path, maps, 1))
+
+
+def _recorder(fail_at=None):
+    """fn for map_loaded: records (entry index, thread id), fails at `fail_at`."""
+    calls, lock = [], threading.Lock()
+
+    def fn(fmap):
+        index = int(fmap.meta.image_id[1:])
+        with lock:
+            calls.append((index, threading.get_ident()))
+        if index == fail_at:
+            raise ZeroEnergyFeature(f"map {index} refused")
+        return index
+
+    return fn, calls
+
+
+def test_map_loaded_yields_in_manifest_order_on_the_caller_thread(tmp_path):
+    manifest = _numbered_dataset(tmp_path)
+    for threads in (1, 3):
+        fn, calls = _recorder()
+        got = [(e.image_id, value) for e, value in map_loaded(manifest, fn, threads=threads)]
+        assert got == [(f"i{i}", i) for i in range(16)]
+        if threads == 1:
+            assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("stop", ["error", "close"])
+def test_map_loaded_stops_its_workers_and_the_window(tmp_path, threads, stop):
+    manifest = _numbered_dataset(tmp_path)
+    k = 3
+    before = set(threading.enumerate())
+    fn, calls = _recorder(fail_at=k if stop == "error" else None)
+    results = map_loaded(manifest, fn, threads=threads)
+    if stop == "error":
+        with pytest.raises(ZeroEnergyFeature) as err:
+            for _ in results:
+                pass
+        # the error names the file the failing map came from
+        assert str(err.value) == f"{manifest.resolve(manifest.entries[k])}: map {k} refused"
+    else:
+        for _ in range(k + 1):
+            next(results)
+        results.close()
+    assert set(threading.enumerate()) == before
+    assert max(index for index, _ in calls) <= k + 2 * threads
+
+
+def test_map_loaded_names_each_file_once(tmp_path):
+    manifest = _numbered_dataset(tmp_path, n=2)
+    broken = manifest.resolve(manifest.entries[1])
+    broken.write_bytes(b"\x00garbage")
+    with pytest.raises(MalformedHeader) as err:
+        list(map_loaded(manifest, lambda fmap: fmap))
+    assert str(err.value).count(str(broken)) == 1
 
 
 def test_manifest_with_byte_order_mark_loads(tmp_path):
