@@ -8,130 +8,82 @@ a provably correct answer, Fisher-score diagnostics, rank correlations, a
 strict tensor container) supports validating the pipeline end to end. All
 reductions are order-fixed, so results are bit-reproducible across runs and
 thread counts on one machine and numpy/BLAS build.
+
+Names are looked up lazily (PEP 562): ``import freqsel`` loads only the
+numpy-free error classes, and each name imports its defining module the
+first time it is read, so a caller that only reads a curve never loads
+numpy.
 """
+from importlib import import_module
+
 from . import errors
-from .diffusion import (
-    DEFAULT_TOTAL_TIMESTEPS,
-    NoiseSchedule,
-    OracleProfile,
-    forward_noise,
-    gaussian_bump_curve,
-    linear_schedule,
-    load_schedule_csv,
-    oracle_features,
-    sample_noise,
-    save_schedule_csv,
-    simulate_forward,
-    standard_normal,
-    stream_seed,
-    uniforms,
-)
-from .discriminability import (
-    Correlation,
-    FisherResult,
-    LabeledEmbeddingSet,
-    correlate,
-    fisher_score,
-    pearson,
-    pool_tokens,
-    read_series_csv,
-    spearman,
-    write_series_csv,
-)
-from .reduction import pairwise_sum
-from .selection import (
-    HfrCurve,
-    SelectionReport,
-    average_hfr,
-    read_curve_csv,
-    select_timestep,
-    write_curve_csv,
-    write_report_json,
-)
-from .spectral import (
-    DEFAULT_CUTOFF,
-    Decomposition,
-    HighPassMask,
-    decompose,
-    energy,
-    extract_high_freq,
-    gaussian_highpass_mask,
-    hfr,
-)
-from .tensor_io import (
-    DatasetManifest,
-    FeatureMap,
-    FeatureMeta,
-    ManifestEntry,
-    iter_loaded,
-    load_entry,
-    load_manifest,
-    read_tensor,
-    reshape_tokens,
-    save_manifest,
-    write_tensor,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "__version__",
-    # tensor_io
-    "FeatureMap",
-    "FeatureMeta",
-    "ManifestEntry",
-    "DatasetManifest",
-    "read_tensor",
-    "write_tensor",
-    "reshape_tokens",
-    "load_manifest",
-    "save_manifest",
-    "iter_loaded",
-    "load_entry",
-    # reduction
-    "pairwise_sum",
-    # spectral
-    "DEFAULT_CUTOFF",
-    "HighPassMask",
-    "Decomposition",
-    "gaussian_highpass_mask",
-    "energy",
-    "hfr",
-    "extract_high_freq",
-    "decompose",
-    # diffusion
-    "DEFAULT_TOTAL_TIMESTEPS",
-    "NoiseSchedule",
-    "OracleProfile",
-    "linear_schedule",
-    "load_schedule_csv",
-    "save_schedule_csv",
-    "forward_noise",
-    "sample_noise",
-    "standard_normal",
-    "uniforms",
-    "stream_seed",
-    "simulate_forward",
-    "gaussian_bump_curve",
-    "oracle_features",
-    # discriminability
-    "LabeledEmbeddingSet",
-    "FisherResult",
-    "Correlation",
-    "pool_tokens",
-    "fisher_score",
-    "pearson",
-    "spearman",
-    "correlate",
-    "read_series_csv",
-    "write_series_csv",
-    # selection
-    "HfrCurve",
-    "SelectionReport",
-    "average_hfr",
-    "select_timestep",
-    "read_curve_csv",
-    "write_curve_csv",
-    "write_report_json",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "FeatureMap": "tensor_io",
+    "FeatureMeta": "tensor_io",
+    "ManifestEntry": "tensor_io",
+    "DatasetManifest": "tensor_io",
+    "read_tensor": "tensor_io",
+    "write_tensor": "tensor_io",
+    "reshape_tokens": "tensor_io",
+    "load_manifest": "tensor_io",
+    "save_manifest": "tensor_io",
+    "iter_loaded": "tensor_io",
+    "load_entry": "tensor_io",
+    "pairwise_sum": "reduction",
+    "DEFAULT_CUTOFF": "defaults",
+    "HighPassMask": "spectral",
+    "Decomposition": "spectral",
+    "gaussian_highpass_mask": "spectral",
+    "energy": "spectral",
+    "hfr": "spectral",
+    "extract_high_freq": "spectral",
+    "decompose": "spectral",
+    "DEFAULT_TOTAL_TIMESTEPS": "defaults",
+    "NoiseSchedule": "diffusion",
+    "OracleProfile": "diffusion",
+    "linear_schedule": "diffusion",
+    "load_schedule_csv": "diffusion",
+    "save_schedule_csv": "diffusion",
+    "forward_noise": "diffusion",
+    "sample_noise": "diffusion",
+    "standard_normal": "diffusion",
+    "uniforms": "diffusion",
+    "stream_seed": "diffusion",
+    "simulate_forward": "diffusion",
+    "gaussian_bump_curve": "diffusion",
+    "oracle_features": "diffusion",
+    "LabeledEmbeddingSet": "discriminability",
+    "FisherResult": "discriminability",
+    "Correlation": "discriminability",
+    "pool_tokens": "discriminability",
+    "fisher_score": "discriminability",
+    "pearson": "discriminability",
+    "spearman": "discriminability",
+    "correlate": "discriminability",
+    "read_series_csv": "discriminability",
+    "write_series_csv": "discriminability",
+    "HfrCurve": "selection",
+    "SelectionReport": "selection",
+    "average_hfr": "selection",
+    "select_timestep": "selection",
+    "read_curve_csv": "selection",
+    "write_curve_csv": "selection",
+    "write_report_json": "selection",
+}
+
+__all__ = ["errors", "__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -10,6 +10,10 @@ Subcommands
   oracle     write a synthetic dataset with a known correct answer
   correlate  Pearson/Spearman between two t,value series
 
+Only the array work imports numpy: each ``cmd_*`` imports the array
+modules it uses when it runs, so ``--help``, usage errors and
+``select --curve`` start without numpy.
+
 Exit codes: 0 success, 1 usage errors (bad flags/values), 2 data errors
 (malformed or missing files, empty datasets, degenerate statistics). Data
 errors print a single ``ErrorClass: detail`` line on stderr. File outputs
@@ -25,28 +29,14 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .diffusion import (
-    DEFAULT_TOTAL_TIMESTEPS,
-    OracleProfile,
-    gaussian_bump_curve,
-    linear_schedule,
-    load_schedule_csv,
-    oracle_features,
-    simulate_forward,
-)
-from .discriminability import (
-    LabeledEmbeddingSet,
-    correlate,
-    fisher_score,
-    pool_tokens,
-    read_series_csv,
-)
+from .defaults import DEFAULT_CUTOFF, DEFAULT_TOTAL_TIMESTEPS
 from .errors import (
     EmptyTimestep,
     FreqselError,
     ManifestSchemaError,
     SeriesInvalid,
 )
+from .fileio import atomic_write_json
 from .selection import (
     HfrCurve,
     average_hfr,
@@ -55,8 +45,6 @@ from .selection import (
     write_curve_csv,
     write_report_json,
 )
-from .spectral import DEFAULT_CUTOFF, decompose, gaussian_highpass_mask
-from .tensor_io import atomic_write_json, load_manifest, map_loaded, read_tensor, write_tensor
 
 __all__ = ["main", "build_parser", "RunConfig", "parse_timestep_grid", "default_probe_grid"]
 
@@ -224,6 +212,8 @@ def _add_threads(sp) -> None:
 
 
 def _resolve_schedule(spec_text: str, total_timesteps: int):
+    from .diffusion import linear_schedule, load_schedule_csv
+
     if spec_text == "linear":
         return linear_schedule(total_timesteps)
     return load_schedule_csv(spec_text)
@@ -326,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_hfr(args) -> int:
+    from .tensor_io import load_manifest
+
     manifest = load_manifest(args.manifest)
     curve = average_hfr(manifest, args.cutoff, args.timesteps, threads=args.threads)
     write_curve_csv(curve, args.out)
@@ -356,6 +348,8 @@ def cmd_select(args) -> int:
         inputs=(("manifest", args.manifest),) if args.manifest else (("curve", args.curve),),
     )
     if args.manifest:
+        from .tensor_io import load_manifest
+
         manifest = load_manifest(args.manifest)
         curve = average_hfr(manifest, args.cutoff, args.timesteps, threads=args.threads)
     else:
@@ -373,6 +367,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .spectral import decompose, gaussian_highpass_mask
+    from .tensor_io import read_tensor, write_tensor
+
     fmap = read_tensor(args.tensor)
     mask = gaussian_highpass_mask(fmap.height, fmap.width, args.cutoff)
     parts = decompose(fmap, mask)
@@ -383,6 +380,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_fisher(args) -> int:
+    from .discriminability import LabeledEmbeddingSet, fisher_score, pool_tokens
+    from .tensor_io import load_manifest, map_loaded
+
     manifest = load_manifest(args.manifest)
     steps = args.timesteps if args.timesteps is not None else manifest.timesteps()
     for entry in manifest.entries:
@@ -395,7 +395,10 @@ def cmd_fisher(args) -> int:
         pooled[entry.timestep].append((embedding, entry.label))
     rows = []
     for t in steps:
-        result = fisher_score(LabeledEmbeddingSet(*zip(*pooled[t])))
+        try:
+            result = fisher_score(LabeledEmbeddingSet(*zip(*pooled[t])))
+        except FreqselError as exc:
+            raise type(exc)(f"timestep {t}: {exc}") from None
         rows.append(
             {
                 "t": t,
@@ -424,6 +427,9 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def cmd_simulate(args) -> int:
+    from .diffusion import simulate_forward
+    from .tensor_io import load_manifest
+
     manifest = load_manifest(args.manifest)
     schedule = _resolve_schedule(args.schedule, args.total_timesteps)
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(schedule.total_timesteps)
@@ -435,6 +441,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .diffusion import OracleProfile, gaussian_bump_curve, linear_schedule, oracle_features
+
     total = args.total_timesteps
     if args.peak_timestep > total:
         raise SeriesInvalid(
@@ -461,6 +469,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from .discriminability import correlate, read_series_csv
+
     xs_t, xs_v = read_series_csv(args.xs)
     ys_t, ys_v = read_series_csv(args.ys)
     if xs_t != ys_t:

@@ -49,21 +49,20 @@ from typing import Iterator
 
 import numpy as np
 
+from .defaults import DEFAULT_TOTAL_TIMESTEPS
 from .errors import (
     FrequencyTooHigh,
     ProfileInvalid,
     ScheduleInvalid,
     ShapeMismatch,
 )
+from .fileio import atomic_write_text, csv_text, read_csv
 from .tensor_io import (
     DatasetManifest,
     FeatureMap,
     FeatureMeta,
     ManifestEntry,
-    atomic_write_text,
-    csv_text,
     iter_loaded,
-    read_csv,
     save_manifest,
     write_array,
     write_tensor,
@@ -85,8 +84,6 @@ __all__ = [
     "gaussian_bump_curve",
     "oracle_features",
 ]
-
-DEFAULT_TOTAL_TIMESTEPS = 1000
 
 _SCHEDULE_HEADER = ("t", "alpha")
 

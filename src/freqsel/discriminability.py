@@ -28,8 +28,9 @@ from .errors import (
     InvalidEmbeddingSet,
     SeriesInvalid,
 )
+from .fileio import atomic_write_text, csv_text, read_csv
 from .reduction import pairwise_sum, pow2_scale
-from .tensor_io import FeatureMap, atomic_write_text, csv_text, read_csv
+from .tensor_io import FeatureMap
 
 __all__ = [
     "LabeledEmbeddingSet",

@@ -9,29 +9,54 @@ same bits, and the error bound grows like O(log n) instead of O(n).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["pairwise_sum"]
 
 
-def pairwise_sum(values) -> float:
-    """Sum `values` (any shape, flattened in C order) over a fixed pair tree."""
-    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        m = a.size // 2
-        folded = a[: 2 * m : 2] + a[1 : 2 * m : 2]
-        if a.size % 2:
-            folded = np.concatenate([folded, a[-1:]])
-        a = folded
-    return float(a[0])
+def pairwise_sum(values, scratch: np.ndarray | None = None) -> float:
+    """Sum `values` (any shape, flattened in C order) over a fixed pair tree.
+
+    The rounds fold back and forth between the two parts of one scratch
+    buffer (the first round's ceil(n/2) sums, then the second's), which is
+    allocated here unless the caller lends a contiguous float64 `scratch`
+    with at least as many elements as `values`; `values` itself is only
+    read, never written. The scratch does not change the bits.
+    """
+    src = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = src.size
+    half = (n + 1) // 2 if n > 1 else 0  # the first round's sums
+    need = half + ((half + 1) // 2 if half > 1 else 0)  # and the second's
+    if scratch is None:
+        scratch = np.empty(need)
+    elif scratch.size < need:
+        raise ValueError(f"scratch has {scratch.size} elements, a sum of {n} needs {need}")
+    scratch = scratch.reshape(-1)
+    parts = (scratch[:half], scratch[half:])
+    fold = 0
+    while n > 1:
+        m, odd = divmod(n, 2)
+        dst = parts[fold]
+        np.add(src[: 2 * m : 2], src[1 : 2 * m : 2], out=dst[:m])
+        if odd:
+            dst[m] = src[n - 1]
+        src, n, fold = dst, m + odd, 1 - fold
+    return float(src[0]) if n else 0.0
+
+
+def max_abs(values: np.ndarray) -> float:
+    """max |values| without an |values| temporary: NaN if any value is NaN,
+    inf if any is infinite, 0.0 for an empty array."""
+    return float(max(values.max(), -values.min())) if values.size else 0.0
 
 
 def pow2_scale(values) -> tuple[np.ndarray, int]:
     """(scaled, exponent) with values == ldexp(scaled, exponent) and max |scaled| in
     [0.5, 1) (exponent 0 if all zero): squares of `scaled` neither overflow nor
-    underflow, and the scaling is exact, so in-range results keep their bits."""
+    underflow, and the scaling is exact, so in-range results keep their bits.
+    `scaled` is always a new array."""
     a = np.asarray(values, dtype=np.float64)
-    exponent = int(np.frexp(np.max(np.abs(a)))[1]) if a.size else 0
+    exponent = math.frexp(max_abs(a))[1]
     return np.ldexp(a, -exponent), exponent

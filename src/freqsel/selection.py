@@ -5,17 +5,22 @@ a dataset. Selection is argmax over the curve; exact ties break toward the
 smaller timestep, and every timestep whose mean lies within ``tie_epsilon``
 of the maximum is reported so near-ties are visible rather than silently
 resolved.
+
+Curves, selection and reports need no numpy: only :func:`average_hfr`
+imports the array modules, when it is called.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .defaults import DEFAULT_CUTOFF, checked_cutoff
 from .errors import EmptyCurve, SeriesInvalid
-from .reduction import pairwise_sum
-from .spectral import DEFAULT_CUTOFF, hfr
-from .tensor_io import DatasetManifest, atomic_write_json, atomic_write_text, csv_text, map_loaded, read_csv
+from .fileio import atomic_write_json, atomic_write_text, csv_text, read_csv
+
+if TYPE_CHECKING:
+    from .tensor_io import DatasetManifest
 
 __all__ = [
     "HfrCurve",
@@ -51,13 +56,14 @@ class HfrCurve:
             )
         if any(t < 1 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise SeriesInvalid("curve timesteps must be >= 1 and strictly increasing")
-        if not all(np.isfinite(v) and 0.0 <= v <= 1.0 for v in vs):
+        if not all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vs):
             raise SeriesInvalid("curve values must be finite and in [0, 1]")
         if any(n < 1 for n in ns):
             raise SeriesInvalid("curve counts must be >= 1")
         object.__setattr__(self, "timesteps", ts)
         object.__setattr__(self, "mean_hfr", vs)
         object.__setattr__(self, "counts", ns)
+        object.__setattr__(self, "cutoff", checked_cutoff(self.cutoff))
 
     def __len__(self) -> int:
         return len(self.timesteps)
@@ -85,6 +91,10 @@ def average_hfr(
     means are reduced in manifest order with the fixed pairwise tree, so
     the curve is bit-identical for any thread count.
     """
+    from .reduction import pairwise_sum
+    from .spectral import hfr
+    from .tensor_io import map_loaded
+
     steps = manifest.timesteps() if timesteps is None else tuple(sorted({int(t) for t in timesteps}))
     by_timestep: dict[int, list[float]] = {t: [] for t in steps}
     for entry, value in map_loaded(manifest, lambda fmap: hfr(fmap, cutoff), steps, threads):

@@ -22,13 +22,15 @@ Energies are accumulated with the fixed pairwise tree from
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
-from .reduction import pairwise_sum, pow2_scale
+from .defaults import DEFAULT_CUTOFF, checked_cutoff
+from .errors import DimMismatch, NonFiniteValue, ZeroEnergyFeature
+from .reduction import max_abs, pairwise_sum, pow2_scale
 from .tensor_io import FeatureMap
 
 __all__ = [
@@ -41,9 +43,6 @@ __all__ = [
     "extract_high_freq",
     "decompose",
 ]
-
-# published default for the Gaussian high-pass cutoff D0
-DEFAULT_CUTOFF = 30.0
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,7 @@ def gaussian_highpass_mask(height: int, width: int, cutoff: float = DEFAULT_CUTO
     """Build (or fetch from cache) the gain grid for one configuration."""
     if height < 1 or width < 1:
         raise DimMismatch(f"mask dims must be >= 1, got {height}x{width}")
-    if not (np.isfinite(cutoff) and cutoff > 0.0):
-        raise NonPositiveCutoff(f"cutoff must be finite and > 0, got {cutoff}")
-    return _mask_cached(int(height), int(width), float(cutoff))
+    return _mask_cached(int(height), int(width), checked_cutoff(cutoff))
 
 
 @lru_cache(maxsize=128)
@@ -116,8 +113,9 @@ def _lowpass_circulant(n: int, cutoff: float) -> np.ndarray:
     return m
 
 
-def _sum_squares(values: np.ndarray) -> float:
-    return pairwise_sum(np.square(values))
+def _sum_squares_in_place(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """sum(values^2), accumulated pairwise; `values` is overwritten by its squares."""
+    return pairwise_sum(np.square(values, out=values), scratch)
 
 
 def energy(fmap: FeatureMap) -> float:
@@ -130,7 +128,18 @@ def energy(fmap: FeatureMap) -> float:
     """
     scaled, exponent = pow2_scale(fmap.values)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_sum_squares(scaled), 2 * exponent))
+        return float(np.ldexp(_sum_squares_in_place(scaled), 2 * exponent))
+
+
+def _non_finite(fmap: FeatureMap) -> NonFiniteValue:
+    return NonFiniteValue(
+        f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) contains NaN or Inf"
+    )
+
+
+def _circulants(mask: HighPassMask) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B): the low-pass is A @ X @ B per channel, always associated as (A @ X) @ B."""
+    return _lowpass_circulant(mask.height, mask.cutoff), _lowpass_circulant(mask.width, mask.cutoff)
 
 
 def extract_high_freq(fmap: FeatureMap, mask: HighPassMask) -> FeatureMap:
@@ -139,13 +148,12 @@ def extract_high_freq(fmap: FeatureMap, mask: HighPassMask) -> FeatureMap:
         raise DimMismatch(
             f"mask is {mask.height}x{mask.width} but map is {fmap.height}x{fmap.width}"
         )
-    if not np.isfinite(fmap.values).all():
-        raise NonFiniteValue(
-            f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) contains NaN or Inf"
-        )
-    a = _lowpass_circulant(mask.height, mask.cutoff)
-    b = _lowpass_circulant(mask.width, mask.cutoff)
-    return FeatureMap(fmap.values - a @ fmap.values @ b, fmap.meta)
+    if not math.isfinite(max_abs(fmap.values)):
+        raise _non_finite(fmap)
+    a, b = _circulants(mask)
+    high = a @ fmap.values @ b
+    np.subtract(fmap.values, high, out=high)
+    return FeatureMap._owned(high, fmap.meta)
 
 
 def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
@@ -154,17 +162,30 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     The map is first scaled by the power of two that brings max |x| into
     [0.5, 1). That scaling is exact, so in-range results keep their bits,
     and the squared energies can neither overflow nor underflow anywhere
-    in the finite float64 range.
+    in the finite float64 range. A non-finite max |x| is the NaN/Inf
+    check.
+
+    All map-sized work happens in one buffer allocated per call, of three
+    slots: the scaled copy, A @ X (then the sums' scratch) and the high
+    part; the difference and both squares are computed in place. One
+    large block, rather than a fresh array per step, is what the allocator
+    can hand out again for the next map without new zeroed pages.
     """
     mask = gaussian_highpass_mask(fmap.height, fmap.width, cutoff)
-    scaled = FeatureMap(pow2_scale(fmap.values)[0], fmap.meta)
-    high = extract_high_freq(scaled, mask)
-    total = _sum_squares(scaled.values)
-    if total == 0.0:
+    peak = max_abs(fmap.values)
+    if not math.isfinite(peak):
+        raise _non_finite(fmap)
+    if peak == 0.0:
         raise ZeroEnergyFeature(
             f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
         )
-    return _sum_squares(high.values) / total
+    scaled, ax, high = np.empty((3,) + fmap.values.shape)
+    np.ldexp(fmap.values, -math.frexp(peak)[1], out=scaled)
+    a, b = _circulants(mask)
+    np.matmul(np.matmul(a, scaled, out=ax), b, out=high)
+    np.subtract(scaled, high, out=high)
+    total = _sum_squares_in_place(scaled, ax)
+    return _sum_squares_in_place(high, ax) / total
 
 
 def decompose(fmap: FeatureMap, mask: HighPassMask) -> Decomposition:
@@ -174,5 +195,5 @@ def decompose(fmap: FeatureMap, mask: HighPassMask) -> Decomposition:
     recompose to the input up to one rounding per element.
     """
     high = extract_high_freq(fmap, mask)
-    low = FeatureMap(fmap.values - high.values, fmap.meta)
-    return Decomposition(high=high, low=low)
+    low = np.subtract(fmap.values, high.values)
+    return Decomposition(high=high, low=FeatureMap._owned(low, fmap.meta))

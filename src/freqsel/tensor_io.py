@@ -37,23 +37,19 @@ one timestep that differ in shape unless ``"allow_ragged": true``, and a
 ``FreqselError`` from loading or mapping a tensor as the same class, naming
 the file.
 
-Text files
-----------
-Manifests and CSVs are UTF-8; a leading byte-order mark is skipped. The
-curve, series and schedule CSVs share one dialect: a fixed header line,
-then unquoted comma-separated fields; blank lines are ignored.
+Text files and writes live in :mod:`freqsel.fileio`, which needs no numpy;
+this module re-exports them.
 """
 from __future__ import annotations
 
 import ast
 import json
-import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,6 +65,14 @@ from .errors import (
     RankError,
     ShapeMismatch,
     UnsupportedDtype,
+)
+from .fileio import (  # noqa: F401  (re-exported: callers import them from here)
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    csv_text,
+    read_csv,
+    read_text,
 )
 
 __all__ = [
@@ -116,9 +120,11 @@ class FeatureMap:
     """A (channels, height, width) float64 array plus its identity.
 
     Values are copied on construction, forced C-contiguous, and marked
-    read-only; rank-2 input is promoted to channels = 1. Finiteness is
-    checked at the I/O boundary (read/write), not here, so in-memory
-    scratch maps stay cheap to build.
+    read-only; rank-2 input is promoted to channels = 1, so a caller's
+    array can never change a map. A map read from a file is not copied
+    again: :func:`read_tensor` hands over the array it just decoded, which
+    nothing else holds. Finiteness is checked at the I/O boundary
+    (read/write), not here, so in-memory scratch maps stay cheap to build.
     """
 
     values: np.ndarray
@@ -134,6 +140,16 @@ class FeatureMap:
             raise ShapeMismatch(f"feature map dims must all be >= 1, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _owned(cls, values: np.ndarray, meta: FeatureMeta) -> FeatureMap:
+        """Wrap a C-ordered float64 array of rank 3, all dims >= 1, that no
+        one else holds: no copy and no checks; the array is made read-only."""
+        values.setflags(write=False)
+        fmap = object.__new__(cls)
+        object.__setattr__(fmap, "values", values)
+        object.__setattr__(fmap, "meta", meta)
+        return fmap
 
     @property
     def channels(self) -> int:
@@ -202,14 +218,18 @@ def _parse_tensor_bytes(raw: bytes, context: str) -> tuple[np.ndarray, str]:
     expected = itemsize
     for d in shape:
         expected *= d
-    payload = raw[body_start:]
-    if len(payload) != expected:
+    payload_len = len(raw) - body_start
+    if payload_len != expected:
         raise MalformedHeader(
-            f"{context}: payload is {len(payload)} bytes, shape {shape} needs {expected}"
+            f"{context}: payload is {payload_len} bytes, shape {shape} needs {expected}"
         )
-    values = np.frombuffer(payload, dtype=descr).astype(np.float64).reshape(shape)
-    _check_finite(values, context)
-    return values, _DTYPE_BY_DESCR[descr]
+    # one conversion straight from the file buffer (none for f64, whose
+    # payload is used in place), promoted to rank 3 and read-only
+    payload = np.frombuffer(raw, dtype=descr, offset=body_start)
+    _check_finite(payload, context)
+    values = payload.astype(np.float64, copy=False)
+    values.setflags(write=False)
+    return values.reshape(shape if len(shape) == 3 else (1,) + shape), _DTYPE_BY_DESCR[descr]
 
 
 def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
@@ -224,7 +244,7 @@ def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
         meta = FeatureMeta(image_id=p.stem, dtype=dtype)
     else:
         meta = FeatureMeta(meta.image_id, meta.timestep, meta.group, dtype)
-    return FeatureMap(values, meta)
+    return FeatureMap._owned(values, meta)
 
 
 def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
@@ -235,85 +255,6 @@ def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
     pad = -(10 + len(body)) % _ALIGN
     header = (body + " " * pad).encode("ascii")
     return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header
-
-
-def atomic_write_bytes(path, *chunks) -> None:
-    """Write the bytes-like `chunks` in order via a sibling temp file and a rename.
-
-    Readers never see a partial file, and a process crash never leaves one.
-    Nothing is fsynced, so after a power loss the file may be empty or
-    missing. The temp file is created with mode 0o666, so the kernel applies
-    the umask (and any default ACL) as it does to any new file; reading the
-    umask instead would mean setting it, for every thread, for a moment.
-    """
-    p = Path(path)
-    tmp = p.parent / f"{p.name}.{os.urandom(6).hex()}.tmp"
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-            os.replace(tmp, p)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {p}: {exc}") from exc
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def atomic_write_json(path, doc) -> None:
-    """Write `doc` as indented strict JSON; a NaN or Inf in it is a ValueError."""
-    atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-
-
-def read_text(path, malformed: type[FreqselError]) -> str:
-    """The UTF-8 text of a file, without a leading byte-order mark: IoFailure
-    if the OS refuses, `malformed` if it does not decode."""
-    p = Path(path)
-    try:
-        return p.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {p}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise malformed(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-
-
-def read_csv(
-    path, header: Sequence[str], types: Sequence[type], malformed: type[FreqselError]
-) -> list[tuple[int, tuple]]:
-    """(file line number, converted fields) for each non-blank row of a CSV.
-
-    The first line must be `header`; every other non-blank line must have
-    one field per entry of `types`, each converted by calling its type.
-    """
-    lines = read_text(path, malformed).splitlines()
-    head = ",".join(header)
-    if not lines or lines[0].strip() != head:
-        raise malformed(f"{path}: first line must be the header {head!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(types):
-            raise malformed(f"{path}: line {lineno} must have exactly {len(types)} fields")
-        try:
-            rows.append((lineno, tuple(kind(f) for kind, f in zip(types, fields))))
-        except ValueError as exc:
-            raise malformed(f"{path}: line {lineno} is not numeric: {line!r}") from exc
-    return rows
-
-
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header line, then one line of comma-joined ``repr`` per row of Python scalars."""
-    lines = [",".join(header)]
-    lines += [",".join(repr(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def write_tensor(fmap: FeatureMap, path, dtype: str | None = None) -> None:

@@ -2,29 +2,19 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
-import freqsel
 from freqsel import read_tensor, write_series_csv, write_tensor
 from freqsel.cli import _threads_arg, default_probe_grid, main, parse_timestep_grid
 
-from util import make_map, write_dataset
+from util import child_env, make_map, write_dataset
 
 
 def run(*argv):
     return main(list(argv))
-
-
-def child_env(**overrides):
-    """os.environ plus `overrides`, with this checkout's package first on PYTHONPATH."""
-    env = dict(os.environ, **overrides)
-    src = str(Path(freqsel.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def make_oracle(tmp_path, **overrides):
@@ -355,6 +345,22 @@ def test_fisher_requires_labels(tmp_path, capsys):
     (tmp_path / "partial" / "t0001_0000.npy").write_bytes(b"\x00garbage")
     assert run("fisher", "--manifest", str(manifest)) == 2
     assert capsys.readouterr().err.startswith("ManifestSchemaError:")
+
+
+@pytest.mark.parametrize(
+    "late_labels, message",
+    [({4: 0}, "need at least two samples"), ({4: 1, 5: 1}, "need at least two distinct classes")],
+)
+def test_fisher_error_names_the_timestep(tmp_path, capsys, late_labels, message):
+    # t=1 is fine; t=3 holds one sample, or two of one class
+    rng = np.random.default_rng(4)
+    labels = {0: 0, 1: 0, 2: 1, 3: 1, **late_labels}
+    maps = [make_map(rng.normal(size=(2, 4, 4)), f"i{i}", 1 if i < 4 else 3) for i in labels]
+    manifest = write_dataset(tmp_path, maps, 3, labels=labels)
+    assert run("fisher", "--manifest", str(manifest)) == 2
+    captured = capsys.readouterr()
+    assert "t=1 fisher=" in captured.out
+    assert captured.err == f"InvalidEmbeddingSet: timestep 3: {message}\n"
 
 
 def test_fisher_out_is_strict_json_when_traces_overflow(tmp_path, capsys):

@@ -1,0 +1,75 @@
+"""The package surface: lazy exports, and which commands load numpy."""
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import freqsel
+
+from util import child_env
+
+MODULES = ("tensor_io", "reduction", "spectral", "diffusion", "discriminability", "selection")
+
+
+def test_every_export_is_the_object_its_module_exports():
+    assert len(freqsel.__all__) == len(set(freqsel.__all__)) == 53
+    assert freqsel.errors is importlib.import_module("freqsel.errors")
+    for name in set(freqsel.__all__) - {"errors", "__version__"}:
+        owners = [m for m in MODULES if name in importlib.import_module(f"freqsel.{m}").__all__]
+        assert owners, name
+        for module in owners:
+            assert getattr(freqsel, name) is getattr(importlib.import_module(f"freqsel.{module}"), name)
+    assert set(freqsel.__all__) <= set(dir(freqsel))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        freqsel.no_such_name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from freqsel import *", namespace)
+    assert set(freqsel.__all__) <= set(namespace)
+    assert namespace["hfr"] is freqsel.spectral.hfr
+
+
+# Runs freqsel's __main__ with the given arguments, then reports on stderr
+# whether numpy was imported, whatever the exit status.
+_RUN_MAIN = """
+import runpy, sys
+sys.argv = ["freqsel", *sys.argv[1:]]
+try:
+    runpy.run_module("freqsel", run_name="__main__", alter_sys=True)
+finally:
+    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["--help"], 0),
+        (["select", "--curve", "c.csv", "--no-such-flag"], 1),
+        (["select", "--curve", "c.csv", "--out", "r.json"], 0),
+        (["select", "--curve", "c.csv", "--timesteps", "7"], 2),
+    ],
+)
+def test_curve_commands_and_usage_never_load_numpy(tmp_path, argv, code):
+    (tmp_path / "c.csv").write_text("t,mean_hfr,n\n1,0.25,3\n50,0.5,3\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN, *argv],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.endswith("numpy loaded: False\n")
+    if "--out" in argv:
+        assert '"selected_t": 50' in (tmp_path / "r.json").read_text()
+
+
+def test_import_freqsel_does_not_load_numpy():
+    probe = "import sys, freqsel; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'freqsel'))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['freqsel', 'freqsel.errors']"

@@ -1,10 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from freqsel import pairwise_sum
+
+from util import pairwise_sum_per_level
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
@@ -41,3 +44,35 @@ def test_fixed_tree_is_not_left_to_right():
     assert naive == 0.0
     assert pairwise_sum(values) == 2.0
     assert math.fsum(values) == 4.0
+
+
+FOLD_SIZES = [0, 1, 2, 3] + [2**k + d for k in range(2, 13) for d in (-1, 0, 1)] + [320 * 64 * 64]
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_bits_match_the_allocate_per_level_fold(n):
+    rng = np.random.default_rng(n)
+    # magnitudes spread over 16 decades, so a different tree rounds differently
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+    values.setflags(write=False)
+    before = values.copy()
+    want = pairwise_sum_per_level(values)
+    assert pairwise_sum(values) == want
+    # a lent scratch, here larger than needed, does not change the bits
+    assert pairwise_sum(values, np.full(n + 5, np.nan)) == want
+    # the read-only input is accepted and never written
+    assert np.array_equal(values, before)
+
+
+def test_strided_and_multidimensional_inputs_fold_in_c_order():
+    grid = np.random.default_rng(7).normal(size=(5, 7, 9))
+    assert pairwise_sum(grid) == pairwise_sum_per_level(grid)
+    assert pairwise_sum(grid[:, ::2, 1:]) == pairwise_sum_per_level(grid[:, ::2, 1:])
+    assert pairwise_sum(grid.T) == pairwise_sum_per_level(grid.T)
+
+
+def test_scratch_too_small_is_rejected():
+    values = np.ones(9)  # rounds of 5 and 3 sums need 8 elements
+    assert pairwise_sum(values, np.empty(8)) == 9.0
+    with pytest.raises(ValueError, match="needs 8"):
+        pairwise_sum(values, np.empty(7))

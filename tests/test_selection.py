@@ -14,6 +14,7 @@ from freqsel.errors import (
     EmptyCurve,
     EmptyTimestep,
     MetaMismatch,
+    NonPositiveCutoff,
     SeriesInvalid,
     ZeroEnergyFeature,
 )
@@ -107,6 +108,15 @@ def test_curve_validation():
     with pytest.raises(SeriesInvalid):
         HfrCurve((1, 2), (0.5, 0.5), (1, 0))
     assert len(HfrCurve((), (), ())) == 0
+
+
+@pytest.mark.parametrize("cutoff", [float("inf"), float("nan"), 0.0, -3.0])
+def test_curve_cutoff_must_be_finite_and_positive(tmp_path, cutoff):
+    with pytest.raises(NonPositiveCutoff, match="cutoff must be finite and > 0"):
+        HfrCurve((1,), (0.5,), (1,), cutoff=cutoff)
+    write_curve_csv(HfrCurve((1,), (0.5,), (1,)), tmp_path / "c.csv")
+    with pytest.raises(NonPositiveCutoff):
+        read_curve_csv(tmp_path / "c.csv", cutoff)
 
 
 def test_curve_csv_roundtrip(tmp_path):

@@ -13,7 +13,7 @@ from freqsel import (
 )
 from freqsel.errors import DimMismatch, NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
 
-from util import make_map
+from util import hfr_per_step, make_map
 
 
 def rand_map(c, h, w, seed, scale=1.0):
@@ -192,6 +192,25 @@ def test_non_finite_map_rejected_with_its_identity(bad):
     for call in (lambda: hfr(fmap), lambda: decompose(fmap, gaussian_highpass_mask(8, 8, 3.0))):
         with pytest.raises(NonFiniteValue, match=r"'img0007' \(t=42\)"):
             call()
+
+
+@pytest.mark.parametrize(
+    "shape, cutoff, scale",
+    [((1, 1, 1), 30.0, 1.0), ((3, 17, 29), 5.0, 1e-200), ((4, 64, 64), 30.0, 1e250),
+     ((2, 96, 96), 12.5, 1.0), ((320, 64, 64), 30.0, 3.0)],
+)
+def test_hfr_bits_match_the_per_step_path(shape, cutoff, scale):
+    values = scale * np.random.default_rng(sum(shape)).normal(size=shape)
+    assert hfr(make_map(values), cutoff) == hfr_per_step(values, cutoff)
+
+
+def test_non_finite_peak_is_the_nan_check():
+    # NaN anywhere and +-Inf at either end of the range: max |x| is not finite
+    for bad, where in ((np.nan, 0), (np.inf, -1), (-np.inf, 5)):
+        values = np.linspace(-1.0, 1.0, 2 * 6 * 6).reshape(2, 6, 6)
+        values.flat[where] = bad
+        with pytest.raises(NonFiniteValue, match="contains NaN or Inf"):
+            hfr(make_map(values))
 
 
 def test_hfr_bad_cutoff_rejected():

@@ -55,6 +55,35 @@ def test_map_copies_input():
     assert fmap.values[0, 0, 0] == 0.0
 
 
+@pytest.mark.parametrize("dtype, shape", [("f32", (2, 5, 7)), ("f64", (2, 5, 7)), ("f64", (5, 7))])
+def test_read_tensor_returns_a_read_only_array(tmp_path, dtype, shape):
+    path = tmp_path / "x.npy"
+    values = np.random.default_rng(1).normal(size=shape)
+    write_tensor(make_map(values), path, dtype)
+    fmap = read_tensor(path)
+    assert fmap.values.shape == (1,) * (3 - len(shape)) + shape and fmap.values.dtype == np.float64
+    assert fmap.values.flags.c_contiguous
+    # neither the map's array nor any array it views can be written
+    arr = fmap.values
+    while isinstance(arr, np.ndarray):
+        assert not arr.flags.writeable
+        arr = arr.base
+    with pytest.raises(ValueError):
+        fmap.values[0, 0, 0] = 1.0
+    assert not np.shares_memory(fmap.values, read_tensor(path).values)
+
+
+def test_public_constructor_copies_even_a_read_only_array():
+    # the caller still owns a read-only array and may make it writable again
+    src = np.zeros((2, 3, 3))
+    src.setflags(write=False)
+    fmap = FeatureMap(src)
+    assert not np.shares_memory(fmap.values, src)
+    src.setflags(write=True)
+    src[0, 0, 0] = 99.0
+    assert fmap.values[0, 0, 0] == 0.0
+
+
 def test_map_rank_and_dims_validated():
     with pytest.raises(RankError):
         FeatureMap(np.zeros(5))

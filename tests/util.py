@@ -8,11 +8,13 @@ the whole-array numpy form the streamed generator must match bit for bit).
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+import freqsel
 from freqsel import (
     DatasetManifest,
     FeatureMap,
@@ -28,6 +30,7 @@ from freqsel.errors import (
     RankError,
     UnsupportedDtype,
 )
+from freqsel.spectral import _lowpass_circulant
 
 MASK64 = (1 << 64) - 1
 
@@ -107,6 +110,34 @@ def standard_normal_whole(count: int, seed: int) -> np.ndarray:
     return out[:count]
 
 
+# --- the allocate-per-level pairwise fold and the HFR path built on it --------
+# The library folds in place over one scratch buffer and scores each map with
+# one scaled copy; both must keep the bits of these plain forms.
+
+def pairwise_sum_per_level(values) -> float:
+    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if a.size == 0:
+        return 0.0
+    while a.size > 1:
+        m = a.size // 2
+        folded = a[: 2 * m : 2] + a[1 : 2 * m : 2]
+        if a.size % 2:
+            folded = np.concatenate([folded, a[-1:]])
+        a = folded
+    return float(a[0])
+
+
+def hfr_per_step(values, cutoff: float) -> float:
+    """HFR with a fresh array per step: |x| for the pre-scale, the scaled map,
+    A @ X @ B, the difference and each square."""
+    x = np.asarray(values, dtype=np.float64)
+    scaled = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
+    a = _lowpass_circulant(x.shape[-2], cutoff)
+    b = _lowpass_circulant(x.shape[-1], cutoff)
+    high = scaled - a @ scaled @ b
+    return pairwise_sum_per_level(np.square(high)) / pairwise_sum_per_level(np.square(scaled))
+
+
 # --- Fisher oracle via explicit scatter matrices ------------------------------
 
 def fisher_scatter_oracle(embeddings, labels) -> tuple[float, float]:
@@ -125,6 +156,16 @@ def fisher_scatter_oracle(embeddings, labels) -> tuple[float, float]:
         offset = (mc - mu)[:, None]
         s_b += rows.shape[0] * (offset @ offset.T)
     return float(np.trace(s_b)), float(np.trace(s_w))
+
+
+# --- child processes -----------------------------------------------------------
+
+def child_env(**overrides):
+    """os.environ plus `overrides`, with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(freqsel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 # --- dataset builders ----------------------------------------------------------
