@@ -27,17 +27,11 @@ _EXPORTS = {
     "ManifestEntry": "tensor_io",
     "DatasetManifest": "tensor_io",
     "read_tensor": "tensor_io",
-    "write_tensor": "tensor_io",
-    "reshape_tokens": "tensor_io",
     "load_manifest": "tensor_io",
     "save_manifest": "tensor_io",
-    "iter_loaded": "tensor_io",
-    "load_entry": "tensor_io",
     "pairwise_sum": "reduction",
     "DEFAULT_CUTOFF": "defaults",
-    "HighPassMask": "spectral",
     "Decomposition": "spectral",
-    "gaussian_highpass_mask": "spectral",
     "energy": "spectral",
     "hfr": "spectral",
     "extract_high_freq": "spectral",
@@ -47,9 +41,6 @@ _EXPORTS = {
     "OracleProfile": "diffusion",
     "linear_schedule": "diffusion",
     "load_schedule_csv": "diffusion",
-    "save_schedule_csv": "diffusion",
-    "forward_noise": "diffusion",
-    "sample_noise": "diffusion",
     "standard_normal": "diffusion",
     "uniforms": "diffusion",
     "stream_seed": "diffusion",
@@ -65,7 +56,6 @@ _EXPORTS = {
     "spearman": "discriminability",
     "correlate": "discriminability",
     "read_series_csv": "discriminability",
-    "write_series_csv": "discriminability",
     "HfrCurve": "selection",
     "SelectionReport": "selection",
     "average_hfr": "selection",

@@ -367,14 +367,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .spectral import decompose, gaussian_highpass_mask
-    from .tensor_io import read_tensor, write_tensor
+    from .spectral import decompose
+    from .tensor_io import read_tensor, write_array
 
-    fmap = read_tensor(args.tensor)
-    mask = gaussian_highpass_mask(fmap.height, fmap.width, args.cutoff)
-    parts = decompose(fmap, mask)
-    write_tensor(parts.high, args.out_high, args.dtype)
-    write_tensor(parts.low, args.out_low, args.dtype)
+    parts = decompose(read_tensor(args.tensor), args.cutoff)
+    write_array(parts.high.values, args.out_high, args.dtype)
+    write_array(parts.low.values, args.out_low, args.dtype)
     print(f"decomposed {args.tensor} -> {args.out_high} + {args.out_low}")
     return 0
 

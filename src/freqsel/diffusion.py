@@ -6,7 +6,8 @@ A clean feature map z0 is noised by convex interpolation against a pure
 noise map: z_t = alpha * eps + (1 - alpha) * z0. At alpha = 0 this is the
 identity on z0 and at alpha = 1 the identity on eps, exactly (0 * x + 1 * y
 evaluates to y in IEEE-754 for finite x, y). The default schedule is linear,
-alpha_t = t / T for t = 1..T.
+alpha_t = t / T for t = 1..T. :func:`simulate_forward` applies it to a
+whole dataset, holding one clean source in memory at a time.
 
 Noise generator (full contract)
 -------------------------------
@@ -56,16 +57,13 @@ from .errors import (
     ScheduleInvalid,
     ShapeMismatch,
 )
-from .fileio import atomic_write_text, csv_text, read_csv
+from .fileio import read_csv
 from .tensor_io import (
     DatasetManifest,
-    FeatureMap,
-    FeatureMeta,
     ManifestEntry,
-    iter_loaded,
+    map_loaded,
     save_manifest,
     write_array,
-    write_tensor,
 )
 
 __all__ = [
@@ -74,9 +72,6 @@ __all__ = [
     "OracleProfile",
     "linear_schedule",
     "load_schedule_csv",
-    "save_schedule_csv",
-    "forward_noise",
-    "sample_noise",
     "standard_normal",
     "uniforms",
     "stream_seed",
@@ -153,26 +148,11 @@ def load_schedule_csv(path) -> NoiseSchedule:
     return NoiseSchedule(tuple(alpha for _, (_, alpha) in rows))
 
 
-def save_schedule_csv(schedule: NoiseSchedule, path) -> None:
-    atomic_write_text(path, csv_text(_SCHEDULE_HEADER, enumerate(schedule.alphas, start=1)))
-
-
 def _mix_forward(noise: np.ndarray, z0: np.ndarray, alpha: float) -> np.ndarray:
     """z_t = alpha * eps + (1 - alpha) * z0, computed in place into `noise` (eps)."""
     noise *= alpha
     noise += (1.0 - alpha) * z0
     return noise
-
-
-def forward_noise(z0: FeatureMap, eps: FeatureMap, alpha: float) -> FeatureMap:
-    """z_t = alpha * eps + (1 - alpha) * z0, elementwise."""
-    if z0.values.shape != eps.values.shape:
-        raise ShapeMismatch(
-            f"signal {z0.values.shape} and noise {eps.values.shape} must match"
-        )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return FeatureMap(_mix_forward(eps.values.copy(), z0.values, alpha), z0.meta)
 
 
 def _mix64(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -268,15 +248,6 @@ def standard_normal(count: int, seed: int) -> np.ndarray:
     return out[:count]
 
 
-def sample_noise(shape: tuple[int, int, int], seed: int, meta: FeatureMeta | None = None) -> FeatureMap:
-    """A (channels, height, width) map of seeded standard normals."""
-    c, h, w = (int(d) for d in shape)
-    if min(c, h, w) < 1:
-        raise ShapeMismatch(f"noise shape must be positive, got {shape}")
-    values = standard_normal(c * h * w, seed).reshape(c, h, w)
-    return FeatureMap(values, meta or FeatureMeta(image_id=f"noise-{seed & _MASK64:016x}"))
-
-
 def simulate_forward(
     manifest: DatasetManifest,
     schedule: NoiseSchedule,
@@ -291,25 +262,26 @@ def simulate_forward(
     Every input entry is treated as a clean image regardless of its own
     timestep field. Noise for (entry i, timestep t) comes from
     ``stream_seed(seed, i, t)``, so outputs are independent of the grid
-    order and of how work might be batched.
+    order and of how work might be batched. Every alpha is looked up
+    before any file is read or written.
+
+    The loop is image-major, so one clean source is held at a time; the
+    written manifest still lists the outputs timestep-major.
     """
+    alphas = [schedule.alpha_for(t, indexing) for t in timesteps]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sources = list(iter_loaded(manifest))
-    entries = []
-    for t in timesteps:
-        alpha = schedule.alpha_for(t, indexing)
-        for i, (entry, z0) in enumerate(sources):
-            # the fresh noise array is mixed in place and written as it is:
-            # no FeatureMap copies on the way to the file
-            noise = standard_normal(z0.values.size, stream_seed(seed, i, t))
-            noised = _mix_forward(noise.reshape(z0.values.shape), z0.values, alpha)
+    by_timestep: list[list[ManifestEntry]] = [[] for _ in timesteps]
+    for i, (entry, z0) in enumerate(map_loaded(manifest, lambda fmap: fmap.values)):
+        for t, alpha, row in zip(timesteps, alphas, by_timestep):
+            # the fresh noise array is mixed in place and written as it is
+            noise = standard_normal(z0.size, stream_seed(seed, i, t))
+            noised = _mix_forward(noise.reshape(z0.shape), z0, alpha)
             name = f"t{t:04d}_i{i:04d}.npy"
             write_array(noised, out / name, dtype)
-            entries.append(
-                ManifestEntry(name, entry.image_id, t, entry.group, entry.label, entry.accuracy)
-            )
-    result = DatasetManifest(schedule.total_timesteps, tuple(entries), False, out)
+            row.append(ManifestEntry(name, entry.image_id, t, entry.group, entry.label, entry.accuracy))
+    entries = tuple(e for row in by_timestep for e in row)
+    result = DatasetManifest(schedule.total_timesteps, entries, False, out)
     save_manifest(result, out / "manifest.json")
     return result
 
@@ -458,11 +430,9 @@ def oracle_features(
         for i in range(n_images):
             phases = 2.0 * np.pi * uniforms(c, stream_seed(seed, i, t))
             detail = _detail_pattern((c, h, w), profile.detail_frequency, phases)
-            meta = FeatureMeta(image_id=f"img{i:04d}", timestep=t, group="oracle", dtype=dtype)
-            fmap = FeatureMap(lows[i] + amplitude * detail, meta)
             name = f"t{t:04d}_img{i:04d}.npy"
-            write_tensor(fmap, out / name, dtype)
-            entries.append(ManifestEntry(name, meta.image_id, t, meta.group))
+            write_array(lows[i] + amplitude * detail, out / name, dtype)
+            entries.append(ManifestEntry(name, f"img{i:04d}", t, "oracle"))
     manifest = DatasetManifest(profile.total_timesteps, tuple(entries), False, out)
     save_manifest(manifest, out / "manifest.json")
     return manifest

@@ -28,7 +28,7 @@ from .errors import (
     InvalidEmbeddingSet,
     SeriesInvalid,
 )
-from .fileio import atomic_write_text, csv_text, read_csv
+from .fileio import read_csv
 from .reduction import pairwise_sum, pow2_scale
 from .tensor_io import FeatureMap
 
@@ -42,7 +42,6 @@ __all__ = [
     "spearman",
     "correlate",
     "read_series_csv",
-    "write_series_csv",
 ]
 
 _SERIES_HEADER = ("t", "value")
@@ -216,8 +215,3 @@ def read_series_csv(path) -> tuple[tuple[int, ...], tuple[float, ...]]:
     if not ts:
         raise SeriesInvalid(f"{path}: series has no data rows")
     return tuple(ts), tuple(vs)
-
-
-def write_series_csv(timesteps, values, path) -> None:
-    rows = ((int(t), float(v)) for t, v in zip(timesteps, values))
-    atomic_write_text(path, csv_text(_SERIES_HEADER, rows))

@@ -56,10 +56,6 @@ class NonPositiveCutoff(FreqselError):
     """High-pass cutoff must be strictly positive."""
 
 
-class DimMismatch(FreqselError):
-    """Filter mask dimensions do not match the feature map."""
-
-
 class ZeroEnergyFeature(FreqselError):
     """A feature map has zero total energy, so its ratio is undefined."""
 

@@ -17,6 +17,10 @@ one real quadratic form: no complex spectrum and no inverse transform.
 Gains live in [0, 1) (the DC gain is exactly zero), so the ratio is
 bounded to [0, 1) and invariant to rescaling the map.
 
+The filtering functions take the cutoff itself, checked by
+:func:`freqsel.defaults.checked_cutoff`. A and B are built once per
+(size, cutoff) and cached read-only; the H x W gain grid is never formed.
+
 Energies are accumulated with the fixed pairwise tree from
 :mod:`freqsel.reduction`, so results do not depend on evaluation order.
 """
@@ -29,41 +33,18 @@ from functools import lru_cache
 import numpy as np
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
-from .errors import DimMismatch, NonFiniteValue, ZeroEnergyFeature
+from .errors import NonFiniteValue, ZeroEnergyFeature
 from .reduction import max_abs, pairwise_sum, pow2_scale
 from .tensor_io import FeatureMap
 
 __all__ = [
     "DEFAULT_CUTOFF",
-    "HighPassMask",
     "Decomposition",
-    "gaussian_highpass_mask",
     "energy",
     "hfr",
     "extract_high_freq",
     "decompose",
 ]
-
-
-@dataclass(frozen=True)
-class HighPassMask:
-    """Gain grid for one (height, width, cutoff) combination.
-
-    ``gains`` is stored centred (zero-frequency bin at (H//2, W//2)) and
-    read-only. gain(u, v) = 1 - exp(-D^2 / (2 * cutoff^2)) with D the
-    Euclidean distance from the centre bin, built as 1 - e_y(u) * e_x(v),
-    so the unshifted grid satisfies g[u, v] = g[(H-u) % H, (W-v) % W]
-    exactly and real inputs stay real after filtering.
-    """
-
-    height: int
-    width: int
-    cutoff: float
-    gains: np.ndarray
-
-    def unshifted(self) -> np.ndarray:
-        """Gains in standard DFT layout (zero-frequency bin at [0, 0])."""
-        return np.roll(self.gains, (-(self.height // 2), -(self.width // 2)), axis=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -78,23 +59,6 @@ def _gaussian_eigenvalues(n: int, cutoff: float) -> np.ndarray:
     """e(k) = exp(-d(k)^2 / (2 * cutoff^2)) in DFT order, d the centred bin distance."""
     d = (np.arange(n) + n // 2) % n - n // 2
     return np.exp(-(d * d) / (2.0 * cutoff * cutoff))
-
-
-@lru_cache(maxsize=128)
-def _mask_cached(height: int, width: int, cutoff: float) -> HighPassMask:
-    unshifted = 1.0 - np.outer(
-        _gaussian_eigenvalues(height, cutoff), _gaussian_eigenvalues(width, cutoff)
-    )
-    gains = np.roll(unshifted, (height // 2, width // 2), axis=(0, 1))
-    gains.setflags(write=False)
-    return HighPassMask(height, width, cutoff, gains)
-
-
-def gaussian_highpass_mask(height: int, width: int, cutoff: float = DEFAULT_CUTOFF) -> HighPassMask:
-    """Build (or fetch from cache) the gain grid for one configuration."""
-    if height < 1 or width < 1:
-        raise DimMismatch(f"mask dims must be >= 1, got {height}x{width}")
-    return _mask_cached(int(height), int(width), checked_cutoff(cutoff))
 
 
 @lru_cache(maxsize=128)
@@ -137,20 +101,18 @@ def _non_finite(fmap: FeatureMap) -> NonFiniteValue:
     )
 
 
-def _circulants(mask: HighPassMask) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B): the low-pass is A @ X @ B per channel, always associated as (A @ X) @ B."""
-    return _lowpass_circulant(mask.height, mask.cutoff), _lowpass_circulant(mask.width, mask.cutoff)
+def _circulants(fmap: FeatureMap, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) for the map's height and width, after the cutoff rule: the
+    low-pass is A @ X @ B per channel, always associated as (A @ X) @ B."""
+    cutoff = checked_cutoff(cutoff)
+    return _lowpass_circulant(fmap.height, cutoff), _lowpass_circulant(fmap.width, cutoff)
 
 
-def extract_high_freq(fmap: FeatureMap, mask: HighPassMask) -> FeatureMap:
+def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
     """Filter a map through the high-pass gains: X - A @ X @ B per channel."""
-    if (mask.height, mask.width) != (fmap.height, fmap.width):
-        raise DimMismatch(
-            f"mask is {mask.height}x{mask.width} but map is {fmap.height}x{fmap.width}"
-        )
+    a, b = _circulants(fmap, cutoff)
     if not math.isfinite(max_abs(fmap.values)):
         raise _non_finite(fmap)
-    a, b = _circulants(mask)
     high = a @ fmap.values @ b
     np.subtract(fmap.values, high, out=high)
     return FeatureMap._owned(high, fmap.meta)
@@ -171,7 +133,7 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     large block, rather than a fresh array per step, is what the allocator
     can hand out again for the next map without new zeroed pages.
     """
-    mask = gaussian_highpass_mask(fmap.height, fmap.width, cutoff)
+    a, b = _circulants(fmap, cutoff)
     peak = max_abs(fmap.values)
     if not math.isfinite(peak):
         raise _non_finite(fmap)
@@ -181,19 +143,18 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
         )
     scaled, ax, high = np.empty((3,) + fmap.values.shape)
     np.ldexp(fmap.values, -math.frexp(peak)[1], out=scaled)
-    a, b = _circulants(mask)
     np.matmul(np.matmul(a, scaled, out=ax), b, out=high)
     np.subtract(scaled, high, out=high)
     total = _sum_squares_in_place(scaled, ax)
     return _sum_squares_in_place(high, ax) / total
 
 
-def decompose(fmap: FeatureMap, mask: HighPassMask) -> Decomposition:
+def decompose(fmap: FeatureMap, cutoff: float) -> Decomposition:
     """Split a map into high-pass and complementary low-pass parts.
 
     The low part is computed as original minus high, so the two parts
     recompose to the input up to one rounding per element.
     """
-    high = extract_high_freq(fmap, mask)
+    high = extract_high_freq(fmap, cutoff)
     low = np.subtract(fmap.values, high.values)
     return Decomposition(high=high, low=FeatureMap._owned(low, fmap.meta))

@@ -30,15 +30,16 @@ JSON index binding tensor files to dataset identity::
                   "group": str, "label": int|null, "accuracy": float|null}]}
 
 Relative entry paths resolve against the manifest's own directory. Tensors
-are read through :func:`map_loaded`, which reports the first fault in
-manifest order for any thread count: ``EmptyTimestep`` for a requested
-timestep without entries (before any read), ``MetaMismatch`` for tensors at
-one timestep that differ in shape unless ``"allow_ragged": true``, and a
-``FreqselError`` from loading or mapping a tensor as the same class, naming
-the file.
+are read through :func:`map_loaded`, the one load path, which reports the
+first fault in manifest order for any thread count: ``EmptyTimestep`` for a
+requested timestep without entries (before any read), ``MissingFile`` for
+an entry whose file has gone since the manifest was loaded,
+``MetaMismatch`` for tensors at one timestep that differ in shape unless
+``"allow_ragged": true``, and a ``FreqselError`` from loading or mapping a
+tensor as the same class, naming the file.
 
-Text files and writes live in :mod:`freqsel.fileio`, which needs no numpy;
-this module re-exports them.
+Arrays are written by :func:`write_array`; text files and the atomic
+writes under it live in :mod:`freqsel.fileio`, which needs no numpy.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,14 +67,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDtype,
 )
-from .fileio import (  # noqa: F401  (re-exported: callers import them from here)
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-    csv_text,
-    read_csv,
-    read_text,
-)
+from .fileio import atomic_write_bytes, atomic_write_json, read_text
 
 __all__ = [
     "FeatureMeta",
@@ -81,14 +75,8 @@ __all__ = [
     "ManifestEntry",
     "DatasetManifest",
     "read_tensor",
-    "write_tensor",
-    "reshape_tokens",
     "load_manifest",
     "save_manifest",
-    "load_entry",
-    "iter_loaded",
-    "atomic_write_bytes",
-    "atomic_write_text",
 ]
 
 _MAGIC = b"\x93NUMPY"
@@ -176,7 +164,8 @@ def _parse_header_dict(header: bytes, context: str) -> dict:
         raise MalformedHeader(f"{context}: header is not ASCII") from exc
     try:
         parsed = ast.literal_eval(text.strip())
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, TypeError) as exc:
+        # TypeError: a dict literal with an unhashable key, such as {[]: 1}
         raise MalformedHeader(f"{context}: header is not a dict literal") from exc
     if not isinstance(parsed, dict) or set(parsed) != _HEADER_KEYS:
         raise MalformedHeader(
@@ -257,11 +246,6 @@ def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
     return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header
 
 
-def write_tensor(fmap: FeatureMap, path, dtype: str | None = None) -> None:
-    """Serialise a feature map; `dtype` defaults to the map's own."""
-    write_array(fmap.values, path, fmap.meta.dtype if dtype is None else dtype)
-
-
 def write_array(values: np.ndarray, path, dtype: str) -> None:
     """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`.
 
@@ -275,25 +259,6 @@ def write_array(values: np.ndarray, path, dtype: str) -> None:
     descr = _DESCR_BY_DTYPE[dtype]
     payload = np.ascontiguousarray(values, dtype=descr)
     atomic_write_bytes(path, _build_header(values.shape, descr), payload)
-
-
-def reshape_tokens(tokens, height: int, width: int, meta: FeatureMeta | None = None) -> FeatureMap:
-    """Fold a (tokens, dims) matrix into a (dims, height, width) map.
-
-    Token order is row-major over the spatial grid, matching the way
-    transformer activations are flattened.
-    """
-    arr = np.asarray(tokens, dtype=np.float64)
-    if arr.ndim != 2:
-        raise RankError(f"token matrix must have rank 2, got rank {arr.ndim}")
-    if height < 1 or width < 1:
-        raise ShapeMismatch(f"target grid must be positive, got {height}x{width}")
-    if arr.shape[0] != height * width:
-        raise ShapeMismatch(
-            f"{arr.shape[0]} tokens cannot fill a {height}x{width} grid"
-        )
-    values = arr.reshape(height, width, arr.shape[1]).transpose(2, 0, 1)
-    return FeatureMap(values, meta or FeatureMeta())
 
 
 @dataclass(frozen=True)
@@ -407,14 +372,6 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     atomic_write_json(path, doc)
 
 
-def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> FeatureMap:
-    target = manifest.resolve(entry)
-    if not target.is_file():
-        raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
-    meta = FeatureMeta(entry.image_id, entry.timestep, entry.group)
-    return read_tensor(target, meta)
-
-
 def map_loaded(
     manifest: DatasetManifest, fn: Callable[[FeatureMap], object], timesteps=None, threads: int = 1
 ) -> Iterator[tuple[ManifestEntry, object]]:
@@ -435,12 +392,14 @@ def map_loaded(
             raise EmptyTimestep(f"no feature maps at timestep {min(missing)}")
 
     def job(entry: ManifestEntry):
+        target = manifest.resolve(entry)
         try:
-            fmap = load_entry(manifest, entry)
+            if not target.is_file():
+                raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
+            fmap = read_tensor(target, FeatureMeta(entry.image_id, entry.timestep, entry.group))
             return entry, fmap.values.shape, fn(fmap)
         except FreqselError as exc:
-            path = str(manifest.resolve(entry))
-            raise exc if path in str(exc) else type(exc)(f"{path}: {exc}")
+            raise exc if str(target) in str(exc) else type(exc)(f"{target}: {exc}")
 
     pool = ThreadPoolExecutor(threads) if threads > 1 else None
     try:
@@ -468,10 +427,3 @@ def _ahead(pool: ThreadPoolExecutor, job, items, depth: int) -> Iterator:
             yield pending.popleft().result()
     while pending:
         yield pending.popleft().result()
-
-
-def iter_loaded(
-    manifest: DatasetManifest, timesteps: Iterable[int] | None = None
-) -> Iterator[tuple[ManifestEntry, FeatureMap]]:
-    """Yield (entry, map) pairs in manifest order, under the rules of :func:`map_loaded`."""
-    return map_loaded(manifest, lambda fmap: fmap, timesteps)

@@ -23,23 +23,20 @@ from freqsel import (
     energy,
     extract_high_freq,
     fisher_score,
-    forward_noise,
     gaussian_bump_curve,
-    gaussian_highpass_mask,
     hfr,
     linear_schedule,
-    load_entry,
+    load_manifest,
     oracle_features,
     read_tensor,
-    sample_noise,
     save_manifest,
     select_timestep,
     simulate_forward,
+    standard_normal,
     stream_seed,
-    write_series_csv,
-    write_tensor,
 )
 from freqsel.cli import main
+from freqsel.tensor_io import write_array
 
 from reference_curves import (
     ACCURACY_BY_RESOLUTION,
@@ -47,7 +44,16 @@ from reference_curves import (
     HFR_BY_RESOLUTION,
     PROBE_TIMESTEPS,
 )
-from util import corrupt_corpus, fisher_scatter_oracle, make_map, naive_dft2, rel_err
+from util import (
+    corrupt_corpus,
+    fisher_scatter_oracle,
+    make_map,
+    naive_dft2,
+    reference_gains,
+    rel_err,
+    write_dataset,
+    write_series_text,
+)
 
 
 @contextmanager
@@ -75,13 +81,12 @@ def test_criterion_1_kernel_matches_direct_dft():
             for w in range(1, 33):
                 fmap = FeatureMap(rng.normal(size=(h, w)))
                 cutoff = float(cutoffs[(h + w) % len(cutoffs)])
-                mask = gaussian_highpass_mask(h, w, cutoff)
-                gains = mask.unshifted()
+                gains = reference_gains(h, w, cutoff)
                 spectrum = naive_dft2(fmap.values[0])
                 power = np.abs(spectrum) ** 2
                 # inverse DFT through the forward oracle: conj(DFT(conj(Y))) / (H*W)
                 want = np.conj(naive_dft2(np.conj(gains * spectrum))).real / (h * w)
-                assert rel_err(extract_high_freq(fmap, mask).values[0], want) <= 1e-9, (h, w, cutoff)
+                assert rel_err(extract_high_freq(fmap, cutoff).values[0], want) <= 1e-9, (h, w, cutoff)
                 parseval = np.sum(gains**2 * power) / np.sum(power)
                 assert rel_err(hfr(fmap, cutoff), parseval) <= 1e-9, (h, w, cutoff)
                 assert rel_err(energy(fmap), np.sum(power) / (h * w)) <= 1e-9, (h, w)
@@ -103,17 +108,16 @@ def test_criterion_2_hfr_invariants():
             by_cutoff = [hfr(fmap, d0) for d0 in (5.0, 15.0, 30.0, 60.0, 120.0)]
             assert all(a >= b for a, b in zip(by_cutoff, by_cutoff[1:]))
 
-            mask = gaussian_highpass_mask(shape[1], shape[2])
-            spatial = energy(extract_high_freq(fmap, mask)) / energy(fmap)
+            spatial = energy(extract_high_freq(fmap, 30.0)) / energy(fmap)
             assert abs(spatial - value) <= 1e-8 * value
 
 
 def test_criterion_3_white_noise_hfr_matches_mean_gain():
     with criterion(3, "white-noise HFR vs analytic mean squared gain", 30.0):
-        mask = gaussian_highpass_mask(64, 64, 8.0)
-        target = float(np.mean(mask.gains**2))
+        target = float(np.mean(reference_gains(64, 64, 8.0) ** 2))
         draws = [
-            hfr(sample_noise((1, 64, 64), stream_seed(303, i)), 8.0) for i in range(200)
+            hfr(make_map(standard_normal(64 * 64, stream_seed(303, i)).reshape(1, 64, 64)), 8.0)
+            for i in range(200)
         ]
         mean = float(np.mean(draws))
         assert abs(mean - target) <= 0.01, (mean, target)
@@ -128,8 +132,8 @@ def test_criterion_4_reference_curves_select_reported_timesteps(tmp_path):
             assert report.selected_timestep == expected, (resolution, report.selected_timestep)
 
         xs, ys = tmp_path / "hfr.csv", tmp_path / "acc.csv"
-        write_series_csv(PROBE_TIMESTEPS, HFR_BY_RESOLUTION[512], xs)
-        write_series_csv(PROBE_TIMESTEPS, ACCURACY_BY_RESOLUTION[512], ys)
+        write_series_text(xs, PROBE_TIMESTEPS, HFR_BY_RESOLUTION[512])
+        write_series_text(ys, PROBE_TIMESTEPS, ACCURACY_BY_RESOLUTION[512])
         out = tmp_path / "corr.json"
         assert main(["correlate", "--xs", str(xs), "--ys", str(ys), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["spearman"] > 0.9
@@ -175,8 +179,8 @@ def test_criterion_5_oracle_recovery_end_to_end(tmp_path):
             scaled_dir = root / "scaled"
             scaled_dir.mkdir()
             for entry in noised.entries:
-                fmap = load_entry(noised, entry)
-                write_tensor(FeatureMap(fmap.values * 1000.0, fmap.meta), scaled_dir / entry.path)
+                fmap = read_tensor(noised.resolve(entry))
+                write_array(fmap.values * 1000.0, scaled_dir / entry.path, fmap.meta.dtype)
             scaled = DatasetManifest(total, noised.entries, False, scaled_dir)
             save_manifest(scaled, scaled_dir / "manifest.json")
             report = select_timestep(average_hfr(scaled, timesteps=grid, threads=2))
@@ -211,11 +215,12 @@ def test_criterion_6_fisher_matches_scatter_matrices():
 
 def test_criterion_7_endpoints_exact_and_runs_deterministic(tmp_path):
     with criterion(7, "forward endpoints exact; CLI reruns byte-identical across threads", 30.0):
-        rng = np.random.default_rng(707)
-        z0 = make_map(rng.normal(size=(2, 9, 11)))
-        eps = make_map(rng.normal(size=(2, 9, 11)))
-        assert np.array_equal(forward_noise(z0, eps, 0.0).values, z0.values)
-        assert np.array_equal(forward_noise(z0, eps, 1.0).values, eps.values)
+        z0 = np.random.default_rng(707).normal(size=(2, 9, 11))
+        clean = load_manifest(write_dataset(tmp_path / "clean", [make_map(z0)], 1))
+        ends = simulate_forward(clean, NoiseSchedule((0.0, 1.0)), (1, 2), 7, tmp_path / "ends")
+        eps = standard_normal(z0.size, stream_seed(7, 0, 2)).reshape(z0.shape)
+        assert np.array_equal(read_tensor(ends.resolve(ends.entries[0])).values, z0)
+        assert np.array_equal(read_tensor(ends.resolve(ends.entries[1])).values, eps)
 
         def oracle_into(data):
             assert main([
@@ -256,13 +261,13 @@ def test_criterion_7_endpoints_exact_and_runs_deterministic(tmp_path):
 
 
 def test_criterion_8_tensor_roundtrips_and_corrupt_files(tmp_path):
-    with criterion(8, "100 exact round-trips; 20 corrupt files raise the documented class", 10.0):
+    with criterion(8, "100 exact round-trips; 22 corrupt files raise the documented class", 10.0):
         rng = np.random.default_rng(808)
         for i in range(100):
             shape = (int(rng.integers(1, 5)), int(rng.integers(1, 24)), int(rng.integers(1, 24)))
             original = make_map(rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7))
             path = tmp_path / f"rt{i:03d}.npy"
-            write_tensor(original, path)
+            write_array(original.values, path, "f64")
             back = read_tensor(path)
             assert np.array_equal(back.values, original.values)
             assert back.meta.dtype == "f64"

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from freqsel import read_tensor, write_series_csv, write_tensor
+from freqsel import read_tensor
 from freqsel.cli import _threads_arg, default_probe_grid, main, parse_timestep_grid
+from freqsel.tensor_io import write_array
 
-from util import child_env, make_map, write_dataset
+from util import child_env, corrupt_corpus, make_map, write_dataset, write_series_text
 
 
 def run(*argv):
@@ -95,7 +96,7 @@ def test_data_errors_exit_2_with_error_class(tmp_path, capsys):
 )
 def test_non_utf8_text_input_exits_2_naming_the_file(tmp_path, capsys, command, flag, error):
     clean = write_dataset(tmp_path / "clean", [make_map(np.ones((1, 4, 4)), "a", 1)], 1)
-    write_series_csv((1, 2, 3), (0.1, 0.2, 0.3), tmp_path / "ys.csv")
+    (tmp_path / "ys.csv").write_text("t,value\n1,0.1\n2,0.2\n3,0.3\n")
     bad = tmp_path / "latin1.csv"
     bad.write_bytes("t,value\n1,0.5 \u00b5\n".encode("latin-1"))
     others = {
@@ -131,6 +132,24 @@ def test_corrupt_tensor_reported_with_class(tmp_path, capsys):
         == 2
     )
     assert capsys.readouterr().err.startswith("MalformedHeader:")
+
+
+@pytest.mark.parametrize("name", ["header_unhashable_key", "header_set_key"])
+@pytest.mark.parametrize("command", ["hfr", "decompose"])
+def test_unhashable_header_key_exits_2_naming_the_file(tmp_path, capsys, command, name):
+    raw = dict((n, r) for n, r, _ in corrupt_corpus())[name]
+    manifest = write_dataset(tmp_path, [make_map(np.ones((2, 3)), "a", 1)], 1)
+    target = tmp_path / "t0001_0000.npy"
+    target.write_bytes(raw)
+    argv = {
+        "hfr": ["--manifest", str(manifest), "--out", str(tmp_path / "c.csv")],
+        "decompose": ["--tensor", str(target), "--out-high", str(tmp_path / "h.npy"),
+                      "--out-low", str(tmp_path / "l.npy")],
+    }[command]
+    assert run(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"MalformedHeader: {target}: header is not a dict literal")
+    assert "Traceback" not in err
 
 
 def test_zero_energy_map_points_at_file(tmp_path, capsys):
@@ -261,7 +280,7 @@ def test_oracle_rerun_byte_identical(tmp_path):
 def test_decompose_writes_parts(tmp_path):
     values = np.random.default_rng(0).normal(size=(2, 12, 12))
     src = tmp_path / "in.npy"
-    write_tensor(make_map(values), src)
+    write_array(values, src, "f64")
     high, low = tmp_path / "high.npy", tmp_path / "low.npy"
     assert run("decompose", "--tensor", str(src), "--out-high", str(high), "--out-low", str(low)) == 0
     got = read_tensor(high).values + read_tensor(low).values
@@ -383,8 +402,8 @@ def test_correlate_command(tmp_path, capsys):
     rng = np.random.default_rng(5)
     xs = rng.normal(size=12)
     ys = 2.0 * xs + rng.normal(size=12) * 0.3
-    write_series_csv(ts, xs, tmp_path / "xs.csv")
-    write_series_csv(ts, ys, tmp_path / "ys.csv")
+    write_series_text(tmp_path / "xs.csv", ts, xs)
+    write_series_text(tmp_path / "ys.csv", ts, ys)
     out = tmp_path / "corr.json"
     assert run("correlate", "--xs", str(tmp_path / "xs.csv"), "--ys", str(tmp_path / "ys.csv"), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
@@ -396,8 +415,8 @@ def test_correlate_command(tmp_path, capsys):
 
 
 def test_correlate_misaligned_series(tmp_path, capsys):
-    write_series_csv((1, 2, 3), (0.1, 0.2, 0.3), tmp_path / "xs.csv")
-    write_series_csv((1, 2, 4), (0.1, 0.2, 0.3), tmp_path / "ys.csv")
+    (tmp_path / "xs.csv").write_text("t,value\n1,0.1\n2,0.2\n3,0.3\n")
+    (tmp_path / "ys.csv").write_text("t,value\n1,0.1\n2,0.2\n4,0.3\n")
     assert run("correlate", "--xs", str(tmp_path / "xs.csv"), "--ys", str(tmp_path / "ys.csv")) == 2
     assert capsys.readouterr().err.startswith("SeriesInvalid:")
 

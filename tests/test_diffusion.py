@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,31 +10,28 @@ from freqsel import (
     NoiseSchedule,
     OracleProfile,
     average_hfr,
-    forward_noise,
     gaussian_bump_curve,
     hfr,
-    iter_loaded,
     linear_schedule,
     load_manifest,
     load_schedule_csv,
     oracle_features,
-    sample_noise,
-    save_schedule_csv,
+    read_tensor,
     simulate_forward,
     standard_normal,
     stream_seed,
     uniforms,
-    write_tensor,
 )
 from freqsel import diffusion
 from freqsel.errors import (
     FrequencyTooHigh,
     ProfileInvalid,
     ScheduleInvalid,
-    ShapeMismatch,
 )
+from freqsel.tensor_io import map_loaded, write_array
 
 from util import (
+    child_env,
     make_map,
     mix64_py,
     normals_py,
@@ -78,10 +78,8 @@ def test_alpha_indexing_conventions():
 
 
 def test_schedule_csv_roundtrip(tmp_path):
-    sched = NoiseSchedule((0.0, 0.25, 0.5, 1.0))
-    save_schedule_csv(sched, tmp_path / "s.csv")
-    assert (tmp_path / "s.csv").read_text() == "t,alpha\n1,0.0\n2,0.25\n3,0.5\n4,1.0\n"
-    assert load_schedule_csv(tmp_path / "s.csv").alphas == sched.alphas
+    (tmp_path / "s.csv").write_text("t,alpha\n1,0.0\n2,0.25\n3,0.5\n4,1.0\n")
+    assert load_schedule_csv(tmp_path / "s.csv").alphas == (0.0, 0.25, 0.5, 1.0)
 
 
 def test_schedule_csv_ignores_blank_lines(tmp_path):
@@ -110,13 +108,27 @@ def test_schedule_csv_rejects_malformed(tmp_path, content):
 
 
 # --- forward mixing ----------------------------------------------------------------
+# checked through simulate_forward: noise for (entry i, timestep t) is
+# standard_normal(size, stream_seed(seed, i, t)) in the map's shape
 
-def test_forward_noise_endpoints_exact():
-    rng = np.random.default_rng(0)
-    z0 = make_map(rng.normal(size=(2, 6, 6)) * 100)
-    eps = make_map(rng.normal(size=(2, 6, 6)))
-    assert np.array_equal(forward_noise(z0, eps, 0.0).values, z0.values)
-    assert np.array_equal(forward_noise(z0, eps, 1.0).values, eps.values)
+def _simulated(tmp_path, clean_values, alphas, seed=0, dtype="f64"):
+    """simulate_forward of the given clean maps at every timestep of `alphas`."""
+    clean = [make_map(v, f"img{i}", 1) for i, v in enumerate(clean_values)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    grid = tuple(range(1, len(alphas) + 1))
+    return simulate_forward(manifest, NoiseSchedule(alphas), grid, seed, tmp_path / "sim", dtype=dtype)
+
+
+def _noise(shape, seed, i, t):
+    return standard_normal(int(np.prod(shape)), stream_seed(seed, i, t)).reshape(shape)
+
+
+def test_forward_noise_endpoints_exact(tmp_path):
+    z0 = np.random.default_rng(0).normal(size=(2, 6, 6)) * 100
+    out = _simulated(tmp_path, [z0], (0.0, 1.0), seed=5)
+    # alpha = 0 writes the clean map, alpha = 1 the noise, bit for bit
+    assert np.array_equal(read_tensor(out.resolve(out.entries[0])).values, z0)
+    assert np.array_equal(read_tensor(out.resolve(out.entries[1])).values, _noise(z0.shape, 5, 0, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,21 +136,23 @@ def test_forward_noise_endpoints_exact():
     alpha=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_forward_noise_formula(alpha, seed):
-    rng = np.random.default_rng(seed)
-    z0v = rng.normal(size=(1, 4, 4))
-    epsv = rng.normal(size=(1, 4, 4))
-    out = forward_noise(make_map(z0v), make_map(epsv), alpha)
-    assert np.array_equal(out.values, alpha * epsv + (1 - alpha) * z0v)
+def test_forward_noise_formula(tmp_path_factory, alpha, seed):
+    z0 = np.random.default_rng(seed).normal(size=(1, 4, 4))
+    out = _simulated(tmp_path_factory.mktemp("fwd"), [z0], (alpha,), seed=seed)
+    eps = _noise(z0.shape, seed, 0, 1)
+    assert np.array_equal(read_tensor(out.resolve(out.entries[0])).values, alpha * eps + (1 - alpha) * z0)
 
 
-def test_forward_noise_validation():
-    z0 = make_map(np.zeros((1, 4, 4)))
-    eps = make_map(np.zeros((1, 4, 5)))
-    with pytest.raises(ShapeMismatch):
-        forward_noise(z0, eps, 0.5)
-    with pytest.raises(ValueError):
-        forward_noise(z0, make_map(np.zeros((1, 4, 4))), 1.5)
+def test_forward_noise_validation(tmp_path):
+    with pytest.raises(ScheduleInvalid):
+        NoiseSchedule((0.5, 1.5))
+    # every alpha is looked up before a single file is read or written
+    clean = [make_map(np.ones((1, 4, 4)), "a", 1)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    manifest.resolve(manifest.entries[0]).write_bytes(b"not a tensor")
+    with pytest.raises(ScheduleInvalid):
+        simulate_forward(manifest, linear_schedule(5), (1, 9), seed=0, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # --- noise stream -----------------------------------------------------------------
@@ -252,14 +266,6 @@ def test_stream_seed_keying():
     assert len(derived) == 900
 
 
-def test_sample_noise_shape_and_meta():
-    fmap = sample_noise((3, 4, 5), 9)
-    assert fmap.values.shape == (3, 4, 5)
-    assert np.array_equal(fmap.values.ravel(), standard_normal(60, 9))
-    with pytest.raises(ShapeMismatch):
-        sample_noise((0, 4, 5), 9)
-
-
 # --- forward simulation over a dataset ------------------------------------------------
 
 def test_simulate_forward_writes_expected_dataset(tmp_path):
@@ -272,25 +278,27 @@ def test_simulate_forward_writes_expected_dataset(tmp_path):
     back = load_manifest(tmp_path / "noised" / "manifest.json")
     assert back.entries == out.entries
     # alpha = 1 at t = 10 for this schedule: output is pure seeded noise
-    noised_t10 = [fmap for _, fmap in iter_loaded(back, (10,))]
-    for i, fmap in enumerate(noised_t10):
-        eps = sample_noise((1, 8, 8), stream_seed(4, i, 10))
-        assert np.array_equal(fmap.values, eps.values)
+    noised_t10 = [values for _, values in map_loaded(back, lambda fmap: fmap.values, (10,))]
+    for i, values in enumerate(noised_t10):
+        assert np.array_equal(values, _noise((1, 8, 8), 4, i, 10))
     # source identity survives alongside the new timestep
     assert [e.image_id for e in back.entries_at(5)] == ["img0", "img1", "img2"]
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_simulate_forward_matches_library_chain(tmp_path, dtype):
-    # the in-place path writes what sample_noise -> forward_noise -> write_tensor writes
+    # the in-place, image-major path writes what the formula on fresh arrays,
+    # written by write_array, writes, and lists it timestep-major
     clean = [make_map(np.random.default_rng(i).normal(size=(2, 5, 3)) * 10, f"img{i}", 1) for i in range(2)]
     manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
     sched = linear_schedule(7)
-    simulate_forward(manifest, sched, (1, 3, 7), seed=6, out_dir=tmp_path / "sim", dtype=dtype)
+    out = simulate_forward(manifest, sched, (1, 3, 7), seed=6, out_dir=tmp_path / "sim", dtype=dtype)
+    assert [e.path for e in out.entries] == [f"t{t:04d}_i{i:04d}.npy" for t in (1, 3, 7) for i in range(2)]
     for t in (1, 3, 7):
-        for i, (_, z0) in enumerate(iter_loaded(manifest)):
-            eps = sample_noise((2, 5, 3), stream_seed(6, i, t))
-            write_tensor(forward_noise(z0, eps, sched.alpha(t)), tmp_path / "want.npy", dtype)
+        for i, fmap in enumerate(clean):
+            alpha = sched.alpha(t)
+            want = alpha * _noise((2, 5, 3), 6, i, t) + (1 - alpha) * fmap.values
+            write_array(want, tmp_path / "want.npy", dtype)
             got = (tmp_path / "sim" / f"t{t:04d}_i{i:04d}.npy").read_bytes()
             assert got == (tmp_path / "want.npy").read_bytes()
 
@@ -312,6 +320,40 @@ def test_simulate_grid_outside_schedule_rejected(tmp_path):
     manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
     with pytest.raises(ScheduleInvalid):
         simulate_forward(manifest, linear_schedule(5), (1, 9), seed=0, out_dir=tmp_path / "out")
+
+
+# Runs the CLI, then prints the process's own peak RSS in kB. VmHWM belongs
+# to the address space the child built after exec; ru_maxrss may carry the
+# peak of the parent it was forked from.
+_PEAK_RSS = """
+import sys
+from freqsel.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_simulate_peak_rss_does_not_grow_with_the_source_count(tmp_path):
+    shape = (128, 64, 64)
+    source_kb = np.prod(shape) * 8 / 1024  # one clean source as float64
+
+    def peak_kb(n):
+        clean = [make_map(np.random.default_rng(i).normal(size=shape), f"img{i}", 1) for i in range(n)]
+        manifest = write_dataset(tmp_path / f"clean{n}", clean, 1)
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "simulate", "--manifest", str(manifest),
+             "--total-timesteps", "2", "--timesteps", "1,2", "--dtype", "f32",
+             "--out", str(tmp_path / f"sim{n}")],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])
+
+    small, large = peak_kb(2), peak_kb(8)
+    assert large - small < 2 * source_kb, (small, large)
 
 
 # --- synthetic oracle -------------------------------------------------------------------
@@ -375,7 +417,7 @@ def test_oracle_per_image_hfr_monotone_in_amplitude(tmp_path):
     manifest = oracle_features(
         profile, linear_schedule(total), 1, (1, 20, 20), seed=3, out_dir=tmp_path
     )
-    values = [hfr(m, 30.0) for _, m in iter_loaded(manifest)]
+    values = [value for _, value in map_loaded(manifest, lambda m: hfr(m, 30.0))]
     assert values == sorted(values)
     assert values[0] < values[-1]
 

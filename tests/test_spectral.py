@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqsel import (
-    DEFAULT_CUTOFF,
     decompose,
     energy,
     extract_high_freq,
-    gaussian_highpass_mask,
     hfr,
 )
-from freqsel.errors import DimMismatch, NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
+from freqsel.errors import NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
+from freqsel.spectral import _lowpass_circulant
 
-from util import hfr_per_step, make_map
+from util import hfr_per_step, kernel_gains, make_map, reference_gains
 
 
 def rand_map(c, h, w, seed, scale=1.0):
@@ -21,55 +20,50 @@ def rand_map(c, h, w, seed, scale=1.0):
     return make_map(scale * rng.normal(size=(c, h, w)))
 
 
-# --- mask ------------------------------------------------------------------
+# --- the gains of the kernel -------------------------------------------------
+# No gain grid exists in the library: util.kernel_gains measures the
+# kernel's gains from its impulse response.
 
 def test_mask_basic_properties():
-    mask = gaussian_highpass_mask(16, 12, 5.0)
-    gains = mask.gains
+    gains = kernel_gains(16, 12, 5.0)
     assert gains.shape == (16, 12)
-    # DC sits at the centre bin after shifting and is suppressed exactly
-    assert gains[8, 6] == 0.0
-    assert np.all((gains >= 0.0) & (gains < 1.0))
-    # monotone in distance along an axis away from the centre
-    row = gains[8, 6:]
-    assert np.all(np.diff(row) > 0)
-    assert mask.unshifted()[0, 0] == 0.0
+    # DC is suppressed (to rounding) and every gain lies in [0, 1)
+    assert abs(gains[0, 0]) < 1e-12
+    assert np.all((gains > -1e-12) & (gains < 1.0))
+    # monotone in distance along an axis away from DC
+    assert np.all(np.diff(gains[0, :7]) > 0)
 
 
 def test_mask_matches_formula():
     cutoff = 7.3
-    mask = gaussian_highpass_mask(9, 14, cutoff)
-    cy, cx = 4, 7
-    for u in (0, 3, 8):
-        for v in (0, 7, 13):
-            d2 = (u - cy) ** 2 + (v - cx) ** 2
-            want = 1.0 - np.exp(-d2 / (2 * cutoff**2))
-            assert mask.gains[u, v] == pytest.approx(want, rel=0, abs=1e-15)
+    assert np.abs(kernel_gains(9, 14, cutoff) - reference_gains(9, 14, cutoff)).max() < 1e-12
 
 
 @pytest.mark.parametrize("h,w", [(8, 8), (7, 9), (6, 11), (5, 4)])
 def test_mask_conjugate_symmetric_unshifted(h, w):
-    g = gaussian_highpass_mask(h, w, 3.0).unshifted()
+    g = kernel_gains(h, w, 3.0)
     mirrored = g[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
-    assert np.array_equal(g, mirrored)
+    assert np.abs(g - mirrored).max() < 1e-12
 
 
 def test_mask_gain_rises_with_smaller_cutoff():
-    wide = gaussian_highpass_mask(16, 16, 20.0).gains
-    narrow = gaussian_highpass_mask(16, 16, 2.0).gains
+    wide = kernel_gains(16, 16, 20.0)
+    narrow = kernel_gains(16, 16, 2.0)
     off_dc = np.ones((16, 16), dtype=bool)
-    off_dc[8, 8] = False
+    off_dc[0, 0] = False
     assert np.all(narrow[off_dc] > wide[off_dc])
 
 
 def test_mask_validation_and_caching():
-    with pytest.raises(NonPositiveCutoff):
-        gaussian_highpass_mask(8, 8, 0.0)
-    with pytest.raises(NonPositiveCutoff):
-        gaussian_highpass_mask(8, 8, -3.0)
-    with pytest.raises(DimMismatch):
-        gaussian_highpass_mask(0, 8, 1.0)
-    assert gaussian_highpass_mask(8, 8, 5.0) is gaussian_highpass_mask(8, 8, 5.0)
+    fmap = rand_map(1, 8, 8, 0)
+    for cutoff in (0.0, -3.0):
+        for call in (extract_high_freq, decompose, hfr):
+            with pytest.raises(NonPositiveCutoff):
+                call(fmap, cutoff)
+    # one read-only circulant per (size, cutoff), whatever type the cutoff came in
+    hfr(fmap, 5)
+    assert _lowpass_circulant(8, 5.0) is _lowpass_circulant(8, 5.0)
+    assert not _lowpass_circulant(8, 5.0).flags.writeable
 
 
 # --- energy ------------------------------------------------------------------
@@ -172,8 +166,7 @@ def test_single_frequency_map_hits_its_gain(u, v):
     ww = np.arange(w)[None, :]
     pattern = np.cos(2 * np.pi * (u * hh / h + v * ww / w) + 0.3)
     fmap = make_map(pattern[None])
-    mask = gaussian_highpass_mask(h, w, 5.0)
-    gains = mask.unshifted()
+    gains = reference_gains(h, w, 5.0)
     # both conjugate bins sit at the same distance, hence the same gain
     assert gains[u, v] == gains[(-u) % h, (-v) % w]
     assert abs(hfr(fmap, 5.0) - gains[u, v] ** 2) < 1e-8
@@ -189,7 +182,7 @@ def test_non_finite_map_rejected_with_its_identity(bad):
     values = np.ones((2, 8, 8))
     values[1, 3, 4] = bad
     fmap = make_map(values, image_id="img0007", timestep=42)
-    for call in (lambda: hfr(fmap), lambda: decompose(fmap, gaussian_highpass_mask(8, 8, 3.0))):
+    for call in (lambda: hfr(fmap), lambda: decompose(fmap, 3.0)):
         with pytest.raises(NonFiniteValue, match=r"'img0007' \(t=42\)"):
             call()
 
@@ -221,7 +214,7 @@ def test_hfr_bad_cutoff_rejected():
 @pytest.mark.parametrize("cutoff", [np.inf, -np.inf, np.nan])
 def test_non_finite_cutoff_rejected(cutoff):
     with pytest.raises(NonPositiveCutoff, match="must be finite and > 0"):
-        gaussian_highpass_mask(8, 8, cutoff)
+        decompose(rand_map(1, 8, 8, 0), cutoff)
     with pytest.raises(NonPositiveCutoff):
         hfr(rand_map(1, 8, 8, 0), cutoff)
 
@@ -237,38 +230,30 @@ def test_hfr_independent_of_channel_order():
 def test_extract_matches_spectral_numerator():
     # Parseval ties the filtered map's spatial energy to the hfr numerator
     fmap = rand_map(2, 12, 10, 3)
-    mask = gaussian_highpass_mask(12, 10, 4.0)
-    high = extract_high_freq(fmap, mask)
+    high = extract_high_freq(fmap, 4.0)
     assert energy(high) / energy(fmap) == pytest.approx(hfr(fmap, 4.0), rel=1e-10)
 
 
 def test_extract_impulse_recovers_mask_kernel():
     # filtering white input by a flat-one mask is the identity
     fmap = rand_map(1, 8, 8, 4)
-    mask = gaussian_highpass_mask(8, 8, 1e-9)  # gains ~ 1 off DC
-    high = extract_high_freq(fmap, mask)
+    high = extract_high_freq(fmap, 1e-9)  # gains ~ 1 off DC
     dc_term = fmap.values.mean()
     assert np.allclose(high.values, fmap.values - dc_term, atol=1e-10)
 
 
 def test_decompose_recomposes_within_tolerance():
     fmap = rand_map(3, 9, 7, 8)
-    parts = decompose(fmap, gaussian_highpass_mask(9, 7, 3.0))
+    parts = decompose(fmap, 3.0)
     recomposed = parts.high.values + parts.low.values
     scale = float(np.max(np.abs(fmap.values)))
     assert np.max(np.abs(recomposed - fmap.values)) <= 1e-9 * scale
     assert parts.high.meta == fmap.meta and parts.low.meta == fmap.meta
 
 
-def test_dim_mismatch_rejected():
-    fmap = rand_map(1, 8, 8, 0)
-    with pytest.raises(DimMismatch):
-        extract_high_freq(fmap, gaussian_highpass_mask(8, 9, 3.0))
-
-
 def test_low_pass_part_keeps_dc():
     fmap = make_map(np.full((1, 6, 6), 2.5))
-    parts = decompose(fmap, gaussian_highpass_mask(6, 6, 3.0))
+    parts = decompose(fmap, 3.0)
     # constant input is pure DC: high part vanishes, low part is the input
     assert np.allclose(parts.high.values, 0.0, atol=1e-12)
     assert np.allclose(parts.low.values, fmap.values, atol=1e-12)

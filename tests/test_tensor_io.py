@@ -14,12 +14,9 @@ from freqsel import (
     FeatureMap,
     FeatureMeta,
     ManifestEntry,
-    iter_loaded,
     load_manifest,
     read_tensor,
-    reshape_tokens,
     save_manifest,
-    write_tensor,
 )
 from freqsel.errors import (
     EmptyTimestep,
@@ -33,7 +30,8 @@ from freqsel.errors import (
     ShapeMismatch,
     ZeroEnergyFeature,
 )
-from freqsel.tensor_io import atomic_write_bytes, atomic_write_text, map_loaded
+from freqsel.fileio import atomic_write_bytes, atomic_write_text
+from freqsel.tensor_io import map_loaded, write_array
 
 from util import corrupt_corpus, make_map, write_dataset
 
@@ -59,7 +57,7 @@ def test_map_copies_input():
 def test_read_tensor_returns_a_read_only_array(tmp_path, dtype, shape):
     path = tmp_path / "x.npy"
     values = np.random.default_rng(1).normal(size=shape)
-    write_tensor(make_map(values), path, dtype)
+    write_array(values, path, dtype)
     fmap = read_tensor(path)
     assert fmap.values.shape == (1,) * (3 - len(shape)) + shape and fmap.values.dtype == np.float64
     assert fmap.values.flags.c_contiguous
@@ -112,7 +110,7 @@ def test_meta_validated():
 def test_f64_roundtrip_bitwise(tmp_path_factory, c, h, w, seed):
     path = tmp_path_factory.mktemp("rt") / "x.npy"
     values = np.random.default_rng(seed).normal(size=(c, h, w))
-    write_tensor(make_map(values), path)
+    write_array(values, path, "f64")
     back = read_tensor(path)
     assert back.values.dtype == np.float64
     assert np.array_equal(back.values, values)
@@ -121,13 +119,13 @@ def test_f64_roundtrip_bitwise(tmp_path_factory, c, h, w, seed):
 
 def test_f32_roundtrip_exact_after_widening(tmp_path):
     values = np.random.default_rng(0).normal(size=(2, 6, 6)).astype(np.float32)
-    write_tensor(make_map(values.astype(np.float64)), tmp_path / "x.npy", dtype="f32")
+    write_array(values.astype(np.float64), tmp_path / "x.npy", dtype="f32")
     back = read_tensor(tmp_path / "x.npy")
     assert back.meta.dtype == "f32"
     # f32 -> f64 widening is exact, so the payload survives bit-for-bit
     assert np.array_equal(back.values.astype(np.float32), values)
     again = tmp_path / "y.npy"
-    write_tensor(back, again)
+    write_array(back.values, again, back.meta.dtype)
     assert (tmp_path / "x.npy").read_bytes() == again.read_bytes()
 
 
@@ -142,7 +140,7 @@ def test_rank2_file_promoted(tmp_path):
 def test_header_preamble_aligned(tmp_path):
     for shape in [(1, 1, 1), (3, 17, 23), (10, 100, 100)]:
         path = tmp_path / "a.npy"
-        write_tensor(make_map(np.zeros(shape)), path)
+        write_array(np.zeros(shape), path, "f64")
         raw = path.read_bytes()
         assert raw[:6] == b"\x93NUMPY" and raw[6:8] == b"\x01\x00"
         (hlen,) = struct.unpack("<H", raw[8:10])
@@ -153,7 +151,7 @@ def test_header_preamble_aligned(tmp_path):
 
 def test_interop_with_numpy_both_directions(tmp_path):
     values = np.random.default_rng(1).normal(size=(3, 5, 7))
-    write_tensor(make_map(values), tmp_path / "ours.npy")
+    write_array(values, tmp_path / "ours.npy", "f64")
     assert np.array_equal(np.load(tmp_path / "ours.npy"), values)
     np.save(tmp_path / "theirs.npy", values)
     assert np.array_equal(read_tensor(tmp_path / "theirs.npy").values, values)
@@ -164,14 +162,13 @@ def test_interop_with_numpy_both_directions(tmp_path):
 
 
 def test_write_rejects_nonfinite_and_bad_dtype(tmp_path):
-    poisoned = make_map(np.ones((1, 2, 2)))
-    bad = np.array(poisoned.values)
+    bad = np.ones((1, 2, 2))
     bad[0, 0, 0] = np.nan
     with pytest.raises(NonFiniteValue):
-        write_tensor(FeatureMap(bad), tmp_path / "bad.npy")
+        write_array(bad, tmp_path / "bad.npy", "f64")
     assert not (tmp_path / "bad.npy").exists()
     with pytest.raises(freqsel.errors.UnsupportedDtype):
-        write_tensor(poisoned, tmp_path / "bad.npy", dtype="f16")
+        write_array(np.ones((1, 2, 2)), tmp_path / "bad.npy", "f16")
 
 
 def test_read_missing_file_is_io_failure(tmp_path):
@@ -181,8 +178,8 @@ def test_read_missing_file_is_io_failure(tmp_path):
 
 def test_overwrite_is_atomic_replace(tmp_path):
     path = tmp_path / "x.npy"
-    write_tensor(make_map(np.ones((1, 2, 2))), path)
-    write_tensor(make_map(np.zeros((1, 2, 2))), path)
+    write_array(np.ones((1, 2, 2)), path, "f64")
+    write_array(np.zeros((1, 2, 2)), path, "f64")
     assert np.array_equal(read_tensor(path).values, np.zeros((1, 2, 2)))
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
@@ -192,7 +189,7 @@ def test_overwrite_is_atomic_replace(tmp_path):
 def test_writes_honour_the_umask(tmp_path, umask):
     old = os.umask(umask)
     try:
-        write_tensor(make_map(np.ones((1, 2, 2))), tmp_path / "x.npy", "f32")
+        write_array(np.ones((1, 2, 2)), tmp_path / "x.npy", "f32")
         atomic_write_text(tmp_path / "x.txt", "text\n")
         save_manifest(DatasetManifest(1, (ManifestEntry("x.npy", "x", 1, ""),), False, tmp_path), tmp_path / "m.json")
     finally:
@@ -227,29 +224,10 @@ def test_missing_csv_is_io_failure_naming_the_file(tmp_path, reader):
         reader(tmp_path / "ghost.csv")
 
 
-# --- token folding ---------------------------------------------------------------
-
-def test_reshape_tokens_roundtrip():
-    tokens = np.arange(24, dtype=np.float64).reshape(6, 4)
-    fmap = reshape_tokens(tokens, 2, 3)
-    assert fmap.values.shape == (4, 2, 3)
-    # token 0 is the top-left grid cell, channels spread over axis 0
-    assert np.array_equal(fmap.values[:, 0, 0], tokens[0])
-    # token k sits at grid cell (k // width, k % width)
-    assert np.array_equal(fmap.values.transpose(1, 2, 0).reshape(6, 4), tokens)
-
-
-def test_reshape_tokens_validates():
-    with pytest.raises(ShapeMismatch):
-        reshape_tokens(np.zeros((5, 2)), 2, 3)
-    with pytest.raises(RankError):
-        reshape_tokens(np.zeros(6), 2, 3)
-
-
 # --- manifests ---------------------------------------------------------------------
 
 def _manifest_doc(tmp_path, **overrides):
-    write_tensor(make_map(np.ones((1, 2, 2))), tmp_path / "a.npy")
+    write_array(np.ones((1, 2, 2)), tmp_path / "a.npy", "f64")
     doc = {
         "total_timesteps": 10,
         "entries": [
@@ -273,20 +251,31 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest.total_timesteps == 5
     assert manifest.timesteps() == (1, 5)
     assert [e.image_id for e in manifest.entries_at(1)] == ["img0", "img1"]
-    loaded = [fmap for _, fmap in iter_loaded(manifest)]
+    loaded = [fmap for _, fmap in map_loaded(manifest, lambda fmap: fmap)]
     assert [m.meta.timestep for m in loaded] == [1, 1, 5]
     assert loaded[2].values[0, 0, 0] == 3.0
     # paths resolve relative to the manifest directory
     assert manifest.resolve(manifest.entries[0]).parent == tmp_path
 
 
-def test_iter_loaded_single_timestep(tmp_path):
+def test_map_loaded_single_timestep(tmp_path):
     maps = [make_map(np.ones((1, 2, 2)), f"i{t}", t) for t in (1, 2, 2, 3)]
     manifest = load_manifest(write_dataset(tmp_path, maps, 3))
-    got = [m.meta.image_id for _, m in iter_loaded(manifest, (2,))]
+    got = [image_id for _, image_id in map_loaded(manifest, lambda m: m.meta.image_id, (2,))]
     assert got == ["i2", "i2"]
     with pytest.raises(EmptyTimestep, match="no feature maps at timestep 4"):
-        next(iter_loaded(manifest, (2, 4)))
+        next(map_loaded(manifest, lambda m: m, (2, 4)))
+
+
+def test_map_loaded_reports_a_file_gone_since_the_manifest_was_loaded(tmp_path):
+    manifest = _numbered_dataset(tmp_path, n=3)
+    gone = manifest.resolve(manifest.entries[1])
+    gone.unlink()
+    results = map_loaded(manifest, lambda fmap: fmap.meta.image_id)
+    assert next(results)[1] == "i0"
+    with pytest.raises(MissingFile) as err:
+        next(results)
+    assert str(err.value) == f"entry 'i1' points at missing file {gone}"
 
 
 # --- the ordered load path -------------------------------------------------------
@@ -360,7 +349,7 @@ def test_manifest_with_byte_order_mark_loads(tmp_path):
 
 
 def test_save_manifest_roundtrip(tmp_path):
-    write_tensor(make_map(np.ones((1, 2, 2))), tmp_path / "a.npy")
+    write_array(np.ones((1, 2, 2)), tmp_path / "a.npy", "f64")
     manifest = DatasetManifest(
         7, (ManifestEntry("a.npy", "a", 2, "grp", 4, 0.5),), False, tmp_path
     )
@@ -429,10 +418,10 @@ def test_ragged_shapes_rejected_then_allowed(tmp_path):
     ]
     manifest = load_manifest(write_dataset(tmp_path, maps, 4))
     with pytest.raises(MetaMismatch):
-        list(iter_loaded(manifest))
+        list(map_loaded(manifest, lambda fmap: fmap))
     ragged_dir = tmp_path / "ragged"
     manifest2 = load_manifest(write_dataset(ragged_dir, maps, 4, allow_ragged=True))
-    assert len(list(iter_loaded(manifest2))) == 2
+    assert len(list(map_loaded(manifest2, lambda fmap: fmap))) == 2
 
 
 def test_different_timesteps_may_differ_in_shape(tmp_path):
@@ -441,4 +430,4 @@ def test_different_timesteps_may_differ_in_shape(tmp_path):
         make_map(np.ones((1, 3, 3)), "b", 2),
     ]
     manifest = load_manifest(write_dataset(tmp_path, maps, 2))
-    assert len(list(iter_loaded(manifest))) == 2
+    assert len(list(map_loaded(manifest, lambda fmap: fmap))) == 2

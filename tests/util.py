@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the DFT
 oracle is the quadratic-time definition evaluated by matrix product, the
-Fisher oracle materialises full scatter matrices, and the stream oracle is
+high-pass gains come from the 2-D Euclidean formula rather than the
+library's separable product, the Fisher oracle materialises full scatter
+matrices, and the stream oracle is
 a pure-Python big-int reimplementation of the documented generator (plus
 the whole-array numpy form the streamed generator must match bit for bit).
 """
@@ -20,9 +22,8 @@ from freqsel import (
     FeatureMap,
     FeatureMeta,
     ManifestEntry,
-    gaussian_highpass_mask,
+    extract_high_freq,
     save_manifest,
-    write_tensor,
 )
 from freqsel.errors import (
     MalformedHeader,
@@ -31,6 +32,7 @@ from freqsel.errors import (
     UnsupportedDtype,
 )
 from freqsel.spectral import _lowpass_circulant
+from freqsel.tensor_io import write_array
 
 MASK64 = (1 << 64) - 1
 
@@ -44,6 +46,31 @@ def naive_dft2(x) -> np.ndarray:
     wh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
     ww = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
     return np.einsum("uh,...hw,wv->...uv", wh, x, ww)
+
+
+def reference_gains(h: int, w: int, cutoff: float) -> np.ndarray:
+    """High-pass gains 1 - exp(-(dy^2 + dx^2) / (2 * cutoff^2)) in DFT layout
+    (DC at [0, 0]), with dy, dx the circular bin distances from DC."""
+    dy = np.minimum(np.arange(h), h - np.arange(h))[:, np.newaxis]
+    dx = np.minimum(np.arange(w), w - np.arange(w))[np.newaxis, :]
+    return 1.0 - np.exp(-(dy * dy + dx * dx) / (2.0 * cutoff * cutoff))
+
+
+def kernel_gains(h: int, w: int, cutoff: float) -> np.ndarray:
+    """The library kernel's gains, measured: the DFT of its response to an
+    impulse at [0, 0], in DFT layout (real to rounding, which is checked)."""
+    impulse = np.zeros((1, h, w))
+    impulse[0, 0, 0] = 1.0
+    response = naive_dft2(extract_high_freq(make_map(impulse), cutoff).values[0])
+    assert np.abs(response.imag).max() < 1e-12
+    return response.real
+
+
+def fourier_high(x, gains) -> np.ndarray:
+    """Re(IDFT(gains * DFT(x))) per channel, both transforms from the definition."""
+    h, w = x.shape[-2], x.shape[-1]
+    # inverse DFT through the forward oracle: conj(DFT(conj(Y))) / (H*W)
+    return np.conj(naive_dft2(np.conj(gains * naive_dft2(x)))).real / (h * w)
 
 
 def rel_err(got, want) -> float:
@@ -181,7 +208,7 @@ def write_dataset(dirpath, maps, total_timesteps: int, **manifest_extra) -> Path
     entries = []
     for i, fmap in enumerate(maps):
         name = f"t{fmap.meta.timestep:04d}_{i:04d}.npy"
-        write_tensor(fmap, dirpath / name)
+        write_array(fmap.values, dirpath / name, fmap.meta.dtype)
         entries.append(
             ManifestEntry(
                 name,
@@ -195,6 +222,11 @@ def write_dataset(dirpath, maps, total_timesteps: int, **manifest_extra) -> Path
     manifest = DatasetManifest(total_timesteps, tuple(entries), manifest_extra.get("allow_ragged", False), dirpath)
     save_manifest(manifest, dirpath / "manifest.json")
     return dirpath / "manifest.json"
+
+
+def write_series_text(path, timesteps, values) -> None:
+    """A ``t,value`` series CSV, each float written with ``repr``."""
+    Path(path).write_text("t,value\n" + "".join(f"{t},{float(v)!r}\n" for t, v in zip(timesteps, values)))
 
 
 def write_exact_hfr_fixture(
@@ -211,8 +243,7 @@ def write_exact_hfr_fixture(
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    mask = gaussian_highpass_mask(size, size, 30.0)
-    gain_sq = float(mask.unshifted()[frequency, frequency]) ** 2
+    gain_sq = float(reference_gains(size, size, 30.0)[frequency, frequency]) ** 2
     assert gain_sq > max(hfr_values), "fixture grid too small for these ratios"
     hh = np.arange(size, dtype=np.float64)[:, None]
     ww = np.arange(size, dtype=np.float64)[None, :]
@@ -221,10 +252,9 @@ def write_exact_hfr_fixture(
     for t, r in zip(timesteps, hfr_values):
         s = r / gain_sq
         amp = np.sqrt(2.0 * s / (1.0 - s))
-        fmap = FeatureMap(1.0 + amp * pattern, FeatureMeta(f"ref{t:04d}", t, "reference"))
         name = f"t{t:04d}.npy"
-        write_tensor(fmap, dirpath / name)
-        entries.append(ManifestEntry(name, fmap.meta.image_id, t, "reference"))
+        write_array((1.0 + amp * pattern)[np.newaxis], dirpath / name, "f64")
+        entries.append(ManifestEntry(name, f"ref{t:04d}", t, "reference"))
     manifest = DatasetManifest(total_timesteps, tuple(entries), False, dirpath)
     save_manifest(manifest, dirpath / "manifest.json")
     return dirpath / "manifest.json"
@@ -246,7 +276,7 @@ def _raw_npy(shape="(2, 3)", descr="'<f8'", fortran="False", payload=None, heade
 
 
 def corrupt_corpus() -> list[tuple[str, bytes, type]]:
-    """Exactly 20 malformed tensor files with their documented exception."""
+    """Exactly 22 malformed tensor files with their documented exception."""
     good = _raw_npy()
     return [
         ("bad_magic", b"\x00" + good[1:], MalformedHeader),
@@ -254,6 +284,12 @@ def corrupt_corpus() -> list[tuple[str, bytes, type]]:
         ("header_past_eof", good[:8] + struct.pack("<H", 60000) + good[10:], MalformedHeader),
         ("non_ascii_header", good[:12] + b"\xff" + good[13:], MalformedHeader),
         ("header_not_dict", _raw_npy(header_literal="[1, 2, 3]"), MalformedHeader),
+        ("header_unhashable_key", _raw_npy(header_literal="{[]: 1}"), MalformedHeader),
+        (
+            "header_set_key",
+            _raw_npy(header_literal="{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), {1}: 1, }"),
+            MalformedHeader,
+        ),
         ("header_missing_key", _raw_npy(header_literal="{'descr': '<f8', 'shape': (2, 3), }"), MalformedHeader),
         (
             "header_extra_key",
