@@ -27,7 +27,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .defaults import DEFAULT_CUTOFF, DEFAULT_TOTAL_TIMESTEPS
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     ManifestSchemaError,
     SeriesInvalid,
 )
-from .fileio import atomic_write_json
+from .fileio import atomic_write_bytes, atomic_write_json
 from .selection import (
     HfrCurve,
     average_hfr,
@@ -46,47 +45,24 @@ from .selection import (
     write_report_json,
 )
 
-__all__ = ["main", "build_parser", "RunConfig", "parse_timestep_grid", "default_probe_grid"]
+__all__ = ["main", "build_parser", "parse_timestep_grid", "default_probe_grid"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs that determine output bytes, echoed into report JSON.
+def _config(command: str, inputs: dict, **options) -> dict:
+    """The knobs that determine output bytes, echoed into report JSON: the
+    command, the options in call order (None dropped, tuples as lists),
+    then the inputs.
 
-    Thread count is deliberately not part of this record: outputs must be
+    Thread count is deliberately never an option here: outputs must be
     byte-identical for any ``--threads`` value, so echoing it would make
     equal results look different.
     """
-
-    command: str
-    cutoff: float | None = None
-    timesteps: tuple[int, ...] | None = None
-    seed: int | None = None
-    tie_epsilon: float | None = None
-    schedule: str | None = None
-    alpha_index: str | None = None
-    total_timesteps: int | None = None
-    dtype: str | None = None
-    inputs: tuple[tuple[str, str], ...] = ()
-
-    def echo(self) -> dict:
-        out: dict = {"command": self.command}
-        for key in (
-            "cutoff",
-            "timesteps",
-            "seed",
-            "tie_epsilon",
-            "schedule",
-            "alpha_index",
-            "total_timesteps",
-            "dtype",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value) if isinstance(value, tuple) else value
-        if self.inputs:
-            out["inputs"] = {k: v for k, v in self.inputs}
-        return out
+    echo: dict = {"command": command}
+    for key, value in options.items():
+        if value is not None:
+            echo[key] = list(value) if isinstance(value, tuple) else value
+    echo["inputs"] = inputs
+    return echo
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,12 +187,15 @@ def _add_threads(sp) -> None:
     )
 
 
-def _resolve_schedule(spec_text: str, total_timesteps: int):
-    from .diffusion import linear_schedule, load_schedule_csv
+def _resolve_schedule(spec_text: str, total_timesteps: int, alpha_index: str):
+    """The schedule `spec_text` names; under ``--alpha-index t-1`` shifted
+    by one, so that t = 1 mixes with alpha = 0 and t = T with alpha_{T-1}."""
+    from .diffusion import NoiseSchedule, linear_schedule, load_schedule_csv
 
-    if spec_text == "linear":
-        return linear_schedule(total_timesteps)
-    return load_schedule_csv(spec_text)
+    schedule = linear_schedule(total_timesteps) if spec_text == "linear" else load_schedule_csv(spec_text)
+    if alpha_index == "t-1":
+        return NoiseSchedule((0.0,) + schedule.alphas[:-1])
+    return schedule
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,12 +319,12 @@ def _restrict_curve(curve: HfrCurve, timesteps: tuple[int, ...]) -> HfrCurve:
 
 
 def cmd_select(args) -> int:
-    config = RunConfig(
-        command="select",
+    config = _config(
+        "select",
+        {"manifest": args.manifest} if args.manifest else {"curve": args.curve},
         cutoff=args.cutoff,
         timesteps=args.timesteps,
         tie_epsilon=args.tie_epsilon,
-        inputs=(("manifest", args.manifest),) if args.manifest else (("curve", args.curve),),
     )
     if args.manifest:
         from .tensor_io import load_manifest
@@ -356,7 +335,7 @@ def cmd_select(args) -> int:
         curve = read_curve_csv(args.curve, args.cutoff)
         if args.timesteps is not None:
             curve = _restrict_curve(curve, args.timesteps)
-    report = select_timestep(curve, args.tie_epsilon, config.echo())
+    report = select_timestep(curve, args.tie_epsilon, config)
     if args.out:
         write_report_json(report, args.out)
     print(
@@ -368,11 +347,14 @@ def cmd_select(args) -> int:
 
 def cmd_decompose(args) -> int:
     from .spectral import decompose
-    from .tensor_io import read_tensor, write_array
+    from .tensor_io import _encode, read_tensor
 
     parts = decompose(read_tensor(args.tensor), args.cutoff)
-    write_array(parts.high.values, args.out_high, args.dtype)
-    write_array(parts.low.values, args.out_low, args.dtype)
+    # both parts are cast and checked before either file is written
+    high = _encode(parts.high.values, args.out_high, args.dtype)
+    low = _encode(parts.low.values, args.out_low, args.dtype)
+    atomic_write_bytes(args.out_high, *high)
+    atomic_write_bytes(args.out_low, *low)
     print(f"decomposed {args.tensor} -> {args.out_high} + {args.out_low}")
     return 0
 
@@ -408,13 +390,10 @@ def cmd_fisher(args) -> int:
         )
         print(f"t={t} fisher={result.score!r} (n={len(pooled[t])})")
     if args.out:
-        config = RunConfig(
-            command="fisher", timesteps=args.timesteps, inputs=(("manifest", args.manifest),)
-        )
         doc = {
             "per_timestep": rows,
             "note": "label-dependent diagnostic; selection itself never reads labels",
-            "config": config.echo(),
+            "config": _config("fisher", {"manifest": args.manifest}, timesteps=args.timesteps),
         }
         atomic_write_json(args.out, doc)
     return 0
@@ -429,11 +408,9 @@ def cmd_simulate(args) -> int:
     from .tensor_io import load_manifest
 
     manifest = load_manifest(args.manifest)
-    schedule = _resolve_schedule(args.schedule, args.total_timesteps)
+    schedule = _resolve_schedule(args.schedule, args.total_timesteps, args.alpha_index)
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(schedule.total_timesteps)
-    result = simulate_forward(
-        manifest, schedule, grid, args.seed, args.out, args.alpha_index, args.dtype
-    )
+    result = simulate_forward(manifest, schedule, grid, args.seed, args.out, args.dtype)
     print(f"wrote {len(result.entries)} noised tensors to {args.out}")
     return 0
 
@@ -442,10 +419,6 @@ def cmd_oracle(args) -> int:
     from .diffusion import OracleProfile, gaussian_bump_curve, linear_schedule, oracle_features
 
     total = args.total_timesteps
-    if args.peak_timestep > total:
-        raise SeriesInvalid(
-            f"peak timestep {args.peak_timestep} outside [1, {total}]"
-        )
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(total)
     profile = OracleProfile(
         peak_timestep=args.peak_timestep,
@@ -478,12 +451,11 @@ def cmd_correlate(args) -> int:
     result = correlate(xs_v, ys_v)
     print(f"pearson={result.pearson!r} spearman={result.spearman!r} n={len(xs_v)}")
     if args.out:
-        config = RunConfig(command="correlate", inputs=(("xs", args.xs), ("ys", args.ys)))
         doc = {
             "pearson": result.pearson,
             "spearman": result.spearman,
             "n": len(xs_v),
-            "config": config.echo(),
+            "config": _config("correlate", {"xs": args.xs, "ys": args.ys}),
         }
         atomic_write_json(args.out, doc)
     return 0

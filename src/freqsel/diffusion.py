@@ -9,6 +9,11 @@ evaluates to y in IEEE-754 for finite x, y). The default schedule is linear,
 alpha_t = t / T for t = 1..T. :func:`simulate_forward` applies it to a
 whole dataset, holding one clean source in memory at a time.
 
+Timestep t always mixes with the schedule's own alpha_t. The convention
+that mixes t with alpha_{t-1} (``simulate --alpha-index t-1``) is a
+shifted schedule, ``NoiseSchedule((0.0,) + schedule.alphas[:-1])``: t = 1
+mixes with alpha = 0 (pure signal) and t = T with alpha_{T-1}.
+
 Noise generator (full contract)
 -------------------------------
 Noise is produced by a counter-based SplitMix64 stream feeding Box-Muller,
@@ -39,7 +44,8 @@ noise band-limited to radius <= 2 bins around DC, RMS-normalised) plus a
 diagonal sinusoid at a known frequency whose amplitude follows a
 caller-chosen per-timestep profile. The mean high-frequency ratio is then
 strictly increasing in the detail amplitude, so the profile's argmax is the
-provably correct selection answer.
+provably correct selection answer. Like :func:`simulate_forward`, it works
+image by image and holds one background field in memory at a time.
 """
 from __future__ import annotations
 
@@ -117,20 +123,6 @@ class NoiseSchedule:
             raise ScheduleInvalid(f"timestep {t} outside schedule [1, {len(self.alphas)}]")
         return self.alphas[t - 1]
 
-    def alpha_for(self, t: int, indexing: str = "t") -> float:
-        """Coefficient under either indexing convention.
-
-        "t" reads alpha_t directly; "t-1" shifts by one so that t = 1 mixes
-        with alpha = 0 (pure signal) and t = T with alpha_{T-1}.
-        """
-        if indexing == "t":
-            return self.alpha(t)
-        if indexing == "t-1":
-            if not 1 <= t <= len(self.alphas):
-                raise ScheduleInvalid(f"timestep {t} outside schedule [1, {len(self.alphas)}]")
-            return 0.0 if t == 1 else self.alphas[t - 2]
-        raise ValueError(f"indexing must be 't' or 't-1', got {indexing!r}")
-
 
 def linear_schedule(total_timesteps: int = DEFAULT_TOTAL_TIMESTEPS) -> NoiseSchedule:
     """alpha_t = t / T; reaches exactly 1 at t = T."""
@@ -146,13 +138,6 @@ def load_schedule_csv(path) -> NoiseSchedule:
         if t != expected:
             raise ScheduleInvalid(f"{path}: line {lineno} has t={t}; rows must run 1..T in order")
     return NoiseSchedule(tuple(alpha for _, (_, alpha) in rows))
-
-
-def _mix_forward(noise: np.ndarray, z0: np.ndarray, alpha: float) -> np.ndarray:
-    """z_t = alpha * eps + (1 - alpha) * z0, computed in place into `noise` (eps)."""
-    noise *= alpha
-    noise += (1.0 - alpha) * z0
-    return noise
 
 
 def _mix64(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -254,7 +239,6 @@ def simulate_forward(
     timesteps: tuple[int, ...],
     seed: int,
     out_dir,
-    indexing: str = "t",
     dtype: str = "f64",
 ) -> DatasetManifest:
     """Noise every manifest entry at each grid timestep and write a new dataset.
@@ -266,22 +250,26 @@ def simulate_forward(
     before any file is read or written.
 
     The loop is image-major, so one clean source is held at a time; the
-    written manifest still lists the outputs timestep-major.
+    written manifest still lists the outputs timestep-major and keeps the
+    input's ``allow_ragged``.
     """
-    alphas = [schedule.alpha_for(t, indexing) for t in timesteps]
+    alphas = [schedule.alpha(t) for t in timesteps]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_timestep: list[list[ManifestEntry]] = [[] for _ in timesteps]
     for i, (entry, z0) in enumerate(map_loaded(manifest, lambda fmap: fmap.values)):
         for t, alpha, row in zip(timesteps, alphas, by_timestep):
-            # the fresh noise array is mixed in place and written as it is
-            noise = standard_normal(z0.size, stream_seed(seed, i, t))
-            noised = _mix_forward(noise.reshape(z0.shape), z0, alpha)
+            # z_t = alpha * eps + (1 - alpha) * z0, mixed in place into the
+            # fresh noise; binding it to the one name frees the previous
+            # map's before the mix allocates (1 - alpha) * z0
+            noised = standard_normal(z0.size, stream_seed(seed, i, t)).reshape(z0.shape)
+            noised *= alpha
+            noised += (1.0 - alpha) * z0
             name = f"t{t:04d}_i{i:04d}.npy"
             write_array(noised, out / name, dtype)
             row.append(ManifestEntry(name, entry.image_id, t, entry.group, entry.label, entry.accuracy))
     entries = tuple(e for row in by_timestep for e in row)
-    result = DatasetManifest(schedule.total_timesteps, entries, False, out)
+    result = DatasetManifest(schedule.total_timesteps, entries, manifest.allow_ragged, out)
     save_manifest(result, out / "manifest.json")
     return result
 
@@ -396,6 +384,11 @@ def oracle_features(
     ratio is strictly increasing in the detail amplitude; a detail
     frequency >= 3 keeps the sinusoid spectrally clear of the background
     band. Writes tensors plus ``manifest.json`` into ``out_dir``.
+
+    The loop is image-major, so one background is held at a time; the
+    written manifest still lists the outputs timestep-major. A degenerate
+    background at image k is reported after images 0..k-1 are written,
+    and no manifest is written then.
     """
     if profile.total_timesteps != schedule.total_timesteps:
         raise ProfileInvalid(
@@ -420,19 +413,18 @@ def oracle_features(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lows = [
-        _low_field((c, h, w), profile.base_low_freq_amplitude, stream_seed(seed, i, 0))
-        for i in range(n_images)
-    ]
-    entries = []
-    for t in grid:
-        amplitude = profile.detail_amplitude_curve[t - 1]
-        for i in range(n_images):
+    by_timestep: list[list[ManifestEntry]] = [[] for _ in grid]
+    for i in range(n_images):
+        low = _low_field((c, h, w), profile.base_low_freq_amplitude, stream_seed(seed, i, 0))
+        for t, row in zip(grid, by_timestep):
             phases = 2.0 * np.pi * uniforms(c, stream_seed(seed, i, t))
             detail = _detail_pattern((c, h, w), profile.detail_frequency, phases)
             name = f"t{t:04d}_img{i:04d}.npy"
-            write_array(lows[i] + amplitude * detail, out / name, dtype)
-            entries.append(ManifestEntry(name, f"img{i:04d}", t, "oracle"))
-    manifest = DatasetManifest(profile.total_timesteps, tuple(entries), False, out)
+            write_array(low + profile.detail_amplitude_curve[t - 1] * detail, out / name, dtype)
+            row.append(ManifestEntry(name, f"img{i:04d}", t, "oracle"))
+        # one background at a time: this one goes before the next is built
+        del low, detail
+    entries = tuple(e for row in by_timestep for e in row)
+    manifest = DatasetManifest(profile.total_timesteps, entries, False, out)
     save_manifest(manifest, out / "manifest.json")
     return manifest

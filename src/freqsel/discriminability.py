@@ -189,8 +189,8 @@ def pearson(xs, ys) -> float:
 def spearman(xs, ys) -> float:
     xs, ys = _as_series(xs, "x"), _as_series(ys, "y")
     _check_pair(xs, ys)
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
-        raise ConstantSeries("correlation is undefined for a zero-variance series")
+    # the ranks of a constant series centre to exact zeros, so the Pearson
+    # check rejects it
     return _pearson_checked(_average_ranks(xs), _average_ranks(ys))
 
 
@@ -198,7 +198,10 @@ def correlate(xs, ys) -> Correlation:
     """Pearson and Spearman for one aligned pair of series."""
     xs, ys = _as_series(xs, "x"), _as_series(ys, "y")
     _check_pair(xs, ys)
-    return Correlation(pearson=_pearson_checked(xs, ys), spearman=spearman(xs, ys))
+    return Correlation(
+        pearson=_pearson_checked(xs, ys),
+        spearman=_pearson_checked(_average_ranks(xs), _average_ranks(ys)),
+    )
 
 
 def read_series_csv(path) -> tuple[tuple[int, ...], tuple[float, ...]]:

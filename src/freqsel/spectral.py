@@ -56,9 +56,17 @@ class Decomposition:
 
 
 def _gaussian_eigenvalues(n: int, cutoff: float) -> np.ndarray:
-    """e(k) = exp(-d(k)^2 / (2 * cutoff^2)) in DFT order, d the centred bin distance."""
+    """e(k) = exp(-d(k)^2 / (2 * cutoff^2)) in DFT order, d the centred bin distance.
+
+    The DC value is set to its exact 1: below cutoff ~1.5e-154, 2 * cutoff^2
+    underflows to 0 and the formula would give 0/0 there, while every
+    other bin correctly goes to exp(-inf) = 0.
+    """
     d = (np.arange(n) + n // 2) % n - n // 2
-    return np.exp(-(d * d) / (2.0 * cutoff * cutoff))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.exp(-(d * d) / (2.0 * cutoff * cutoff))
+    e[0] = 1.0
+    return e
 
 
 @lru_cache(maxsize=128)

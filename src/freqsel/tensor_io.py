@@ -48,7 +48,7 @@ import json
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -246,19 +246,27 @@ def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
     return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header
 
 
-def write_array(values: np.ndarray, path, dtype: str) -> None:
-    """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`.
+def _encode(values: np.ndarray, path, dtype: str) -> tuple[bytes, np.ndarray]:
+    """(header, payload) of `values` as a tensor file of `dtype` at `path`.
 
     The payload is cast straight to the file's dtype (no copy at all for
-    C-ordered f64 on a little-endian host) and written after the header,
-    never joined to it.
+    C-ordered f64 on a little-endian host). The finite check runs on the
+    cast payload, so a value beyond the f32 range is a ``NonFiniteValue``,
+    not an Inf on disk.
     """
     if dtype not in _DESCR_BY_DTYPE:
         raise UnsupportedDtype(f"cannot write dtype {dtype!r} (need 'f32' or 'f64')")
-    _check_finite(values, str(path))
     descr = _DESCR_BY_DTYPE[dtype]
-    payload = np.ascontiguousarray(values, dtype=descr)
-    atomic_write_bytes(path, _build_header(values.shape, descr), payload)
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(values, dtype=descr)
+    _check_finite(payload, str(path))
+    return _build_header(values.shape, descr), payload
+
+
+def write_array(values: np.ndarray, path, dtype: str) -> None:
+    """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`;
+    the payload is written after the header, never joined to it."""
+    atomic_write_bytes(path, *_encode(values, path, dtype))
 
 
 @dataclass(frozen=True)
@@ -355,17 +363,7 @@ def load_manifest(path) -> DatasetManifest:
 def save_manifest(manifest: DatasetManifest, path) -> None:
     doc: dict = {
         "total_timesteps": manifest.total_timesteps,
-        "entries": [
-            {
-                "path": e.path,
-                "image_id": e.image_id,
-                "timestep": e.timestep,
-                "group": e.group,
-                "label": e.label,
-                "accuracy": e.accuracy,
-            }
-            for e in manifest.entries
-        ],
+        "entries": [asdict(e) for e in manifest.entries],
     }
     if manifest.allow_ragged:
         doc["allow_ragged"] = True

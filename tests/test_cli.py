@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from freqsel import read_tensor
+from freqsel import NoiseSchedule, linear_schedule, load_manifest, read_tensor, simulate_forward
 from freqsel.cli import _threads_arg, default_probe_grid, main, parse_timestep_grid
 from freqsel.tensor_io import write_array
 
@@ -327,6 +328,87 @@ def test_simulate_with_schedule_csv(tmp_path):
     # alpha(1) = 0: the t=1 output is the clean input
     t1 = read_tensor(out / "t0001_i0000.npy")
     assert np.array_equal(t1.values, clean[0].values)
+
+
+def test_alpha_index_t_minus_1_is_the_shifted_schedule(tmp_path):
+    # --alpha-index t-1, a schedule CSV holding alpha_{t-1}, and the library
+    # given that shifted schedule write the same bytes
+    clean = [make_map(np.random.default_rng(i).normal(size=(2, 5, 7)), f"img{i}", 1) for i in range(2)]
+    manifest = write_dataset(tmp_path / "clean", clean, 1)
+    shifted = (0.0,) + linear_schedule(10).alphas[:-1]
+    sched = tmp_path / "shifted.csv"
+    sched.write_text("t,alpha\n" + "".join(f"{t},{a!r}\n" for t, a in enumerate(shifted, start=1)))
+    common = ["simulate", "--manifest", str(manifest), "--timesteps", "1,2,10", "--seed", "4", "--dtype", "f32"]
+    assert run(*common, "--total-timesteps", "10", "--alpha-index", "t-1", "--out", str(tmp_path / "flag")) == 0
+    assert run(*common, "--schedule", str(sched), "--out", str(tmp_path / "csv")) == 0
+    simulate_forward(load_manifest(manifest), NoiseSchedule(shifted), (1, 2, 10), 4, tmp_path / "lib", "f32")
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert len(names) == 7
+    for other in ("csv", "lib"):
+        assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
+        for name in names:
+            assert (tmp_path / other / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+def test_simulate_keeps_allow_ragged(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    clean = [make_map(rng.normal(size=(1, n, n)), f"img{n}", 1) for n in (4, 5)]
+    manifest = write_dataset(tmp_path / "clean", clean, 1, allow_ragged=True)
+    out = tmp_path / "noised"
+    assert run(
+        "simulate", "--manifest", str(manifest), "--total-timesteps", "5",
+        "--timesteps", "1,5", "--out", str(out),
+    ) == 0
+    assert run("hfr", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "c.csv")) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_oracle_peak_outside_the_curve_exits_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("oracle", "--out", str(out), "--total-timesteps", "10", "--peak-timestep", "20") == 2
+    assert capsys.readouterr().err == "ProfileInvalid: peak timestep 20 outside curve [1, 10]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "simulate"])
+def test_value_beyond_f32_range_exits_2(tmp_path, command):
+    # a finite float64 above the float32 range must not become an Inf on disk
+    values = np.ones((1, 8, 8))
+    values[0, 3, 3] = 1e39
+    manifest = write_dataset(tmp_path / "in", [make_map(values, "big", 1)], 1)
+    src = tmp_path / "in" / load_manifest(manifest).entries[0].path
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "decompose":
+        argv = ["decompose", "--tensor", str(src), "--out-high", str(out / "high.npy"),
+                "--out-low", str(out / "low.npy"), "--dtype", "f32"]
+    else:
+        argv = ["simulate", "--manifest", str(manifest), "--total-timesteps", "2",
+                "--timesteps", "1", "--dtype", "f32", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "freqsel", *argv], env=child_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"NonFiniteValue: {out}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["hfr", "decompose"])
+def test_tiny_cutoff_exits_0_without_warnings(tmp_path, capsys, command):
+    src = tmp_path / "in.npy"
+    write_array(np.random.default_rng(0).normal(size=(2, 9, 8)), src, "f64")
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"total_timesteps": 1, "entries": [{"path": "in.npy", "image_id": "a", "timestep": 1, "group": ""}]}')
+    if command == "hfr":
+        argv = ["hfr", "--manifest", str(manifest), "--out", str(tmp_path / "c.csv")]
+    else:
+        argv = ["decompose", "--tensor", str(src), "--out-high", str(tmp_path / "h.npy"),
+                "--out-low", str(tmp_path / "l.npy")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--cutoff", "1e-200") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fisher_command(tmp_path, capsys):

@@ -22,7 +22,7 @@ from freqsel import (
     stream_seed,
     uniforms,
 )
-from freqsel import diffusion
+from freqsel import cli, diffusion
 from freqsel.errors import (
     FrequencyTooHigh,
     ProfileInvalid,
@@ -68,13 +68,15 @@ def test_schedule_validation():
         sched.alpha(11)
 
 
-def test_alpha_indexing_conventions():
-    sched = NoiseSchedule((0.1, 0.2, 0.9))
-    assert sched.alpha_for(2, "t") == 0.2
-    assert sched.alpha_for(1, "t-1") == 0.0
-    assert sched.alpha_for(3, "t-1") == 0.2
-    with pytest.raises(ValueError):
-        sched.alpha_for(2, "t+1")
+def test_alpha_indexing_conventions(tmp_path):
+    # alpha_{t-1} is a schedule shifted by one, built by the CLI
+    shifted = cli._resolve_schedule("linear", 10, "t-1")
+    assert shifted.alphas == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    assert cli._resolve_schedule("linear", 10, "t") == linear_schedule(10)
+    out = tmp_path / "out"
+    argv = ["simulate", "--manifest", str(tmp_path / "m.json"), "--alpha-index", "t+1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert not out.exists()
 
 
 def test_schedule_csv_roundtrip(tmp_path):
@@ -356,6 +358,24 @@ def test_simulate_peak_rss_does_not_grow_with_the_source_count(tmp_path):
     assert large - small < 2 * source_kb, (small, large)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_oracle_peak_rss_does_not_grow_with_the_image_count(tmp_path):
+    field_kb = 128 * 64 * 64 * 8 / 1024  # one background field as float64
+
+    def peak_kb(n):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "oracle", "--out", str(tmp_path / f"oracle{n}"),
+             "--images", str(n), "--shape", "128,64,64", "--total-timesteps", "2",
+             "--timesteps", "1,2", "--peak-timestep", "2", "--dtype", "f32"],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])
+
+    small, large = peak_kb(2), peak_kb(8)
+    assert large - small < 2 * field_kb, (small, large)
+
+
 # --- synthetic oracle -------------------------------------------------------------------
 
 def test_profile_validation():
@@ -403,6 +423,10 @@ def test_oracle_dataset_recovers_peak(tmp_path):
         timesteps=(2, 4, 6, 8, 10, 12),
     )
     assert len(manifest.entries) == 18
+    # image-major generation, timestep-major listing
+    assert [e.path for e in manifest.entries] == [
+        f"t{t:04d}_img{i:04d}.npy" for t in (2, 4, 6, 8, 10, 12) for i in range(3)
+    ]
     reloaded = load_manifest(tmp_path / "manifest.json")
     got = average_hfr(reloaded, 30.0)
     assert got.timesteps == (2, 4, 6, 8, 10, 12)

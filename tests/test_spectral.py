@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,16 @@ def test_non_finite_cutoff_rejected(cutoff):
         decompose(rand_map(1, 8, 8, 0), cutoff)
     with pytest.raises(NonPositiveCutoff):
         hfr(rand_map(1, 8, 8, 0), cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [1e-300, 1e-200, 1e-160])
+def test_tiny_cutoff_gives_the_mean_removed_ratio(cutoff):
+    # below ~1.5e-154, 2 * cutoff^2 underflows to 0; the gains must still be
+    # those of any cutoff far below one bin: zero at DC, one elsewhere
+    fmap = rand_map(2, 9, 8, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hfr(fmap, cutoff) == hfr(fmap, 1e-3)
 
 
 def test_hfr_independent_of_channel_order():
