@@ -315,11 +315,19 @@ class OracleProfile:
 def gaussian_bump_curve(
     total_timesteps: int, peak_timestep: int, peak_amplitude: float, width: float
 ) -> tuple[float, ...]:
-    """Amplitude profile A * exp(-(t - t*)^2 / (2 * width^2)) for t = 1..T."""
+    """Amplitude profile A * exp(-(t - t*)^2 / (2 * width^2)) for t = 1..T.
+
+    The peak is set to its exact A: below width ~1.5e-154, 2 * width^2
+    underflows to 0 and the formula would give 0/0 there, while every
+    other t correctly goes to exp(-inf) = 0.
+    """
     if width <= 0.0:
         raise ProfileInvalid(f"width must be > 0, got {width}")
     t = np.arange(1, total_timesteps + 1, dtype=np.float64)
-    return tuple(float(a) for a in peak_amplitude * np.exp(-((t - peak_timestep) ** 2) / (2.0 * width**2)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        curve = peak_amplitude * np.exp(-((t - peak_timestep) ** 2) / (2.0 * width**2))
+    curve[t == peak_timestep] = peak_amplitude
+    return tuple(float(a) for a in curve)
 
 
 # band-limit radius (in centred frequency bins) of the oracle's background

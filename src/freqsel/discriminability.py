@@ -152,13 +152,15 @@ def _check_pair(xs: np.ndarray, ys: np.ndarray) -> None:
 
 
 def _pearson_checked(xs: np.ndarray, ys: np.ndarray) -> float:
+    # checked before centring: a mean that rounds off by an ulp would leave a
+    # constant series with small nonzero deviations
+    if xs.min() == xs.max() or ys.min() == ys.max():
+        raise ConstantSeries("correlation is undefined for a zero-variance series")
     xs, ys = pow2_scale(xs)[0], pow2_scale(ys)[0]
     xc = xs - pairwise_sum(xs) / xs.size
     yc = ys - pairwise_sum(ys) / ys.size
     ssx = pairwise_sum(xc * xc)
     ssy = pairwise_sum(yc * yc)
-    if ssx == 0.0 or ssy == 0.0:
-        raise ConstantSeries("correlation is undefined for a zero-variance series")
     r = pairwise_sum(xc * yc) / np.sqrt(ssx * ssy)
     return float(min(1.0, max(-1.0, r)))
 
@@ -189,8 +191,6 @@ def pearson(xs, ys) -> float:
 def spearman(xs, ys) -> float:
     xs, ys = _as_series(xs, "x"), _as_series(ys, "y")
     _check_pair(xs, ys)
-    # the ranks of a constant series centre to exact zeros, so the Pearson
-    # check rejects it
     return _pearson_checked(_average_ranks(xs), _average_ranks(ys))
 
 

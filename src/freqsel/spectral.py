@@ -27,6 +27,7 @@ Energies are accumulated with the fixed pairwise tree from
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
 from .errors import NonFiniteValue, ZeroEnergyFeature
-from .reduction import max_abs, pairwise_sum, pow2_scale
+from .reduction import block_sums, max_abs, pairwise_sum, pow2_scale
 from .tensor_io import FeatureMap
 
 __all__ = [
@@ -45,6 +46,15 @@ __all__ = [
     "extract_high_freq",
     "decompose",
 ]
+
+
+# hfr's working set: 2^17 float64 elements (1 MiB) per buffer slot
+_CHUNK_ELEMENTS = 1 << 17
+# Each thread keeps its hfr buffer for the next map of the same shape. A
+# buffer freed after every map lets malloc trim the heap top, and then both
+# it and the reader's arrays are faulted in again for the next map
+# (1280x16x16 maps: ~1700 minor faults per map; none with the buffer kept).
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -85,11 +95,6 @@ def _lowpass_circulant(n: int, cutoff: float) -> np.ndarray:
     return m
 
 
-def _sum_squares_in_place(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
-    """sum(values^2), accumulated pairwise; `values` is overwritten by its squares."""
-    return pairwise_sum(np.square(values, out=values), scratch)
-
-
 def energy(fmap: FeatureMap) -> float:
     """Total energy sum(values^2), accumulated pairwise.
 
@@ -100,7 +105,7 @@ def energy(fmap: FeatureMap) -> float:
     """
     scaled, exponent = pow2_scale(fmap.values)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_sum_squares_in_place(scaled), 2 * exponent))
+        return float(np.ldexp(pairwise_sum(np.square(scaled, out=scaled)), 2 * exponent))
 
 
 def _non_finite(fmap: FeatureMap) -> NonFiniteValue:
@@ -135,26 +140,48 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     in the finite float64 range. A non-finite max |x| is the NaN/Inf
     check.
 
-    All map-sized work happens in one buffer allocated per call, of three
-    slots: the scaled copy, A @ X (then the sums' scratch) and the high
-    part; the difference and both squares are computed in place. One
-    large block, rather than a fresh array per step, is what the allocator
-    can hand out again for the next map without new zeroed pages.
+    The map is then walked in chunks of 2^j channels, the most that fit
+    in _CHUNK_ELEMENTS (one channel if even that does not), through one
+    chunk-sized buffer of three slots per thread: the scaled channels,
+    A @ X (then the folds' scratch) and the high part; the difference and
+    both squares are computed in place, so the scratch does not grow with
+    the channel count. Each chunk starts on a multiple of 2^k, the largest
+    power of two dividing the chunk size, so its squares fold to aligned
+    2^k-block sums (:func:`freqsel.reduction.block_sums`) whose pairwise
+    sum has the bits of one pairwise sum over the whole map.
     """
     a, b = _circulants(fmap, cutoff)
-    peak = max_abs(fmap.values)
+    values = fmap.values
+    peak = max_abs(values)
     if not math.isfinite(peak):
         raise _non_finite(fmap)
     if peak == 0.0:
         raise ZeroEnergyFeature(
             f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
         )
-    scaled, ax, high = np.empty((3,) + fmap.values.shape)
-    np.ldexp(fmap.values, -math.frexp(peak)[1], out=scaled)
-    np.matmul(np.matmul(a, scaled, out=ax), b, out=high)
-    np.subtract(scaled, high, out=high)
-    total = _sum_squares_in_place(scaled, ax)
-    return _sum_squares_in_place(high, ax) / total
+    exponent = -math.frexp(peak)[1]
+    c, h, w = values.shape
+    step = 1 << max(0, (_CHUNK_ELEMENTS // (h * w)).bit_length() - 1)  # 2^j channels
+    stride = step * h * w
+    # 2^k divides every chunk start; a map of one chunk folds to one sum
+    block = stride & -stride if c > step else 1 << stride.bit_length()
+    shape = (3, min(step, c), h, w)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.shape != shape:
+        buf = _scratch.buf = np.empty(shape)
+    # block sums of the high part and of the whole; the last chunk may add a tail
+    partials = np.empty((2, c * h * w // block + 1))
+    n = 0
+    for start in range(0, c, step):
+        scaled, ax, high = buf[:, : min(step, c - start)]
+        np.ldexp(values[start : start + step], exponent, out=scaled)
+        np.matmul(np.matmul(a, scaled, out=ax), b, out=high)
+        np.subtract(scaled, high, out=high)
+        for row, part in zip(partials, (high, scaled)):
+            sums = block_sums(np.square(part, out=part), block, ax)
+            row[n : n + sums.size] = sums
+        n += sums.size
+    return pairwise_sum(partials[0, :n]) / pairwise_sum(partials[1, :n])
 
 
 def decompose(fmap: FeatureMap, cutoff: float) -> Decomposition:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from freqsel.tensor_io import map_loaded, write_array
 
 from util import (
     child_env,
+    cli_peak_rss_kb,
     make_map,
     mix64_py,
     normals_py,
@@ -324,19 +326,6 @@ def test_simulate_grid_outside_schedule_rejected(tmp_path):
         simulate_forward(manifest, linear_schedule(5), (1, 9), seed=0, out_dir=tmp_path / "out")
 
 
-# Runs the CLI, then prints the process's own peak RSS in kB. VmHWM belongs
-# to the address space the child built after exec; ru_maxrss may carry the
-# peak of the parent it was forked from.
-_PEAK_RSS = """
-import sys
-from freqsel.cli import main
-code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-sys.exit(code)
-"""
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_simulate_peak_rss_does_not_grow_with_the_source_count(tmp_path):
     shape = (128, 64, 64)
@@ -345,14 +334,10 @@ def test_simulate_peak_rss_does_not_grow_with_the_source_count(tmp_path):
     def peak_kb(n):
         clean = [make_map(np.random.default_rng(i).normal(size=shape), f"img{i}", 1) for i in range(n)]
         manifest = write_dataset(tmp_path / f"clean{n}", clean, 1)
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "simulate", "--manifest", str(manifest),
-             "--total-timesteps", "2", "--timesteps", "1,2", "--dtype", "f32",
-             "--out", str(tmp_path / f"sim{n}")],
-            env=child_env(), capture_output=True, text=True, timeout=120,
+        return cli_peak_rss_kb(
+            "simulate", "--manifest", manifest, "--total-timesteps", "2", "--timesteps", "1,2",
+            "--dtype", "f32", "--out", tmp_path / f"sim{n}",
         )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1])
 
     small, large = peak_kb(2), peak_kb(8)
     assert large - small < 2 * source_kb, (small, large)
@@ -363,14 +348,10 @@ def test_oracle_peak_rss_does_not_grow_with_the_image_count(tmp_path):
     field_kb = 128 * 64 * 64 * 8 / 1024  # one background field as float64
 
     def peak_kb(n):
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "oracle", "--out", str(tmp_path / f"oracle{n}"),
-             "--images", str(n), "--shape", "128,64,64", "--total-timesteps", "2",
-             "--timesteps", "1,2", "--peak-timestep", "2", "--dtype", "f32"],
-            env=child_env(), capture_output=True, text=True, timeout=120,
+        return cli_peak_rss_kb(
+            "oracle", "--out", tmp_path / f"oracle{n}", "--images", n, "--shape", "128,64,64",
+            "--total-timesteps", "2", "--timesteps", "1,2", "--peak-timestep", "2", "--dtype", "f32",
         )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1])
 
     small, large = peak_kb(2), peak_kb(8)
     assert large - small < 2 * field_kb, (small, large)
@@ -400,6 +381,25 @@ def test_gaussian_bump_curve_peaks_where_asked():
     assert curve[19] == 2.0
     with pytest.raises(ProfileInvalid):
         gaussian_bump_curve(50, 20, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("width", [1e-300, 1e-200, 1e-160])
+def test_gaussian_bump_curve_at_a_tiny_width_is_the_peak_alone(width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = gaussian_bump_curve(10, 5, 2.0, width)
+    assert curve == (0.0,) * 4 + (2.0,) + (0.0,) * 5
+
+
+def test_oracle_at_a_tiny_width_exits_0_without_warnings(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "freqsel", "oracle", "--out", str(tmp_path / "o"),
+         "--curve-width", "1e-200", "--peak-timestep", "5", "--total-timesteps", "10",
+         "--images", "2", "--shape", "1,32,32"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(load_manifest(tmp_path / "o" / "manifest.json").entries) == 2 * len(cli.default_probe_grid(10))
 
 
 def test_oracle_frequency_bound(tmp_path):

@@ -207,6 +207,17 @@ def test_constant_series_rejected():
         spearman([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
 
 
+@pytest.mark.parametrize("constant", [[0.1] * 3, [0.7] * 3, [0.3] * 7])
+def test_constant_series_with_an_inexact_mean_rejected(constant):
+    # the mean of these rounds off by an ulp, so centring leaves nonzero values
+    ramp = [float(i) for i in range(len(constant))]
+    for xs, ys in ((constant, ramp), (ramp, constant)):
+        with pytest.raises(ConstantSeries):
+            pearson(xs, ys)
+        with pytest.raises(ConstantSeries):
+            correlate(xs, ys)
+
+
 def test_series_shape_validation():
     with pytest.raises(SeriesInvalid):
         correlate([1.0, 2.0], [1.0, 2.0])

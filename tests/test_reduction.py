@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freqsel import pairwise_sum
+from freqsel.reduction import block_sums
 
 from util import pairwise_sum_per_level
 
@@ -76,3 +77,14 @@ def test_scratch_too_small_is_rejected():
     assert pairwise_sum(values, np.empty(8)) == 9.0
     with pytest.raises(ValueError, match="needs 8"):
         pairwise_sum(values, np.empty(7))
+
+
+@given(st.integers(0, 5000), st.integers(0, 13), st.integers(0, 2**32 - 1))
+def test_block_sums_fold_on_to_the_same_bits(n, k, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over 16 decades, so a different tree rounds differently
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+    sums = block_sums(values, 2**k)
+    # each aligned block's full tree, then the ragged tail's own tree
+    assert sums.tolist() == [pairwise_sum(values[i : i + 2**k]) for i in range(0, n, 2**k)]
+    assert pairwise_sum(sums) == pairwise_sum(values)

@@ -1,3 +1,6 @@
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 import warnings
 
 import numpy as np
@@ -10,11 +13,13 @@ from freqsel import (
     energy,
     extract_high_freq,
     hfr,
+    spectral,
 )
 from freqsel.errors import NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
 from freqsel.spectral import _lowpass_circulant
+from freqsel.tensor_io import write_array
 
-from util import hfr_per_step, kernel_gains, make_map, reference_gains
+from util import cli_peak_rss_kb, hfr_per_step, kernel_gains, make_map, reference_gains
 
 
 def rand_map(c, h, w, seed, scale=1.0):
@@ -192,11 +197,55 @@ def test_non_finite_map_rejected_with_its_identity(bad):
 @pytest.mark.parametrize(
     "shape, cutoff, scale",
     [((1, 1, 1), 30.0, 1.0), ((3, 17, 29), 5.0, 1e-200), ((4, 64, 64), 30.0, 1e250),
-     ((2, 96, 96), 12.5, 1.0), ((320, 64, 64), 30.0, 3.0)],
+     ((2, 96, 96), 12.5, 1.0), ((320, 64, 64), 30.0, 3.0),
+     # several chunks with a ragged last one; an odd H*W; one channel above a chunk
+     ((33, 64, 64), 30.0, 1.0), ((40, 96, 96), 12.5, 1e-200), ((300, 17, 19), 5.0, 1e250),
+     ((129, 32, 32), 7.5, 1.0), ((1, 512, 512), 30.0, 1.0)],
 )
 def test_hfr_bits_match_the_per_step_path(shape, cutoff, scale):
     values = scale * np.random.default_rng(sum(shape)).normal(size=shape)
     assert hfr(make_map(values), cutoff) == hfr_per_step(values, cutoff)
+
+
+@pytest.mark.parametrize("chunk", [1, 4097])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 17, 29), (40, 17, 29), (3, 64, 64), (130, 8, 8)])
+def test_hfr_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk, shape):
+    values = np.random.default_rng(sum(shape)).normal(size=shape)
+    monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", chunk)
+    assert hfr(make_map(values), 5.0) == hfr_per_step(values, 5.0)
+
+
+def test_hfr_bits_hold_with_threads_scoring_mixed_shapes():
+    # each thread keeps its own buffer; a shared one would mix up the maps
+    maps = [np.random.default_rng(i).normal(size=shape)
+            for i, shape in enumerate([(40, 17, 29), (3, 64, 64), (130, 8, 8), (40, 17, 29)] * 3)]
+    want = [hfr_per_step(v, 5.0) for v in maps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda v: hfr(make_map(v), 5.0), maps * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 4
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_hfr_peak_rss_grows_only_by_the_read_copies(tmp_path):
+    def peak_kb(channels):
+        src = tmp_path / f"c{channels}.npy"
+        write_array(np.random.default_rng(channels).normal(size=(channels, 64, 64)), src, "f32")
+        manifest = tmp_path / f"m{channels}.json"
+        manifest.write_text(json.dumps({"total_timesteps": 1, "entries": [
+            {"path": src.name, "image_id": "a", "timestep": 1, "group": ""}]}))
+        return cli_peak_rss_kb("hfr", "--threads", "1", "--manifest", manifest,
+                               "--out", tmp_path / f"c{channels}.csv")
+
+    # the reader's raw <f4 payload and its float64 copy of the 448 extra
+    # channels, plus slack; the kernel's scratch must not grow with them
+    extra_kb = 448 * 64 * 64 * (4 + 8) / 1024
+    small, large = peak_kb(64), peak_kb(512)
+    assert large - small < extra_kb + 8 * 1024, (small, large)
 
 
 def test_non_finite_peak_is_the_nan_check():

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +195,29 @@ def child_env(**overrides):
     src = str(Path(freqsel.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+# Runs the CLI, then prints the process's own peak RSS in kB. VmHWM belongs
+# to the address space the child built after exec; ru_maxrss may carry the
+# peak of the parent it was forked from.
+_PEAK_RSS = """
+import sys
+from freqsel.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def cli_peak_rss_kb(*argv) -> int:
+    """Run `freqsel *argv` in a child process, which must exit 0; its VmHWM in kB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *map(str, argv)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 # --- dataset builders ----------------------------------------------------------
