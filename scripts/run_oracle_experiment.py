@@ -14,7 +14,6 @@ from freqsel import (
     OracleProfile,
     average_hfr,
     gaussian_bump_curve,
-    linear_schedule,
     oracle_features,
     select_timestep,
 )
@@ -55,7 +54,6 @@ def main(argv=None):
     )
     manifest = oracle_features(
         profile,
-        linear_schedule(args.total_timesteps),
         n_images=args.images,
         shape=(args.channels, args.size, args.size),
         seed=args.seed,

@@ -19,7 +19,6 @@ from freqsel import (
     OracleProfile,
     average_hfr,
     gaussian_bump_curve,
-    linear_schedule,
     load_manifest,
     oracle_features,
     select_timestep,
@@ -46,7 +45,7 @@ def demo_dataset(workdir):
         detail_frequency=7,
     )
     return oracle_features(
-        profile, linear_schedule(total), n_images=8, shape=(4, 32, 32),
+        profile, n_images=8, shape=(4, 32, 32),
         seed=1, out_dir=workdir, timesteps=grid,
     )
 

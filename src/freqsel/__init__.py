@@ -32,7 +32,6 @@ _EXPORTS = {
     "pairwise_sum": "reduction",
     "DEFAULT_CUTOFF": "defaults",
     "Decomposition": "spectral",
-    "energy": "spectral",
     "hfr": "spectral",
     "extract_high_freq": "spectral",
     "decompose": "spectral",
@@ -52,8 +51,6 @@ _EXPORTS = {
     "Correlation": "discriminability",
     "pool_tokens": "discriminability",
     "fisher_score": "discriminability",
-    "pearson": "discriminability",
-    "spearman": "discriminability",
     "correlate": "discriminability",
     "read_series_csv": "discriminability",
     "HfrCurve": "selection",

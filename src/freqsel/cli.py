@@ -416,7 +416,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .diffusion import OracleProfile, gaussian_bump_curve, linear_schedule, oracle_features
+    from .diffusion import OracleProfile, gaussian_bump_curve, oracle_features
 
     total = args.total_timesteps
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(total)
@@ -428,10 +428,7 @@ def cmd_oracle(args) -> int:
         ),
         detail_frequency=args.detail_frequency,
     )
-    manifest = oracle_features(
-        profile, linear_schedule(total), args.images, args.shape, args.seed,
-        args.out, grid, args.dtype,
-    )
+    manifest = oracle_features(profile, args.images, args.shape, args.seed, args.out, grid, args.dtype)
     print(
         f"wrote {len(manifest.entries)} oracle tensors to {args.out} "
         f"(true peak t={args.peak_timestep})"

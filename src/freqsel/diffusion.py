@@ -137,7 +137,10 @@ def load_schedule_csv(path) -> NoiseSchedule:
     for expected, (lineno, (t, _)) in enumerate(rows, start=1):
         if t != expected:
             raise ScheduleInvalid(f"{path}: line {lineno} has t={t}; rows must run 1..T in order")
-    return NoiseSchedule(tuple(alpha for _, (_, alpha) in rows))
+    try:
+        return NoiseSchedule(tuple(alpha for _, (_, alpha) in rows))
+    except ScheduleInvalid as exc:
+        raise ScheduleInvalid(f"{path}: {exc}") from None
 
 
 def _mix64(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -374,7 +377,6 @@ def _detail_pattern(shape: tuple[int, int, int], frequency: int, phases: np.ndar
 
 def oracle_features(
     profile: OracleProfile,
-    schedule: NoiseSchedule,
     n_images: int,
     shape: tuple[int, int, int],
     seed: int,
@@ -391,18 +393,14 @@ def oracle_features(
     background is identical across timesteps, the per-image high-frequency
     ratio is strictly increasing in the detail amplitude; a detail
     frequency >= 3 keeps the sinusoid spectrally clear of the background
-    band. Writes tensors plus ``manifest.json`` into ``out_dir``.
+    band. No noise schedule enters: the profile's curve fixes T and every
+    amplitude. Writes tensors plus ``manifest.json`` into ``out_dir``.
 
     The loop is image-major, so one background is held at a time; the
     written manifest still lists the outputs timestep-major. A degenerate
     background at image k is reported after images 0..k-1 are written,
     and no manifest is written then.
     """
-    if profile.total_timesteps != schedule.total_timesteps:
-        raise ProfileInvalid(
-            f"amplitude curve covers {profile.total_timesteps} timesteps but the "
-            f"schedule has {schedule.total_timesteps}"
-        )
     c, h, w = (int(d) for d in shape)
     if min(c, h, w) < 1:
         raise ShapeMismatch(f"oracle shape must be positive, got {shape}")

@@ -38,8 +38,6 @@ __all__ = [
     "Correlation",
     "pool_tokens",
     "fisher_score",
-    "pearson",
-    "spearman",
     "correlate",
     "read_series_csv",
 ]
@@ -151,14 +149,19 @@ def _check_pair(xs: np.ndarray, ys: np.ndarray) -> None:
         raise SeriesInvalid(f"need at least 3 paired values, got {xs.size}")
 
 
+def _centred(values: np.ndarray) -> np.ndarray:
+    """`values` minus their mean, centred twice: the second pass removes the
+    mean's rounding, which matters when the spread is a few ulp of it."""
+    d = values - pairwise_sum(values) / values.size
+    return d - pairwise_sum(d) / d.size
+
+
 def _pearson_checked(xs: np.ndarray, ys: np.ndarray) -> float:
     # checked before centring: a mean that rounds off by an ulp would leave a
     # constant series with small nonzero deviations
     if xs.min() == xs.max() or ys.min() == ys.max():
         raise ConstantSeries("correlation is undefined for a zero-variance series")
-    xs, ys = pow2_scale(xs)[0], pow2_scale(ys)[0]
-    xc = xs - pairwise_sum(xs) / xs.size
-    yc = ys - pairwise_sum(ys) / ys.size
+    xc, yc = _centred(pow2_scale(xs)[0]), _centred(pow2_scale(ys)[0])
     ssx = pairwise_sum(xc * xc)
     ssy = pairwise_sum(yc * yc)
     r = pairwise_sum(xc * yc) / np.sqrt(ssx * ssy)
@@ -182,20 +185,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def pearson(xs, ys) -> float:
-    xs, ys = _as_series(xs, "x"), _as_series(ys, "y")
-    _check_pair(xs, ys)
-    return _pearson_checked(xs, ys)
-
-
-def spearman(xs, ys) -> float:
-    xs, ys = _as_series(xs, "x"), _as_series(ys, "y")
-    _check_pair(xs, ys)
-    return _pearson_checked(_average_ranks(xs), _average_ranks(ys))
-
-
 def correlate(xs, ys) -> Correlation:
-    """Pearson and Spearman for one aligned pair of series."""
+    """Pearson and Spearman, together, for one aligned pair of series."""
     xs, ys = _as_series(xs, "x"), _as_series(ys, "y")
     _check_pair(xs, ys)
     return Correlation(

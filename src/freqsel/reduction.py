@@ -13,6 +13,9 @@ sum over [i * 2^j, min((i + 1) * 2^j, n)), so stopping after k rounds
 blocks followed by the tree sum of the tail, and folding those on gives
 the same bits as folding the whole. A caller that produces its values in
 pieces starting on multiples of 2^k can reduce each piece as it goes.
+:func:`pairwise_sum` allocates its own fold buffer; :func:`block_sums`
+also folds in one the caller lends, as :func:`freqsel.spectral.hfr` does
+with its chunk buffer.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 __all__ = ["pairwise_sum"]
 
 
-def _fold(values, rounds: int, scratch: np.ndarray | None) -> np.ndarray:
+def _fold(values, rounds: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """The first `rounds` rounds of the pair tree over `values` (any shape,
     flattened in C order); `values` itself if `rounds` is 0.
 
@@ -55,13 +58,9 @@ def _fold(values, rounds: int, scratch: np.ndarray | None) -> np.ndarray:
     return src[:n]
 
 
-def pairwise_sum(values, scratch: np.ndarray | None = None) -> float:
-    """Sum `values` (any shape, flattened in C order) over a fixed pair tree.
-
-    A lent float64 `scratch` of at least as many elements as `values` saves
-    the fold its allocation; it does not change the bits.
-    """
-    src = _fold(values, np.size(values), scratch)
+def pairwise_sum(values) -> float:
+    """Sum `values` (any shape, flattened in C order) over a fixed pair tree."""
+    src = _fold(values, np.size(values))
     return float(src[0]) if src.size else 0.0
 
 
@@ -71,8 +70,9 @@ def block_sums(values, block: int, scratch: np.ndarray | None = None) -> np.ndar
     there is one, so that ``pairwise_sum(block_sums(x, block)) ==
     pairwise_sum(x)`` bit for bit.
 
-    The result is a view into `scratch` (or into `values` when `block` is
-    1); `scratch` is lent as for :func:`pairwise_sum`.
+    A lent float64 `scratch` of at least as many elements as `values` saves
+    the fold its allocation; it does not change the bits. The result is a
+    view into `scratch` (or into `values` when `block` is 1).
     """
     return _fold(values, block.bit_length() - 1, scratch)
 

@@ -35,13 +35,12 @@ import numpy as np
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
 from .errors import NonFiniteValue, ZeroEnergyFeature
-from .reduction import block_sums, max_abs, pairwise_sum, pow2_scale
+from .reduction import block_sums, max_abs, pairwise_sum
 from .tensor_io import FeatureMap
 
 __all__ = [
     "DEFAULT_CUTOFF",
     "Decomposition",
-    "energy",
     "hfr",
     "extract_high_freq",
     "decompose",
@@ -93,19 +92,6 @@ def _lowpass_circulant(n: int, cutoff: float) -> np.ndarray:
     m = a[np.minimum(lag, n - lag)]
     m.setflags(write=False)
     return m
-
-
-def energy(fmap: FeatureMap) -> float:
-    """Total energy sum(values^2), accumulated pairwise.
-
-    The squares are taken after the exact power-of-two pre-scale that
-    :func:`hfr` uses and the sum is scaled back, so no square overflows or
-    underflows on the way; the result is inf only if the energy itself
-    exceeds the float64 range (16 values of 1e160 have energy 1.6e321).
-    """
-    scaled, exponent = pow2_scale(fmap.values)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(pairwise_sum(np.square(scaled, out=scaled)), 2 * exponent))
 
 
 def _non_finite(fmap: FeatureMap) -> NonFiniteValue:

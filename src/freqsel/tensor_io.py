@@ -103,6 +103,15 @@ class FeatureMeta:
             raise ValueError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
 
 
+def _check_shape(shape: tuple[int, ...], context: str) -> None:
+    """The shape rule of a map in memory and of a file being written: rank 2
+    or 3, every dim >= 1."""
+    if len(shape) not in (2, 3):
+        raise RankError(f"{context}: rank must be 2 or 3, got {len(shape)}")
+    if min(shape) < 1:
+        raise ShapeMismatch(f"{context}: dims must all be >= 1, got {shape}")
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """A (channels, height, width) float64 array plus its identity.
@@ -120,12 +129,9 @@ class FeatureMap:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
+        _check_shape(arr.shape, "feature map")
         if arr.ndim == 2:
             arr = arr[np.newaxis, :, :]
-        if arr.ndim != 3:
-            raise RankError(f"feature map must have rank 2 or 3, got rank {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ShapeMismatch(f"feature map dims must all be >= 1, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -249,13 +255,15 @@ def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
 def _encode(values: np.ndarray, path, dtype: str) -> tuple[bytes, np.ndarray]:
     """(header, payload) of `values` as a tensor file of `dtype` at `path`.
 
-    The payload is cast straight to the file's dtype (no copy at all for
-    C-ordered f64 on a little-endian host). The finite check runs on the
-    cast payload, so a value beyond the f32 range is a ``NonFiniteValue``,
-    not an Inf on disk.
+    The shape rule is checked first, so no file is written that
+    :func:`read_tensor` would reject. The payload is cast straight to the
+    file's dtype (no copy at all for C-ordered f64 on a little-endian
+    host). The finite check runs on the cast payload, so a value beyond
+    the f32 range is a ``NonFiniteValue``, not an Inf on disk.
     """
     if dtype not in _DESCR_BY_DTYPE:
         raise UnsupportedDtype(f"cannot write dtype {dtype!r} (need 'f32' or 'f64')")
+    _check_shape(values.shape, str(path))
     descr = _DESCR_BY_DTYPE[dtype]
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(values, dtype=descr)
@@ -292,9 +300,6 @@ class DatasetManifest:
 
     def timesteps(self) -> tuple[int, ...]:
         return tuple(sorted({e.timestep for e in self.entries}))
-
-    def entries_at(self, timestep: int) -> tuple[ManifestEntry, ...]:
-        return tuple(e for e in self.entries if e.timestep == timestep)
 
 
 def _schema(cond: bool, message: str) -> None:

@@ -20,12 +20,10 @@ from freqsel import (
     NoiseSchedule,
     OracleProfile,
     average_hfr,
-    energy,
     extract_high_freq,
     fisher_score,
     gaussian_bump_curve,
     hfr,
-    linear_schedule,
     load_manifest,
     oracle_features,
     read_tensor,
@@ -46,6 +44,7 @@ from reference_curves import (
 )
 from util import (
     corrupt_corpus,
+    energy,
     fisher_scatter_oracle,
     make_map,
     naive_dft2,
@@ -143,7 +142,6 @@ def test_criterion_5_oracle_recovery_end_to_end(tmp_path):
     with criterion(5, "20 random profiles recovered end to end, also at x1000 scale", 120.0):
         total = 200
         grid = tuple(range(10, 201, 10))
-        schedule = linear_schedule(total)
         identity = NoiseSchedule((0.0,) * total)  # alpha=0 keeps features exact
         for k in range(20):
             rng = np.random.default_rng(5000 + k)
@@ -158,14 +156,15 @@ def test_criterion_5_oracle_recovery_end_to_end(tmp_path):
             )
             root = tmp_path / f"profile{k:02d}"
             clean = oracle_features(
-                profile, schedule, n_images=16, shape=(4, 32, 32), seed=900 + k,
+                profile, n_images=16, shape=(4, 32, 32), seed=900 + k,
                 out_dir=root / "clean", timesteps=grid,
             )
             # forward-process stage: noise each timestep's images at its own t
             noised_dir = root / "noised"
             collected = []
             for t in grid:
-                sub = DatasetManifest(total, clean.entries_at(t), False, clean.root)
+                at_t = tuple(e for e in clean.entries if e.timestep == t)
+                sub = DatasetManifest(total, at_t, False, clean.root)
                 out = simulate_forward(sub, identity, (t,), seed=77, out_dir=noised_dir)
                 collected.extend(out.entries)
             for src, dst in zip(clean.entries, collected):

@@ -50,6 +50,22 @@ def test_usage_errors_exit_1(capsys):
     assert run("select") == 1  # needs --manifest xor --curve
     err = capsys.readouterr().err
     assert "usage:" in err
+    hfr = ("hfr", "--manifest", "m.json", "--out", "c.csv")
+    oracle = ("oracle", "--out", "o", "--peak-timestep", "1")
+    for argv in (
+        (*hfr, "--cutoff", "abc"),
+        (*oracle, "--images", "0"),
+        (*oracle, "--images", "x"),
+        (*hfr, "--timesteps", "1..5..0"),
+        (*hfr, "--timesteps", "1..2..3..4"),
+        (*hfr, "--threads", "0"),
+        (*hfr, "--threads", "x"),
+        (*oracle, "--shape", "1,2"),
+        (*oracle, "--shape", "a,b,c"),
+        (*oracle, "--shape", "0,4,4"),
+    ):
+        assert run(*argv) == 1, argv
+        assert "error: argument " in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("flag", ["--cutoff", "--tie-epsilon"])
@@ -84,6 +100,25 @@ def test_data_errors_exit_2_with_error_class(tmp_path, capsys):
     bad_json.write_text("{")
     assert run("select", "--manifest", str(bad_json)) == 2
     assert capsys.readouterr().err.startswith("ManifestSchemaError:")
+
+    manifest = write_dataset(tmp_path / "data", [make_map(np.ones((1, 4, 4)), "a", 1)], 1)
+    no_dir = tmp_path / "no_dir"
+    assert run("hfr", "--manifest", str(manifest), "--out", str(no_dir / "c.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"IoFailure: cannot write {no_dir / 'c.csv'}: ") and err.count("\n") == 1
+    assert not no_dir.exists() and not list(tmp_path.rglob("*.tmp"))
+
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert run("oracle", "--out", str(a_file), "--peak-timestep", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("IoFailure: [Errno 17] ") and err.count("\n") == 1
+
+    out = tmp_path / "oracle"
+    argv = ["oracle", "--out", str(out), "--total-timesteps", "100", "--timesteps", "50,200"]
+    assert run(*argv, "--peak-timestep", "50") == 2
+    assert capsys.readouterr().err == "ProfileInvalid: timestep grid must stay within [1, 100]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -315,7 +350,7 @@ def test_simulate_pipeline(tmp_path):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
 
 
-def test_simulate_with_schedule_csv(tmp_path):
+def test_simulate_with_schedule_csv(tmp_path, capsys):
     clean = [make_map(np.ones((1, 4, 4)), "a", 1)]
     manifest = write_dataset(tmp_path / "clean", clean, 1)
     sched = tmp_path / "sched.csv"
@@ -328,6 +363,18 @@ def test_simulate_with_schedule_csv(tmp_path):
     # alpha(1) = 0: the t=1 output is the clean input
     t1 = read_tensor(out / "t0001_i0000.npy")
     assert np.array_equal(t1.values, clean[0].values)
+    # a schedule that breaks a rule is named in the one-line error
+    for content, rule in (
+        ("t,alpha\n1,0.5\n2,1.5\n", "every alpha must be finite and in [0, 1]"),
+        ("t,alpha\n1,0.5\n2,0.25\n", "alphas must be non-decreasing in t"),
+        ("t,alpha\n", "schedule must cover at least one timestep"),
+    ):
+        sched.write_text(content)
+        bad_out = tmp_path / "bad_out"
+        argv = ("simulate", "--manifest", str(manifest), "--schedule", str(sched), "--timesteps", "1", "--out", str(bad_out))
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"ScheduleInvalid: {sched}: {rule}\n"
+        assert not bad_out.exists()
 
 
 def test_alpha_index_t_minus_1_is_the_shifted_schedule(tmp_path):

@@ -221,7 +221,7 @@ def test_simulate_and_oracle_bytes_do_not_depend_on_block_size(tmp_path, monkeyp
         manifest = load_manifest(write_dataset(tmp_path / tag / "clean", clean, 1))
         simulate_forward(manifest, linear_schedule(10), (1, 4, 10), seed=8, out_dir=tmp_path / tag / "sim", dtype="f32")
         profile = OracleProfile(2, 1.0, (0.5, 1.0, 0.2), 2)
-        oracle_features(profile, linear_schedule(3), 2, (3, 9, 11), 4, tmp_path / tag / "oracle")
+        oracle_features(profile, 2, (3, 9, 11), 4, tmp_path / tag / "oracle")
         return {
             p.relative_to(tmp_path / tag): p.read_bytes()
             for p in sorted((tmp_path / tag).rglob("*"))
@@ -286,7 +286,7 @@ def test_simulate_forward_writes_expected_dataset(tmp_path):
     for i, values in enumerate(noised_t10):
         assert np.array_equal(values, _noise((1, 8, 8), 4, i, 10))
     # source identity survives alongside the new timestep
-    assert [e.image_id for e in back.entries_at(5)] == ["img0", "img1", "img2"]
+    assert [e.image_id for e in back.entries if e.timestep == 5] == ["img0", "img1", "img2"]
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -405,13 +405,7 @@ def test_oracle_at_a_tiny_width_exits_0_without_warnings(tmp_path):
 def test_oracle_frequency_bound(tmp_path):
     profile = OracleProfile(1, 1.0, (1.0, 0.5), 8)
     with pytest.raises(FrequencyTooHigh):
-        oracle_features(profile, linear_schedule(2), 2, (1, 16, 16), 0, tmp_path)
-
-
-def test_oracle_curve_must_match_schedule_length(tmp_path):
-    profile = OracleProfile(1, 1.0, (1.0, 0.5), 3)
-    with pytest.raises(ProfileInvalid):
-        oracle_features(profile, linear_schedule(5), 2, (1, 16, 16), 0, tmp_path)
+        oracle_features(profile, 2, (1, 16, 16), 0, tmp_path)
 
 
 def test_oracle_dataset_recovers_peak(tmp_path):
@@ -419,7 +413,7 @@ def test_oracle_dataset_recovers_peak(tmp_path):
     curve = gaussian_bump_curve(total, 8, 1.5, 3.0)
     profile = OracleProfile(8, 1.0, curve, 4)
     manifest = oracle_features(
-        profile, linear_schedule(total), 3, (2, 16, 16), seed=5, out_dir=tmp_path,
+        profile, 3, (2, 16, 16), seed=5, out_dir=tmp_path,
         timesteps=(2, 4, 6, 8, 10, 12),
     )
     assert len(manifest.entries) == 18
@@ -436,11 +430,8 @@ def test_oracle_dataset_recovers_peak(tmp_path):
 
 def test_oracle_per_image_hfr_monotone_in_amplitude(tmp_path):
     # same image at increasing detail amplitude must have increasing HFR
-    total = 5
     profile = OracleProfile(5, 1.0, (0.0, 0.4, 0.8, 1.2, 1.6), 5)
-    manifest = oracle_features(
-        profile, linear_schedule(total), 1, (1, 20, 20), seed=3, out_dir=tmp_path
-    )
+    manifest = oracle_features(profile, 1, (1, 20, 20), seed=3, out_dir=tmp_path)
     values = [value for _, value in map_loaded(manifest, lambda m: hfr(m, 30.0))]
     assert values == sorted(values)
     assert values[0] < values[-1]
@@ -449,6 +440,6 @@ def test_oracle_per_image_hfr_monotone_in_amplitude(tmp_path):
 def test_oracle_generation_deterministic(tmp_path):
     profile = OracleProfile(2, 1.0, (0.5, 1.0, 0.2), 4)
     for run in ("a", "b"):
-        oracle_features(profile, linear_schedule(3), 2, (1, 12, 12), 1, tmp_path / run)
+        oracle_features(profile, 2, (1, 12, 12), 1, tmp_path / run)
     for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -8,10 +8,8 @@ from freqsel import (
     LabeledEmbeddingSet,
     correlate,
     fisher_score,
-    pearson,
     pool_tokens,
     read_series_csv,
-    spearman,
 )
 from freqsel.errors import (
     ConstantSeries,
@@ -143,21 +141,22 @@ def test_pearson_spearman_match_scipy(seed):
     n = int(rng.integers(5, 60))
     xs = rng.normal(size=n)
     ys = 0.5 * xs + rng.normal(size=n)
-    assert pearson(xs, ys) == pytest.approx(scipy.stats.pearsonr(xs, ys).statistic, abs=1e-12)
-    assert spearman(xs, ys) == pytest.approx(scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12)
+    result = correlate(xs, ys)
+    assert result.pearson == pytest.approx(scipy.stats.pearsonr(xs, ys).statistic, abs=1e-12)
+    assert result.spearman == pytest.approx(scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12)
 
 
 def test_spearman_with_ties_matches_scipy():
     xs = np.array([1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0])
     ys = np.array([5.0, 5.0, 3.0, 4.0, 4.0, 2.0, 1.0])
-    assert spearman(xs, ys) == pytest.approx(scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12)
+    assert correlate(xs, ys).spearman == pytest.approx(scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12)
 
 
 def test_perfect_monotone_relations():
     xs = np.array([1.0, 2.0, 5.0, 9.0])
-    assert spearman(xs, xs**3) == 1.0
-    assert spearman(xs, -(xs**3)) == -1.0
-    assert pearson(xs, 2.0 * xs + 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert correlate(xs, xs**3).spearman == 1.0
+    assert correlate(xs, -(xs**3)).spearman == -1.0
+    assert correlate(xs, 2.0 * xs + 1.0).pearson == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,9 +165,9 @@ def test_spearman_invariant_under_monotone_transform(seed):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=12)
     ys = rng.normal(size=12)
-    base = spearman(xs, ys)
-    assert spearman(np.exp(xs), ys) == pytest.approx(base, abs=1e-12)
-    assert spearman(xs * 1000.0 + 5.0, ys) == pytest.approx(base, abs=1e-12)
+    base = correlate(xs, ys).spearman
+    assert correlate(np.exp(xs), ys).spearman == pytest.approx(base, abs=1e-12)
+    assert correlate(xs * 1000.0 + 5.0, ys).spearman == pytest.approx(base, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,8 +180,15 @@ def test_correlations_bounded(seed):
 
 
 def test_pearson_exact_at_extreme_scales():
-    assert pearson([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]) == 1.0
-    assert pearson([1e-200, 2e-200, 3e-200], [3.0, 2.0, 1.0]) == -1.0
+    assert correlate([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]).pearson == 1.0
+    assert correlate([1e-200, 2e-200, 3e-200], [3.0, 2.0, 1.0]).pearson == -1.0
+
+
+def test_pearson_of_a_series_spread_over_one_ulp():
+    # the mean 1 + ulp/3 rounds to 1.0: centred once, the series would be
+    # (0, 0, ulp) and r = 0.7071; its deviations are (-1, -1, 2) * ulp/3
+    r = correlate([1.0, 1.0, 1.0 + 2**-52], [0.0, 1.0, 2.0]).pearson
+    assert r == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,15 +202,16 @@ def test_correlations_scale_free_over_float64_range(seed, exponent):
     ys = 0.5 * xs + rng.normal(size=11)
     # each series lives at its own scale
     big, small = xs * 10.0**exponent, ys * 10.0**-exponent
-    assert pearson(big, small) == pytest.approx(pearson(xs, ys), abs=1e-12)
-    assert spearman(big, small) == pytest.approx(spearman(xs, ys), abs=1e-12)
+    scaled, base = correlate(big, small), correlate(xs, ys)
+    assert scaled.pearson == pytest.approx(base.pearson, abs=1e-12)
+    assert scaled.spearman == pytest.approx(base.spearman, abs=1e-12)
 
 
 def test_constant_series_rejected():
     with pytest.raises(ConstantSeries):
-        pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        correlate([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ConstantSeries):
-        spearman([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
+        correlate([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
 
 
 @pytest.mark.parametrize("constant", [[0.1] * 3, [0.7] * 3, [0.3] * 7])
@@ -212,8 +219,6 @@ def test_constant_series_with_an_inexact_mean_rejected(constant):
     # the mean of these rounds off by an ulp, so centring leaves nonzero values
     ramp = [float(i) for i in range(len(constant))]
     for xs, ys in ((constant, ramp), (ramp, constant)):
-        with pytest.raises(ConstantSeries):
-            pearson(xs, ys)
         with pytest.raises(ConstantSeries):
             correlate(xs, ys)
 
@@ -226,7 +231,7 @@ def test_series_shape_validation():
     with pytest.raises(EmptyInput):
         correlate([], [])
     with pytest.raises(SeriesInvalid):
-        pearson([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
+        correlate([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
 
 
 # --- series CSV ------------------------------------------------------------------------

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqsel import decompose, energy, extract_high_freq, hfr
+from freqsel import decompose, extract_high_freq, hfr
 
-from util import fourier_high, kernel_gains, make_map, naive_dft2, reference_gains, rel_err
+from util import energy, fourier_high, kernel_gains, make_map, naive_dft2, reference_gains, rel_err
 
 PRIME_SIZES = (2, 3, 5, 7, 11, 13, 17, 31)
 MIXED_SIZES = (1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 20, 27, 32)

@@ -60,7 +60,7 @@ def test_bits_match_the_allocate_per_level_fold(n):
     want = pairwise_sum_per_level(values)
     assert pairwise_sum(values) == want
     # a lent scratch, here larger than needed, does not change the bits
-    assert pairwise_sum(values, np.full(n + 5, np.nan)) == want
+    assert pairwise_sum(block_sums(values, 4, np.full(n + 5, np.nan))) == want
     # the read-only input is accepted and never written
     assert np.array_equal(values, before)
 
@@ -74,9 +74,9 @@ def test_strided_and_multidimensional_inputs_fold_in_c_order():
 
 def test_scratch_too_small_is_rejected():
     values = np.ones(9)  # rounds of 5 and 3 sums need 8 elements
-    assert pairwise_sum(values, np.empty(8)) == 9.0
+    assert block_sums(values, 4, np.empty(8)).tolist() == [4.0, 4.0, 1.0]
     with pytest.raises(ValueError, match="needs 8"):
-        pairwise_sum(values, np.empty(7))
+        block_sums(values, 4, np.empty(7))
 
 
 @given(st.integers(0, 5000), st.integers(0, 13), st.integers(0, 2**32 - 1))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from freqsel import (
     decompose,
-    energy,
     extract_high_freq,
     hfr,
     spectral,
@@ -19,7 +18,7 @@ from freqsel.errors import NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
 from freqsel.spectral import _lowpass_circulant
 from freqsel.tensor_io import write_array
 
-from util import cli_peak_rss_kb, hfr_per_step, kernel_gains, make_map, reference_gains
+from util import cli_peak_rss_kb, energy, hfr_per_step, kernel_gains, make_map, reference_gains
 
 
 def rand_map(c, h, w, seed, scale=1.0):
@@ -71,46 +70,6 @@ def test_mask_validation_and_caching():
     hfr(fmap, 5)
     assert _lowpass_circulant(8, 5.0) is _lowpass_circulant(8, 5.0)
     assert not _lowpass_circulant(8, 5.0).flags.writeable
-
-
-# --- energy ------------------------------------------------------------------
-
-def test_energy_is_sum_of_squares():
-    fmap = make_map(np.array([[[1.0, -2.0], [3.0, 0.5]]]))
-    assert energy(fmap) == 1.0 + 4.0 + 9.0 + 0.25
-
-
-def test_energy_exact_under_power_of_two_scaling():
-    # energy(x * 2**k) == energy(x) * 4**k wherever that is a normal double,
-    # including where the squares of the small entries alone would be subnormal
-    base = rand_map(1, 16, 16, 3)
-    e0 = energy(base)
-    checked = 0
-    for k in range(-530, 520):
-        with np.errstate(over="ignore"):
-            want = float(np.ldexp(e0, 2 * k))
-        if np.isfinite(want) and want >= np.finfo(np.float64).tiny:
-            assert energy(make_map(np.ldexp(base.values, k))) == want, k
-            checked += 1
-    assert checked > 1000
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    exponent=st.integers(min_value=-150, max_value=150),
-)
-def test_energy_finite_over_float64_range(seed, exponent):
-    base = rand_map(2, 10, 9, seed)
-    value = energy(make_map(base.values * 10.0**exponent))
-    assert np.isfinite(value)
-    assert abs(value - energy(base) * 10.0 ** (2 * exponent)) <= 1e-12 * value
-
-
-def test_energy_beyond_float64_range_is_inf():
-    # 16 * (1e160)^2 = 1.6e321 has no float64: overflow is reported as inf
-    assert energy(make_map(np.ones((1, 4, 4)) * 1e160)) == np.inf
-    assert energy(make_map(np.ones((1, 4, 4)) * 1e150)) == 16 * 1e150**2
 
 
 # --- hfr ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import threading
 
@@ -171,6 +172,17 @@ def test_write_rejects_nonfinite_and_bad_dtype(tmp_path):
         write_array(np.ones((1, 2, 2)), tmp_path / "bad.npy", "f16")
 
 
+@pytest.mark.parametrize(
+    "shape, error", [((5,), RankError), ((1, 1, 2, 2), RankError), ((0, 3), ShapeMismatch)],
+    ids=["rank_1", "rank_4", "zero_dim"],
+)
+def test_write_rejects_a_shape_the_reader_rejects(tmp_path, shape, error):
+    path = tmp_path / "bad.npy"
+    with pytest.raises(error, match=re.escape(str(path))):
+        write_array(np.ones(shape), path, "f64")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_tensor(tmp_path / "nope.npy")
@@ -250,7 +262,7 @@ def test_manifest_roundtrip(tmp_path):
     manifest = load_manifest(manifest_path)
     assert manifest.total_timesteps == 5
     assert manifest.timesteps() == (1, 5)
-    assert [e.image_id for e in manifest.entries_at(1)] == ["img0", "img1"]
+    assert [e.image_id for e in manifest.entries if e.timestep == 1] == ["img0", "img1"]
     loaded = [fmap for _, fmap in map_loaded(manifest, lambda fmap: fmap)]
     assert [m.meta.timestep for m in loaded] == [1, 1, 5]
     assert loaded[2].values[0, 0, 0] == 3.0

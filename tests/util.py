@@ -25,6 +25,7 @@ from freqsel import (
     FeatureMeta,
     ManifestEntry,
     extract_high_freq,
+    pairwise_sum,
     save_manifest,
 )
 from freqsel.errors import (
@@ -81,6 +82,11 @@ def rel_err(got, want) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(got.ravel()))
     return float(np.linalg.norm((got - want).ravel()) / denom)
+
+
+def energy(fmap: FeatureMap) -> float:
+    """sum(values^2) of a map, accumulated pairwise."""
+    return pairwise_sum(np.square(fmap.values))
 
 
 # --- pure-Python reimplementation of the noise stream ------------------------
