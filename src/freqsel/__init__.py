@@ -1,8 +1,8 @@
 """freqsel: frequency-domain timestep selection for diffusion feature dumps.
 
 Pipeline in one line: load feature maps -> per-map high-frequency energy
-ratio (a separable Gaussian high-pass, X - A @ X @ B, whose energy over the
-map's energy is the HFR) -> per-timestep means -> argmax timestep.
+ratio (HFR = sum((G * Z)^2) / sum(Z^2) in [0, 1], Z the map in the Hartley
+basis, G the Gaussian high-pass gains) -> per-timestep means -> argmax.
 Everything around that (forward-process simulation, a synthetic oracle with
 a provably correct answer, Fisher-score diagnostics, rank correlations, a
 strict tensor container) supports validating the pipeline end to end. All

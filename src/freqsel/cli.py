@@ -32,6 +32,7 @@ from .defaults import DEFAULT_CUTOFF, DEFAULT_TOTAL_TIMESTEPS
 from .errors import (
     EmptyTimestep,
     FreqselError,
+    IoFailure,
     ManifestSchemaError,
     SeriesInvalid,
 )
@@ -187,6 +188,14 @@ def _add_threads(sp) -> None:
     )
 
 
+def _check_out(path) -> None:
+    """IoFailure unless the directory an output file goes into exists (or no
+    file is asked for), so a command fails before it reads a tensor."""
+    parent = path and os.path.dirname(os.path.abspath(path))
+    if parent and not os.path.isdir(parent):
+        raise IoFailure(f"cannot write {path}: {parent} is not a directory")
+
+
 def _resolve_schedule(spec_text: str, total_timesteps: int, alpha_index: str):
     """The schedule `spec_text` names; under ``--alpha-index t-1`` shifted
     by one, so that t = 1 mixes with alpha = 0 and t = T with alpha_{T-1}."""
@@ -297,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_hfr(args) -> int:
     from .tensor_io import load_manifest
 
+    _check_out(args.out)
     manifest = load_manifest(args.manifest)
     curve = average_hfr(manifest, args.cutoff, args.timesteps, threads=args.threads)
     write_curve_csv(curve, args.out)
@@ -326,6 +336,7 @@ def cmd_select(args) -> int:
         timesteps=args.timesteps,
         tie_epsilon=args.tie_epsilon,
     )
+    _check_out(args.out)
     if args.manifest:
         from .tensor_io import load_manifest
 
@@ -363,6 +374,7 @@ def cmd_fisher(args) -> int:
     from .discriminability import LabeledEmbeddingSet, fisher_score, pool_tokens
     from .tensor_io import load_manifest, map_loaded
 
+    _check_out(args.out)
     manifest = load_manifest(args.manifest)
     steps = args.timesteps if args.timesteps is not None else manifest.timesteps()
     for entry in manifest.entries:

@@ -50,7 +50,6 @@ image by image and holds one background field in memory at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -64,6 +63,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fileio import read_csv
+from .spectral import _hartley, _radius_sq
 from .tensor_io import (
     DatasetManifest,
     ManifestEntry,
@@ -337,27 +337,12 @@ def gaussian_bump_curve(
 LOW_BAND_RADIUS = 2.0
 
 
-@lru_cache(maxsize=32)
-def _low_band_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """In-grid bins k with |k| <= the band radius, and exp(2 pi i k y / n) per row y."""
-    r = int(LOW_BAND_RADIUS)
-    k = np.arange(max(-r, -(n // 2)), min(r, (n - 1) // 2) + 1)
-    # the phase k*y is reduced mod n in integers to keep the argument small
-    basis = np.exp(2j * np.pi * (np.outer(np.arange(n), k) % n) / n)
-    k.setflags(write=False)
-    basis.setflags(write=False)
-    return k, basis
-
-
 def _low_field(shape: tuple[int, int, int], amplitude: float, seed: int) -> np.ndarray:
     c, h, w = shape
     white = standard_normal(c * h * w, seed).reshape(c, h, w)
-    ky, by = _low_band_basis(h)
-    kx, bx = _low_band_basis(w)
-    # the DFT of each channel at the band's bins only, then its inverse
-    spectrum = by.conj().T @ white @ bx.conj()
-    keep = (ky[:, np.newaxis] ** 2 + kx[np.newaxis, :] ** 2) <= LOW_BAND_RADIUS**2
-    low = (by @ (spectrum * keep) @ bx.T).real / (h * w)
+    hy, hx = _hartley(h), _hartley(w)
+    # keep each channel's Hartley coefficients within the band, then transform back
+    low = hy @ ((hy @ white @ hx) * (_radius_sq(h, w) <= LOW_BAND_RADIUS**2)) @ hx
     rms = float(np.sqrt(np.mean(low * low)))
     if rms == 0.0:
         raise ProfileInvalid("degenerate background field (all zeros); change the seed")

@@ -1,28 +1,26 @@
 """Gaussian high-pass filtering and high-frequency energy ratios.
 
-The central quantity is the high-frequency ratio (HFR) of a feature map:
-the fraction of its energy that survives a Gaussian high-pass filter. The
-gain 1 - exp(-D^2 / (2 * cutoff^2)) is separable, 1 - e_y(u) * e_x(v)
-with e(k) = exp(-d(k)^2 / (2 * cutoff^2)) and d(k) the signed centred bin
-distance, so each channel X (H x W) filters to
+The high-frequency ratio (HFR) of a feature map is the fraction of its
+energy that survives a Gaussian high-pass filter with gains
+G = 1 - exp(-D^2 / (2 * cutoff^2)), D the distance in bins from DC. Every
+job here works in one real basis, the orthonormal discrete Hartley
+transform H_n[u, i] = cas(2 pi u i / n) / sqrt(n), cas = cos + sin
+(Bracewell 1983), which is symmetric and its own inverse. G is even in
+each frequency axis, so H diagonalises the filter: with Z = H_h @ X @ H_w
+per channel, the high-pass part is H_h @ (G * Z) @ H_w and, by Parseval,
 
-    high = X - A @ X @ B
+    hfr = sum((G * Z)^2) / sum(Z^2) = sum(G^2 * P) / sum(P),  P = Z^2
 
-where A and B are the real symmetric circulant matrices whose DFT
-eigenvalues are e_y and e_x. By Parseval the ratio is then
+one real quadratic form with no complex spectrum and no subtraction, so
+it keeps its relative accuracy at every cutoff. G is -expm1(-D^2 / (2 *
+cutoff^2)) with its DC entry exactly 0, so 0 <= G^2 <= 1, G^2 * P <= P
+elementwise, and the ratio of the monotonically rounded sums lies in
+[0, 1]; it is invariant to rescaling the map.
 
-    hfr = sum(high^2) / sum(X^2)
-
-one real quadratic form: no complex spectrum and no inverse transform.
-Gains live in [0, 1) (the DC gain is exactly zero), so the ratio is
-bounded to [0, 1) and invariant to rescaling the map.
-
-The filtering functions take the cutoff itself, checked by
-:func:`freqsel.defaults.checked_cutoff`. A and B are built once per
-(size, cutoff) and cached read-only; the H x W gain grid is never formed.
-
-Energies are accumulated with the fixed pairwise tree from
-:mod:`freqsel.reduction`, so results do not depend on evaluation order.
+H is cached read-only per size and G per (height, width, cutoff), after
+the rule of :func:`freqsel.defaults.checked_cutoff`. Energies are summed
+over the fixed pairwise tree of :mod:`freqsel.reduction`, so results do
+not depend on evaluation order.
 """
 from __future__ import annotations
 
@@ -64,117 +62,118 @@ class Decomposition:
     low: FeatureMap
 
 
-def _gaussian_eigenvalues(n: int, cutoff: float) -> np.ndarray:
-    """e(k) = exp(-d(k)^2 / (2 * cutoff^2)) in DFT order, d the centred bin distance.
-
-    The DC value is set to its exact 1: below cutoff ~1.5e-154, 2 * cutoff^2
-    underflows to 0 and the formula would give 0/0 there, while every
-    other bin correctly goes to exp(-inf) = 0.
-    """
-    d = (np.arange(n) + n // 2) % n - n // 2
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = np.exp(-(d * d) / (2.0 * cutoff * cutoff))
-    e[0] = 1.0
-    return e
+def _radius_sq(h: int, w: int) -> np.ndarray:
+    """d(u)^2 + d(v)^2 per bin, with d(k) in [-(n // 2), (n - 1) // 2] the
+    signed distance of bin k from DC."""
+    dy, dx = ((np.arange(n) + n // 2) % n - n // 2 for n in (h, w))
+    return np.add.outer(dy * dy, dx * dx)
 
 
 @lru_cache(maxsize=128)
-def _lowpass_circulant(n: int, cutoff: float) -> np.ndarray:
-    """M[i, j] = a[(i - j) mod n] with a = inverse DFT of the Gaussian eigenvalues.
-
-    a[d] = (1/n) * sum_k e(k) cos(2 pi k d / n); the phase k*d is reduced
-    mod n in integers to keep the cosine argument small. a is even in d,
-    so indexing by the shorter circular distance makes M exactly symmetric.
-    """
+def _hartley(n: int) -> np.ndarray:
+    """H[u, i] = cas(2 pi u i / n) / sqrt(n): real, symmetric, orthonormal
+    and its own inverse. The phase u*i is reduced mod n in integers to keep
+    the argument small."""
     k = np.arange(n)
-    a = np.cos(2.0 * np.pi * (np.outer(k, k) % n) / n) @ _gaussian_eigenvalues(n, cutoff) / n
-    lag = (k[:, np.newaxis] - k[np.newaxis, :]) % n
-    m = a[np.minimum(lag, n - lag)]
-    m.setflags(write=False)
-    return m
+    phase = 2.0 * np.pi * (np.outer(k, k) % n) / n
+    h = (np.cos(phase) + np.sin(phase)) / math.sqrt(n)
+    h.setflags(write=False)
+    return h
 
 
-def _non_finite(fmap: FeatureMap) -> NonFiniteValue:
-    return NonFiniteValue(
-        f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) contains NaN or Inf"
-    )
+@lru_cache(maxsize=128)
+def _gains(h: int, w: int, cutoff: float) -> np.ndarray:
+    """G[u, v] = -expm1(-(d(u)^2 + d(v)^2) / (2 * cutoff^2)). The DC gain is
+    set to its exact 0: below cutoff ~1.5e-154, 2 * cutoff^2 underflows to 0
+    and the formula gives 0/0 there, while every other gain goes to 1."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = -np.expm1(-_radius_sq(h, w) / (2.0 * cutoff * cutoff))
+    g[0, 0] = 0.0
+    g.setflags(write=False)
+    return g
 
 
-def _circulants(fmap: FeatureMap, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) for the map's height and width, after the cutoff rule: the
-    low-pass is A @ X @ B per channel, always associated as (A @ X) @ B."""
+def _basis(fmap: FeatureMap, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H_h, H_w, G) for the map's height and width, after the cutoff rule."""
     cutoff = checked_cutoff(cutoff)
-    return _lowpass_circulant(fmap.height, cutoff), _lowpass_circulant(fmap.width, cutoff)
+    h, w = fmap.height, fmap.width
+    return _hartley(h), _hartley(w), _gains(h, w, cutoff)
+
+
+def _scale_exponent(fmap: FeatureMap) -> int:
+    """The exponent that scales max |x| into [0.5, 1) (0 for an all-zero map),
+    after the NaN/Inf check. The scaling is exact and keeps the transform
+    and the squares from overflow and underflow over the float64 range."""
+    peak = max_abs(fmap.values)
+    if not math.isfinite(peak):
+        raise NonFiniteValue(
+            f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) contains NaN or Inf"
+        )
+    return -math.frexp(peak)[1]
 
 
 def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
-    """Filter a map through the high-pass gains: X - A @ X @ B per channel."""
-    a, b = _circulants(fmap, cutoff)
-    if not math.isfinite(max_abs(fmap.values)):
-        raise _non_finite(fmap)
-    high = a @ fmap.values @ b
-    np.subtract(fmap.values, high, out=high)
-    return FeatureMap._owned(high, fmap.meta)
+    """Filter a map through the high-pass gains: H_h @ (G * Z) @ H_w per
+    channel, with Z = H_h @ X @ H_w, all on the pre-scaled map."""
+    hy, hx, gains = _basis(fmap, cutoff)
+    exponent = _scale_exponent(fmap)
+    z = hy @ np.ldexp(fmap.values, exponent) @ hx
+    high = hy @ np.multiply(z, gains, out=z) @ hx
+    return FeatureMap._owned(np.ldexp(high, -exponent, out=high), fmap.meta)
 
 
 def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     """High-frequency energy ratio of one map, channels pooled.
 
-    The map is first scaled by the power of two that brings max |x| into
-    [0.5, 1). That scaling is exact, so in-range results keep their bits,
-    and the squared energies can neither overflow nor underflow anywhere
-    in the finite float64 range. A non-finite max |x| is the NaN/Inf
-    check.
-
-    The map is then walked in chunks of 2^j channels, the most that fit
-    in _CHUNK_ELEMENTS (one channel if even that does not), through one
-    chunk-sized buffer of three slots per thread: the scaled channels,
-    A @ X (then the folds' scratch) and the high part; the difference and
-    both squares are computed in place, so the scratch does not grow with
-    the channel count. Each chunk starts on a multiple of 2^k, the largest
-    power of two dividing the chunk size, so its squares fold to aligned
-    2^k-block sums (:func:`freqsel.reduction.block_sums`) whose pairwise
-    sum has the bits of one pairwise sum over the whole map.
+    The pre-scaled map is walked in chunks of 2^j channels, the most that
+    fit in _CHUNK_ELEMENTS (one channel if even that does not), through one
+    buffer of two chunk-sized slots per thread, which does not grow with
+    the channel count: the scaled channels, then Z, P and G^2 * P in place;
+    and H_h @ X, then the folds' scratch. Each chunk starts on a multiple
+    of 2^k, the largest power of two dividing the chunk size, so its sums
+    fold to aligned 2^k-block sums (:func:`freqsel.reduction.block_sums`)
+    whose pairwise sum has the bits of one pairwise sum over the whole map.
     """
-    a, b = _circulants(fmap, cutoff)
+    hy, hx, gains = _basis(fmap, cutoff)
+    exponent = _scale_exponent(fmap)
     values = fmap.values
-    peak = max_abs(values)
-    if not math.isfinite(peak):
-        raise _non_finite(fmap)
-    if peak == 0.0:
-        raise ZeroEnergyFeature(
-            f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
-        )
-    exponent = -math.frexp(peak)[1]
     c, h, w = values.shape
     step = 1 << max(0, (_CHUNK_ELEMENTS // (h * w)).bit_length() - 1)  # 2^j channels
     stride = step * h * w
     # 2^k divides every chunk start; a map of one chunk folds to one sum
     block = stride & -stride if c > step else 1 << stride.bit_length()
-    shape = (3, min(step, c), h, w)
+    shape = (2, min(step, c), h, w)
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.shape != shape:
         buf = _scratch.buf = np.empty(shape)
-    # block sums of the high part and of the whole; the last chunk may add a tail
+    # block sums of G^2 * P and of P; the last chunk may add a tail
     partials = np.empty((2, c * h * w // block + 1))
+    gains_sq = gains * gains
     n = 0
     for start in range(0, c, step):
-        scaled, ax, high = buf[:, : min(step, c - start)]
-        np.ldexp(values[start : start + step], exponent, out=scaled)
-        np.matmul(np.matmul(a, scaled, out=ax), b, out=high)
-        np.subtract(scaled, high, out=high)
-        for row, part in zip(partials, (high, scaled)):
-            sums = block_sums(np.square(part, out=part), block, ax)
-            row[n : n + sums.size] = sums
+        power, hyx = buf[:, : min(step, c - start)]
+        np.ldexp(values[start : start + step], exponent, out=power)
+        np.matmul(np.matmul(hy, power, out=hyx), hx, out=power)
+        np.square(power, out=power)
+        sums = block_sums(power, block, hyx)
+        partials[1, n : n + sums.size] = sums
+        sums = block_sums(np.multiply(power, gains_sq, out=power), block, hyx)
+        partials[0, n : n + sums.size] = sums
         n += sums.size
-    return pairwise_sum(partials[0, :n]) / pairwise_sum(partials[1, :n])
+    total = pairwise_sum(partials[1, :n])
+    if total == 0.0:
+        raise ZeroEnergyFeature(
+            f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
+        )
+    return pairwise_sum(partials[0, :n]) / total
 
 
 def decompose(fmap: FeatureMap, cutoff: float) -> Decomposition:
     """Split a map into high-pass and complementary low-pass parts.
 
     The low part is computed as original minus high, so the two parts
-    recompose to the input up to one rounding per element.
+    recompose to the input up to one rounding per element. This costs four
+    matrix products per channel, twice what :func:`hfr` needs.
     """
     high = extract_high_freq(fmap, cutoff)
     low = np.subtract(fmap.values, high.values)

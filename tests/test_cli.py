@@ -170,6 +170,17 @@ def test_corrupt_tensor_reported_with_class(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("MalformedHeader:")
 
 
+@pytest.mark.parametrize("command", ["hfr", "select", "fisher"])
+def test_missing_out_directory_fails_before_any_tensor_is_read(tmp_path, capsys, command):
+    # the one tensor is malformed, so reading it would raise MalformedHeader
+    manifest = write_dataset(tmp_path, [make_map(np.ones((1, 4, 4)), "a", 1)], 1, labels={0: 0})
+    (tmp_path / "t0001_0000.npy").write_bytes(b"\x00garbage")
+    out = tmp_path / "no_dir" / "out"
+    assert run(command, "--manifest", str(manifest), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"IoFailure: cannot write {out}: {out.parent} is not a directory\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("name", ["header_unhashable_key", "header_set_key"])
 @pytest.mark.parametrize("command", ["hfr", "decompose"])
 def test_unhashable_header_key_exits_2_naming_the_file(tmp_path, capsys, command, name):

@@ -56,7 +56,9 @@ def rand_instance(seed):
     d = int(rng.integers(1, 8))
     k = int(rng.integers(2, 5))
     labels = rng.integers(0, k, size=n)
-    while np.unique(labels).size < 2:
+    # two classes, one of them with two rows: all-singleton classes have no
+    # within-class scatter (test_fisher_degenerate_within_scatter covers that)
+    while np.unique(labels).size < 2 or np.bincount(labels).max() < 2:
         labels = rng.integers(0, k, size=n)
     return rng.normal(size=(n, d)) * rng.uniform(0.1, 10), labels
 

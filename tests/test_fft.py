@@ -1,10 +1,11 @@
 """The closed-form high-pass kernel checked against the Fourier definition.
 
-No FFT is involved anywhere: ``extract_high_freq`` computes X - A @ X @ B
-with real circulant factors instead of transforming to the frequency
-domain. Each test here states what that kernel must equal in Fourier
-terms, Re(IDFT(g * DFT(x))) with g the gains of ``util.reference_gains``,
-and evaluates the DFT straight from its definition.
+No FFT is involved anywhere: ``extract_high_freq`` computes
+H_h @ (G * Z) @ H_w with Z = H_h @ X @ H_w, in the real orthonormal
+Hartley basis H, instead of a complex spectrum. Each test here states what
+that kernel must equal in Fourier terms, Re(IDFT(g * DFT(x))) with g the
+gains of ``util.reference_gains``, and evaluates the DFT straight from its
+definition.
 """
 import numpy as np
 import pytest
@@ -52,8 +53,8 @@ def test_batched_equals_per_channel():
 
 @pytest.mark.parametrize("h,w", [(8, 8), (7, 5), (16, 12), (31, 31)])
 def test_roundtrip(h, w):
-    # a cutoff far beyond the grid makes every factor e(k) = 1, so the low-pass
-    # circulants are the DFT followed by its inverse: the identity
+    # a cutoff far beyond the grid makes every gain ~0, so the low part is
+    # the map itself
     x = rand_real((1, h, w), h + w)
     parts = decompose(make_map(x), 1e8)
     assert rel_err(parts.low.values, x) < 1e-12
@@ -120,7 +121,7 @@ def test_real_input_conjugate_symmetry():
 
 @pytest.mark.parametrize("h,w", [(2, 2), (3, 3), (4, 6), (5, 8), (7, 7)])
 def test_shift_roundtrip_all_parities(h, w):
-    # a circulant filter commutes with circular shifts: shift by half the
+    # a convolution commutes with circular shifts: shift by half the
     # grid, filter, shift back, and the filtered map comes out
     x = rand_real((2, h, w), 10 * h + w)
     half = (h // 2, w // 2)

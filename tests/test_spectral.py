@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 import warnings
@@ -15,10 +16,10 @@ from freqsel import (
     spectral,
 )
 from freqsel.errors import NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
-from freqsel.spectral import _lowpass_circulant
+from freqsel.spectral import _gains, _hartley
 from freqsel.tensor_io import write_array
 
-from util import cli_peak_rss_kb, energy, hfr_per_step, kernel_gains, make_map, reference_gains
+from util import cli_peak_rss_kb, energy, hfr_per_step, kernel_gains, make_map, reference_gains, rel_err
 
 
 def rand_map(c, h, w, seed, scale=1.0):
@@ -66,10 +67,11 @@ def test_mask_validation_and_caching():
         for call in (extract_high_freq, decompose, hfr):
             with pytest.raises(NonPositiveCutoff):
                 call(fmap, cutoff)
-    # one read-only circulant per (size, cutoff), whatever type the cutoff came in
+    # one read-only basis per size and gain grid per (size, cutoff), whatever
+    # type the cutoff came in
     hfr(fmap, 5)
-    assert _lowpass_circulant(8, 5.0) is _lowpass_circulant(8, 5.0)
-    assert not _lowpass_circulant(8, 5.0).flags.writeable
+    assert _hartley(8) is _hartley(8) and not _hartley(8).flags.writeable
+    assert _gains(8, 8, 5) is _gains(8, 8, 5.0) and not _gains(8, 8, 5.0).flags.writeable
 
 
 # --- hfr ------------------------------------------------------------------------
@@ -136,6 +138,47 @@ def test_single_frequency_map_hits_its_gain(u, v):
     # both conjugate bins sit at the same distance, hence the same gain
     assert gains[u, v] == gains[(-u) % h, (-v) % w]
     assert abs(hfr(fmap, 5.0) - gains[u, v] ** 2) < 1e-8
+
+
+def fft_reference(values, cutoff):
+    """(hfr, high part) through numpy's FFT and util.reference_gains, the
+    ratio's sums taken with math.fsum."""
+    spectrum = np.fft.fft2(values)
+    power = spectrum.real**2 + spectrum.imag**2
+    gains = reference_gains(*values.shape[-2:], cutoff)
+    ratio = math.fsum((gains * gains * power).ravel()) / math.fsum(power.ravel())
+    return ratio, np.fft.ifft2(gains * spectrum).real
+
+
+@pytest.mark.parametrize("cutoff", [30.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("shape", [(4, 64, 64), (1280, 16, 16), (8, 96, 96)])
+def test_hfr_and_filter_accurate_at_every_cutoff(shape, cutoff):
+    # at a large cutoff the high part is a vanishing share of the map; a
+    # kernel that forms it as a difference of nearly equal maps loses digits
+    values = np.random.default_rng(sum(shape)).normal(size=shape)
+    ratio, high = fft_reference(values, cutoff)
+    assert abs(hfr(make_map(values), cutoff) / ratio - 1.0) <= 1e-14
+    assert rel_err(extract_high_freq(make_map(values), cutoff).values, high) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.integers(min_value=1, max_value=3),
+    h=st.integers(min_value=1, max_value=12),
+    w=st.integers(min_value=1, max_value=12),
+    cutoff=st.floats(min_value=1e-300, max_value=1e300),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_hfr_within_zero_and_one_at_any_cutoff(c, h, w, cutoff, seed):
+    assert 0.0 <= hfr(rand_map(c, h, w, seed), cutoff) <= 1.0
+
+
+def test_hfr_of_a_zero_mean_map_is_one_at_a_tiny_cutoff():
+    # integer columns that sum to 0 on a 16x16 grid, where H's DC row is
+    # exactly 1/4: the DC coefficient is exactly 0, every other gain is
+    # exactly 1 at cutoff 1e-3, and so both sums are the same sum
+    y = np.random.default_rng(9).integers(-3, 4, size=(3, 16, 16)).astype(np.float64)
+    assert hfr(make_map(y - np.roll(y, 1, axis=1)), 1e-3) == 1.0
 
 
 def test_hfr_zero_energy_rejected():
@@ -252,6 +295,17 @@ def test_extract_matches_spectral_numerator():
     fmap = rand_map(2, 12, 10, 3)
     high = extract_high_freq(fmap, 4.0)
     assert energy(high) / energy(fmap) == pytest.approx(hfr(fmap, 4.0), rel=1e-10)
+
+
+def test_filter_exact_under_pow2_scaling_up_to_the_float64_limit():
+    # the DC coefficient of this 64x64 map is ~64 * max |x|: unscaled, it
+    # would overflow past 2^1018 and turn the whole filtered map to NaN
+    values = 1.0 + 0.1 * np.random.default_rng(6).normal(size=(2, 64, 64))
+    for exponent in (-1000, 1018):
+        big = make_map(np.ldexp(values, exponent))
+        want = np.ldexp(extract_high_freq(make_map(values), 3.0).values, exponent)
+        assert np.array_equal(extract_high_freq(big, 3.0).values, want)
+        assert np.array_equal(decompose(big, 3.0).low.values, big.values - want)
 
 
 def test_extract_impulse_recovers_mask_kernel():

@@ -2,11 +2,13 @@
 
 The oracles here deliberately avoid the library's own code paths: the DFT
 oracle is the quadratic-time definition evaluated by matrix product, the
-high-pass gains come from the 2-D Euclidean formula rather than the
-library's separable product, the Fisher oracle materialises full scatter
-matrices, and the stream oracle is
-a pure-Python big-int reimplementation of the documented generator (plus
-the whole-array numpy form the streamed generator must match bit for bit).
+high-pass gains come from circular bin distances in DFT layout rather
+than the library's cached Hartley-layout grid, the Fisher oracle
+materialises full scatter matrices, and the stream oracle is a pure-Python
+big-int reimplementation of the documented generator (plus the
+whole-array numpy form the streamed generator must match bit for bit).
+The per-step HFR path does use the library's basis and gains: it pins the
+bits of the chunked kernel, not its accuracy.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from freqsel.errors import (
     RankError,
     UnsupportedDtype,
 )
-from freqsel.spectral import _lowpass_circulant
+from freqsel.spectral import _gains, _hartley
 from freqsel.tensor_io import write_array
 
 MASK64 = (1 << 64) - 1
@@ -53,10 +55,11 @@ def naive_dft2(x) -> np.ndarray:
 
 def reference_gains(h: int, w: int, cutoff: float) -> np.ndarray:
     """High-pass gains 1 - exp(-(dy^2 + dx^2) / (2 * cutoff^2)) in DFT layout
-    (DC at [0, 0]), with dy, dx the circular bin distances from DC."""
+    (DC at [0, 0]), with dy, dx the circular bin distances from DC. Computed
+    as -expm1(...): the 1 - exp form loses the small gains of a large cutoff."""
     dy = np.minimum(np.arange(h), h - np.arange(h))[:, np.newaxis]
     dx = np.minimum(np.arange(w), w - np.arange(w))[np.newaxis, :]
-    return 1.0 - np.exp(-(dy * dy + dx * dx) / (2.0 * cutoff * cutoff))
+    return -np.expm1(-(dy * dy + dx * dx) / (2.0 * cutoff * cutoff))
 
 
 def kernel_gains(h: int, w: int, cutoff: float) -> np.ndarray:
@@ -164,13 +167,13 @@ def pairwise_sum_per_level(values) -> float:
 
 def hfr_per_step(values, cutoff: float) -> float:
     """HFR with a fresh array per step: |x| for the pre-scale, the scaled map,
-    A @ X @ B, the difference and each square."""
+    Z = H_h @ X @ H_w, the power P = Z^2 and G^2 * P."""
     x = np.asarray(values, dtype=np.float64)
     scaled = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
-    a = _lowpass_circulant(x.shape[-2], cutoff)
-    b = _lowpass_circulant(x.shape[-1], cutoff)
-    high = scaled - a @ scaled @ b
-    return pairwise_sum_per_level(np.square(high)) / pairwise_sum_per_level(np.square(scaled))
+    h, w = x.shape[-2:]
+    power = np.square(_hartley(h) @ scaled @ _hartley(w))
+    high = np.square(_gains(h, w, cutoff)) * power
+    return pairwise_sum_per_level(high) / pairwise_sum_per_level(power)
 
 
 # --- Fisher oracle via explicit scatter matrices ------------------------------
