@@ -17,9 +17,11 @@ A tensor file is a restricted NPY v1.0 stream:
 Anything else - wrong magic, wrong version, truncated or oversized
 payloads, Fortran order, zero dims, exotic dtypes, NaN/Inf values - is
 rejected with a specific exception rather than guessed at. Rank-2 files
-are promoted to a single-channel rank-3 map on load. f32 payloads are
-widened to f64 in memory; a read-write-read trip through either dtype is
-byte-identical.
+are promoted to a single-channel rank-3 map on load. The payload is read
+in pieces straight into the map's float64 array, f32 pieces widened on
+the way through one staging buffer, so a map is in memory once; the
+widening is exact, and a read-write-read trip through either dtype is
+byte-identical. Headers are parsed once per distinct header text.
 
 Dataset manifest
 ----------------
@@ -45,10 +47,13 @@ from __future__ import annotations
 
 import ast
 import json
+import math
+import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -85,6 +90,10 @@ _ALIGN = 64
 _DESCR_BY_DTYPE = {"f32": "<f4", "f64": "<f8"}
 _DTYPE_BY_DESCR = {v: k for k, v in _DESCR_BY_DTYPE.items()}
 _HEADER_KEYS = {"descr", "fortran_order", "shape"}
+# elements per payload read: 256 KiB of <f4 staged, 512 KiB of <f8 read in
+# place. A piece is still in cache when it is checked and widened; on
+# 320x64x64 <f4 maps, 2^16 read about 10% faster than 2^18.
+_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,8 @@ class FeatureMap:
     Values are copied on construction, forced C-contiguous, and marked
     read-only; rank-2 input is promoted to channels = 1, so a caller's
     array can never change a map. A map read from a file is not copied
-    again: :func:`read_tensor` hands over the array it just decoded, which
-    nothing else holds. Finiteness is checked at the I/O boundary
+    again: :func:`read_tensor` hands over the array it read the payload
+    into, which nothing else holds. Finiteness is checked at the I/O boundary
     (read/write), not here, so in-memory scratch maps stay cheap to build.
     """
 
@@ -163,78 +172,123 @@ def _check_finite(arr: np.ndarray, context: str) -> None:
         raise NonFiniteValue(f"{context}: payload contains NaN or Inf")
 
 
-def _parse_header_dict(header: bytes, context: str) -> dict:
+@lru_cache(maxsize=64)
+def _parse_header(header: bytes) -> tuple[tuple[int, ...], str]:
+    """(shape, descr) of a header dict; a header shared by many files is
+    parsed once. Errors name no file: the caller adds its path."""
     try:
         text = header.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise MalformedHeader(f"{context}: header is not ASCII") from exc
+        raise MalformedHeader("header is not ASCII") from exc
     try:
-        parsed = ast.literal_eval(text.strip())
+        fields = ast.literal_eval(text.strip())
     except (ValueError, SyntaxError, TypeError) as exc:
         # TypeError: a dict literal with an unhashable key, such as {[]: 1}
-        raise MalformedHeader(f"{context}: header is not a dict literal") from exc
-    if not isinstance(parsed, dict) or set(parsed) != _HEADER_KEYS:
-        raise MalformedHeader(
-            f"{context}: header must have exactly the keys descr/fortran_order/shape"
-        )
-    return parsed
-
-
-def _parse_tensor_bytes(raw: bytes, context: str) -> tuple[np.ndarray, str]:
-    if len(raw) < 10 or raw[:6] != _MAGIC:
-        raise MalformedHeader(f"{context}: bad magic, not a tensor file")
-    if raw[6:8] != _VERSION:
-        raise MalformedHeader(f"{context}: unsupported container version {raw[6:8]!r}")
-    (header_len,) = struct.unpack("<H", raw[8:10])
-    body_start = 10 + header_len
-    if body_start > len(raw):
-        raise MalformedHeader(f"{context}: header extends past end of file")
-    fields = _parse_header_dict(raw[10:body_start], context)
+        raise MalformedHeader("header is not a dict literal") from exc
+    if not isinstance(fields, dict) or set(fields) != _HEADER_KEYS:
+        raise MalformedHeader("header must have exactly the keys descr/fortran_order/shape")
 
     descr = fields["descr"]
     if not isinstance(descr, str):
-        raise MalformedHeader(f"{context}: descr must be a string")
+        raise MalformedHeader("descr must be a string")
     if descr not in _DTYPE_BY_DESCR:
-        raise UnsupportedDtype(f"{context}: dtype {descr!r} not supported (need '<f4' or '<f8')")
+        raise UnsupportedDtype(f"dtype {descr!r} not supported (need '<f4' or '<f8')")
     if fields["fortran_order"] is not False:
-        raise MalformedHeader(f"{context}: fortran_order must be False")
+        raise MalformedHeader("fortran_order must be False")
 
     shape = fields["shape"]
     if not isinstance(shape, tuple) or not all(
         isinstance(d, int) and not isinstance(d, bool) for d in shape
     ):
-        raise MalformedHeader(f"{context}: shape must be a tuple of ints")
+        raise MalformedHeader("shape must be a tuple of ints")
     if len(shape) not in (2, 3):
-        raise RankError(f"{context}: rank must be 2 or 3, got {len(shape)}")
+        raise RankError(f"rank must be 2 or 3, got {len(shape)}")
     if any(d < 1 for d in shape):
-        raise MalformedHeader(f"{context}: zero or negative dimension in shape {shape}")
+        raise MalformedHeader(f"zero or negative dimension in shape {shape}")
+    return shape, descr
 
-    itemsize = 4 if descr == "<f4" else 8
-    expected = itemsize
-    for d in shape:
-        expected *= d
-    payload_len = len(raw) - body_start
-    if payload_len != expected:
-        raise MalformedHeader(
+
+def _fill(fh, view: memoryview) -> int:
+    """Read into the byte view until it is full or the file ends; the number
+    of bytes read."""
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
+def _read_exact(fh, size: int) -> bytes:
+    """Up to `size` bytes: fewer only at the end of the file."""
+    buf = memoryview(bytearray(size))
+    return bytes(buf[: _fill(fh, buf)])
+
+
+def _read_values(fh, context: str) -> tuple[np.ndarray, str]:
+    """The payload of an open tensor file as a rank-3 float64 array that
+    nothing else holds, and the file's dtype.
+
+    The payload is read in pieces straight into the array: ``<f8`` in place,
+    ``<f4`` through one reused staging buffer whose pieces are widened into
+    it. So a map is in memory once, plus one piece, and the finite check
+    runs per piece.
+    """
+    preamble = _read_exact(fh, 10)
+    if len(preamble) < 10 or preamble[:6] != _MAGIC:
+        raise MalformedHeader(f"{context}: bad magic, not a tensor file")
+    if preamble[6:8] != _VERSION:
+        raise MalformedHeader(f"{context}: unsupported container version {preamble[6:8]!r}")
+    (header_len,) = struct.unpack("<H", preamble[8:10])
+    header = _read_exact(fh, header_len)
+    if len(header) < header_len:
+        raise MalformedHeader(f"{context}: header extends past end of file")
+    try:
+        shape, descr = _parse_header(header)
+    except FreqselError as exc:
+        raise type(exc)(f"{context}: {exc}") from exc
+
+    expected = (4 if descr == "<f4" else 8) * math.prod(shape)
+
+    def wrong_length(payload_len: int) -> MalformedHeader:
+        return MalformedHeader(
             f"{context}: payload is {payload_len} bytes, shape {shape} needs {expected}"
         )
-    # one conversion straight from the file buffer (none for f64, whose
-    # payload is used in place), promoted to rank 3 and read-only
-    payload = np.frombuffer(raw, dtype=descr, offset=body_start)
-    _check_finite(payload, context)
-    values = payload.astype(np.float64, copy=False)
-    values.setflags(write=False)
-    return values.reshape(shape if len(shape) == 3 else (1,) + shape), _DTYPE_BY_DESCR[descr]
+
+    # the size on record rules out a wrong length before anything is
+    # allocated; reading past the payload catches a file that changed since
+    payload_len = os.fstat(fh.fileno()).st_size - 10 - header_len
+    if payload_len != expected:
+        raise wrong_length(payload_len)
+    values = np.empty(shape if len(shape) == 3 else (1,) + shape, dtype=np.float64)
+    flat = values.reshape(-1)
+    stage = np.empty(min(flat.size, _PIECE), dtype=descr) if descr == "<f4" else None
+    for start in range(0, flat.size, _PIECE):
+        piece = flat[start : start + _PIECE]
+        target = piece if stage is None else stage[: piece.size]
+        got = _fill(fh, memoryview(target).cast("B"))
+        if got < target.nbytes:
+            raise wrong_length(start * target.itemsize + got)
+        _check_finite(target, context)
+        if stage is not None:
+            piece[...] = target
+    if fh.read(1):
+        extra = 1
+        while chunk := fh.read(_PIECE):
+            extra += len(chunk)
+        raise wrong_length(expected + extra)
+    return values, _DTYPE_BY_DESCR[descr]
 
 
 def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
     """Load one tensor file. `meta` overrides identity; file dtype always wins."""
     p = Path(path)
     try:
-        raw = p.read_bytes()
+        with open(p, "rb", buffering=0) as fh:
+            values, dtype = _read_values(fh, str(p))
     except OSError as exc:
         raise IoFailure(f"cannot read {p}: {exc}") from exc
-    values, dtype = _parse_tensor_bytes(raw, str(p))
     if meta is None:
         meta = FeatureMeta(image_id=p.stem, dtype=dtype)
     else:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -19,7 +21,7 @@ from freqsel.errors import (
     SeriesInvalid,
 )
 
-from util import fisher_scatter_oracle, make_map
+from util import cli_peak_rss_kb, fisher_scatter_oracle, make_map, write_dataset
 
 
 # --- pooling ------------------------------------------------------------------
@@ -133,6 +135,22 @@ def test_embedding_set_validation():
     bad[0, 0] = np.inf
     with pytest.raises(InvalidEmbeddingSet):
         LabeledEmbeddingSet(bad, np.array([0, 0, 1, 1]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_fisher_peak_rss_does_not_grow_with_the_map_count(tmp_path):
+    # four maps is the fewest that score: two per class, so that the
+    # within-class scatter is not zero
+    shape = (128, 64, 64)
+    map_kb = np.prod(shape) * 8 / 1024  # one map as float64
+
+    def peak_kb(n):
+        maps = (make_map(np.random.default_rng(i).normal(size=shape), f"img{i}", 1) for i in range(n))
+        manifest = write_dataset(tmp_path / f"maps{n}", maps, 1, labels={i: i % 2 for i in range(n)})
+        return cli_peak_rss_kb("fisher", "--manifest", manifest, "--out", tmp_path / f"fisher{n}.json")
+
+    small, large = peak_kb(4), peak_kb(16)
+    assert large - small < 2 * map_kb, (small, large)
 
 
 # --- correlations -------------------------------------------------------------------

@@ -29,9 +29,11 @@ from freqsel.errors import (
     NonFiniteValue,
     RankError,
     ShapeMismatch,
+    UnsupportedDtype,
     ZeroEnergyFeature,
 )
 from freqsel.fileio import atomic_write_bytes, atomic_write_text
+from freqsel import tensor_io
 from freqsel.tensor_io import map_loaded, write_array
 
 from util import corrupt_corpus, make_map, write_dataset
@@ -226,6 +228,77 @@ def test_corrupted_files_rejected(tmp_path, name, raw, expected):
     path.write_bytes(raw)
     with pytest.raises(expected):
         read_tensor(path)
+
+
+# --- payloads read in pieces ---------------------------------------------------------
+# 3*300*700 values: over 2 MiB in either dtype, and not a whole number of the
+# reader's pieces, so the last piece is a short one
+
+_LARGE = (3, 300, 700)
+
+
+def _large_file(tmp_path, descr, name="big.npy"):
+    values = np.random.default_rng(5).normal(size=_LARGE).astype(descr)
+    # signed zeros and, in either dtype, subnormals survive the read
+    values.flat[::9973] = -0.0
+    values.flat[1::9973] = np.finfo(descr).smallest_subnormal
+    path = tmp_path / name
+    np.save(path, values)
+    assert values.nbytes >= 2 << 20 and path.stat().st_size > values.nbytes
+    return path, values
+
+
+@pytest.mark.parametrize("descr", ["<f4", "<f8"])
+def test_large_payload_matches_numpy_bit_for_bit(tmp_path, descr):
+    path, values = _large_file(tmp_path, descr)
+    got = read_tensor(path).values
+    want = np.load(path).astype(np.float64)
+    assert got.shape == _LARGE and got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("descr", ["<f4", "<f8"])
+def test_non_finite_value_in_the_last_piece_names_the_file(tmp_path, descr, bad):
+    path, values = _large_file(tmp_path, descr)
+    values.flat[-1] = bad
+    np.save(path, values)
+    with pytest.raises(NonFiniteValue, match=re.escape(f"{path}: payload contains NaN or Inf")):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("size_on_record", ["true", "stale"])
+@pytest.mark.parametrize("delta", [-1, 1], ids=["one_short", "one_long"])
+@pytest.mark.parametrize("descr", ["<f4", "<f8"])
+def test_large_payload_of_wrong_length_names_the_file(tmp_path, monkeypatch, descr, delta, size_on_record):
+    path, values = _large_file(tmp_path, descr)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] if delta < 0 else raw + b"\x00")
+    if size_on_record == "stale":
+        # the file changed after its size was taken: the reader must see
+        # the missing or extra byte by reading, not by its size on record
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (len(raw),) + (0,) * 3))
+    want = f"{path}: payload is {values.nbytes + delta} bytes, shape {_LARGE} needs {values.nbytes}"
+    with pytest.raises(MalformedHeader, match=re.escape(want)):
+        read_tensor(path)
+
+
+def test_a_shared_header_is_parsed_once_and_each_error_names_its_own_file(tmp_path):
+    tensor_io._parse_header.cache_clear()
+    good, short = tmp_path / "good.npy", tmp_path / "short.npy"
+    write_array(np.ones((2, 3, 4)), good, "f64")
+    short.write_bytes(good.read_bytes()[:-8])
+    assert np.array_equal(read_tensor(good).values, np.ones((2, 3, 4)))
+    with pytest.raises(MalformedHeader) as err:
+        read_tensor(short)
+    assert str(err.value) == f"{short}: payload is 184 bytes, shape (2, 3, 4) needs 192"
+    assert tensor_io._parse_header.cache_info().hits == 1
+    # a header that fails is not remembered with the first file's path
+    for name in ("a.npy", "b.npy"):
+        (tmp_path / name).write_bytes(good.read_bytes().replace(b"'<f8'", b"'<i8'"))
+        with pytest.raises(UnsupportedDtype) as err:
+            read_tensor(tmp_path / name)
+        assert str(err.value) == f"{tmp_path / name}: dtype '<i8' not supported (need '<f4' or '<f8')"
 
 
 # --- text files ----------------------------------------------------------------------
