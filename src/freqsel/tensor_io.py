@@ -21,7 +21,7 @@ are promoted to a single-channel rank-3 map on load. The payload is read
 in pieces straight into the map's float64 array, f32 pieces widened on
 the way through one staging buffer, so a map is in memory once; the
 widening is exact, and a read-write-read trip through either dtype is
-byte-identical. Headers are parsed once per distinct header text.
+byte-identical. Parsed headers are cached by their bytes.
 
 Dataset manifest
 ----------------
