@@ -5,9 +5,11 @@ ratio (HFR = sum((G * Z)^2) / sum(Z^2) in [0, 1], Z the map in the Hartley
 basis, G the Gaussian high-pass gains) -> per-timestep means -> argmax.
 Everything around that (forward-process simulation, a synthetic oracle with
 a provably correct answer, Fisher-score diagnostics, rank correlations, a
-strict tensor container) supports validating the pipeline end to end. All
-reductions are order-fixed, so results are bit-reproducible across runs and
-thread counts on one machine and numpy/BLAS build.
+strict tensor container) supports validating the pipeline end to end.
+Arrays are summed by numpy's pairwise ``sum``, fixed by length, and partial
+sums and short series by the exactly rounded ``math.fsum``, so results are
+bit-reproducible across runs and thread counts on one machine and
+numpy/BLAS build.
 
 Names are looked up lazily (PEP 562): ``import freqsel`` loads only the
 numpy-free error classes, and each name imports its defining module the
@@ -29,7 +31,6 @@ _EXPORTS = {
     "read_tensor": "tensor_io",
     "load_manifest": "tensor_io",
     "save_manifest": "tensor_io",
-    "pairwise_sum": "reduction",
     "DEFAULT_CUTOFF": "defaults",
     "Decomposition": "spectral",
     "hfr": "spectral",

@@ -360,6 +360,8 @@ def cmd_decompose(args) -> int:
     from .spectral import decompose
     from .tensor_io import _encode, read_tensor
 
+    _check_out(args.out_high)
+    _check_out(args.out_low)
     parts = decompose(read_tensor(args.tensor), args.cutoff)
     # both parts are cast and checked before either file is written
     high = _encode(parts.high.values, args.out_high, args.dtype)
@@ -451,6 +453,7 @@ def cmd_oracle(args) -> int:
 def cmd_correlate(args) -> int:
     from .discriminability import correlate, read_series_csv
 
+    _check_out(args.out)
     xs_t, xs_v = read_series_csv(args.xs)
     ys_t, ys_v = read_series_csv(args.ys)
     if xs_t != ys_t:

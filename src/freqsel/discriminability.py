@@ -8,14 +8,16 @@ The Fisher score of a labeled embedding set is computed in trace form,
 
 which never materialises a d x d scatter matrix and therefore scales to
 wide embeddings. The traces satisfy tr(S_b) + tr(S_w) = total scatter
-around the global mean. Partial sums are combined with the fixed pairwise
-tree so the result is independent of class iteration order.
+around the global mean. Each class block is summed by numpy's pairwise
+``sum`` and the per-class parts by the exactly rounded :func:`math.fsum`,
+so the result is independent of class iteration order.
 
 Correlations come in both flavours: Pearson on raw values and Spearman as
 Pearson on average-tie ranks (stable mergesort ordering).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +31,7 @@ from .errors import (
     SeriesInvalid,
 )
 from .fileio import read_csv
-from .reduction import pairwise_sum, pow2_scale
+from .reduction import pow2_scale
 from .tensor_io import FeatureMap
 
 __all__ = [
@@ -89,18 +91,20 @@ class Correlation(NamedTuple):
 
 
 def pool_tokens(source) -> np.ndarray:
-    """Mean over the token axis: FeatureMap -> (channels,), (N, d) -> (d,)."""
+    """Mean over the token axis: FeatureMap -> (channels,), (N, d) -> (d,).
+
+    Each feature's tokens are summed as one contiguous row, so numpy's
+    ``sum`` takes its pairwise path along them."""
     if isinstance(source, FeatureMap):
-        tokens = source.values.reshape(source.channels, -1).T
+        rows = source.values.reshape(source.channels, -1)
     else:
         tokens = np.asarray(source, dtype=np.float64)
         if tokens.ndim != 2:
             raise EmptyInput(f"token matrix must be (N, d), got shape {tokens.shape}")
-    if tokens.shape[0] == 0:
+        rows = np.ascontiguousarray(tokens.T)
+    if rows.shape[1] == 0:
         raise EmptyInput("cannot pool zero tokens")
-    return np.asarray(
-        [pairwise_sum(tokens[:, j]) / tokens.shape[0] for j in range(tokens.shape[1])]
-    )
+    return rows.sum(axis=1) / rows.shape[1]
 
 
 def fisher_score(data: LabeledEmbeddingSet) -> FisherResult:
@@ -119,11 +123,11 @@ def fisher_score(data: LabeledEmbeddingSet) -> FisherResult:
         rows = emb[labels == cls]
         mu = pool_tokens(rows)
         centred = rows - mu
-        within_parts.append(pairwise_sum(centred * centred))
+        within_parts.append((centred * centred).sum())
         offset = mu - grand_mean
-        between_parts.append(rows.shape[0] * pairwise_sum(offset * offset))
-    trace_within = pairwise_sum(within_parts)
-    trace_between = pairwise_sum(between_parts)
+        between_parts.append(rows.shape[0] * (offset * offset).sum())
+    trace_within = math.fsum(within_parts)
+    trace_between = math.fsum(between_parts)
     if trace_within == 0.0:
         raise DegenerateWithinScatter(
             "all classes are internally constant; the Fisher ratio is undefined"
@@ -152,8 +156,8 @@ def _check_pair(xs: np.ndarray, ys: np.ndarray) -> None:
 def _centred(values: np.ndarray) -> np.ndarray:
     """`values` minus their mean, centred twice: the second pass removes the
     mean's rounding, which matters when the spread is a few ulp of it."""
-    d = values - pairwise_sum(values) / values.size
-    return d - pairwise_sum(d) / d.size
+    d = values - math.fsum(values) / values.size
+    return d - math.fsum(d) / d.size
 
 
 def _pearson_checked(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -162,9 +166,9 @@ def _pearson_checked(xs: np.ndarray, ys: np.ndarray) -> float:
     if xs.min() == xs.max() or ys.min() == ys.max():
         raise ConstantSeries("correlation is undefined for a zero-variance series")
     xc, yc = _centred(pow2_scale(xs)[0]), _centred(pow2_scale(ys)[0])
-    ssx = pairwise_sum(xc * xc)
-    ssy = pairwise_sum(yc * yc)
-    r = pairwise_sum(xc * yc) / np.sqrt(ssx * ssy)
+    ssx = math.fsum(xc * xc)
+    ssy = math.fsum(yc * yc)
+    r = math.fsum(xc * yc) / np.sqrt(ssx * ssy)
     return float(min(1.0, max(-1.0, r)))
 
 

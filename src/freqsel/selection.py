@@ -84,14 +84,14 @@ def average_hfr(
     timesteps=None,
     threads: int = 1,
 ) -> HfrCurve:
-    """Mean HFR per timestep over a manifest, in a fixed reduction order.
+    """Mean HFR per timestep over a manifest.
 
     Maps are loaded and scored by :func:`~freqsel.tensor_io.map_loaded`,
-    under its rules; ``threads`` only parallelises that per-map work. The
-    means are reduced in manifest order with the fixed pairwise tree, so
-    the curve is bit-identical for any thread count.
+    under its rules; ``threads`` only parallelises that per-map work. Each
+    mean is the exactly rounded :func:`math.fsum` of its timestep's values
+    over the count, so the curve is bit-identical for any thread count and
+    any order of the manifest's entries.
     """
-    from .reduction import pairwise_sum
     from .spectral import hfr
     from .tensor_io import map_loaded
 
@@ -99,7 +99,7 @@ def average_hfr(
     by_timestep: dict[int, list[float]] = {t: [] for t in steps}
     for entry, value in map_loaded(manifest, lambda fmap: hfr(fmap, cutoff), steps, threads):
         by_timestep[entry.timestep].append(value)
-    means = tuple(pairwise_sum(by_timestep[t]) / len(by_timestep[t]) for t in steps)
+    means = tuple(math.fsum(by_timestep[t]) / len(by_timestep[t]) for t in steps)
     counts = tuple(len(by_timestep[t]) for t in steps)
     return HfrCurve(steps, means, counts, float(cutoff))
 

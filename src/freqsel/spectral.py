@@ -18,9 +18,10 @@ elementwise, and the ratio of the monotonically rounded sums lies in
 [0, 1]; it is invariant to rescaling the map.
 
 H is cached read-only per size and G per (height, width, cutoff), after
-the rule of :func:`freqsel.defaults.checked_cutoff`. Energies are summed
-over the fixed pairwise tree of :mod:`freqsel.reduction`, so results do
-not depend on evaluation order.
+the rule of :func:`freqsel.defaults.checked_cutoff`. Each chunk of
+channels is summed by numpy's pairwise ``sum`` and the chunks' partials by
+the exactly rounded :func:`math.fsum`, so a map's HFR has the same bits on
+every rerun and whichever thread scores it.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
 from .errors import NonFiniteValue, ZeroEnergyFeature
-from .reduction import block_sums, max_abs, pairwise_sum
+from .reduction import max_abs
 from .tensor_io import FeatureMap
 
 __all__ = [
@@ -125,47 +126,37 @@ def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
 def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
     """High-frequency energy ratio of one map, channels pooled.
 
-    The pre-scaled map is walked in chunks of 2^j channels, the most that
-    fit in _CHUNK_ELEMENTS (one channel if even that does not), through one
-    buffer of two chunk-sized slots per thread, which does not grow with
-    the channel count: the scaled channels, then Z, P and G^2 * P in place;
-    and H_h @ X, then the folds' scratch. Each chunk starts on a multiple
-    of 2^k, the largest power of two dividing the chunk size, so its sums
-    fold to aligned 2^k-block sums (:func:`freqsel.reduction.block_sums`)
-    whose pairwise sum has the bits of one pairwise sum over the whole map.
+    The pre-scaled map is walked in chunks of whole channels, as many as
+    fit in _CHUNK_ELEMENTS (one if even one does not), through one buffer
+    of two chunk-sized slots per thread, which does not grow with the
+    channel count: the scaled channels, then Z, P and G^2 * P in place; and
+    H_h @ X. Each chunk adds one partial sum of P and one of G^2 * P, and
+    :func:`math.fsum` rounds the partials' totals exactly.
     """
     hy, hx, gains = _basis(fmap, cutoff)
     exponent = _scale_exponent(fmap)
     values = fmap.values
     c, h, w = values.shape
-    step = 1 << max(0, (_CHUNK_ELEMENTS // (h * w)).bit_length() - 1)  # 2^j channels
-    stride = step * h * w
-    # 2^k divides every chunk start; a map of one chunk folds to one sum
-    block = stride & -stride if c > step else 1 << stride.bit_length()
+    step = max(1, _CHUNK_ELEMENTS // (h * w))
     shape = (2, min(step, c), h, w)
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.shape != shape:
         buf = _scratch.buf = np.empty(shape)
-    # block sums of G^2 * P and of P; the last chunk may add a tail
-    partials = np.empty((2, c * h * w // block + 1))
     gains_sq = gains * gains
-    n = 0
+    high, total = [], []
     for start in range(0, c, step):
         power, hyx = buf[:, : min(step, c - start)]
         np.ldexp(values[start : start + step], exponent, out=power)
         np.matmul(np.matmul(hy, power, out=hyx), hx, out=power)
         np.square(power, out=power)
-        sums = block_sums(power, block, hyx)
-        partials[1, n : n + sums.size] = sums
-        sums = block_sums(np.multiply(power, gains_sq, out=power), block, hyx)
-        partials[0, n : n + sums.size] = sums
-        n += sums.size
-    total = pairwise_sum(partials[1, :n])
-    if total == 0.0:
+        total.append(power.sum())
+        high.append(np.multiply(power, gains_sq, out=power).sum())
+    energy = math.fsum(total)
+    if energy == 0.0:
         raise ZeroEnergyFeature(
             f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
         )
-    return pairwise_sum(partials[0, :n]) / total
+    return math.fsum(high) / energy
 
 
 def decompose(fmap: FeatureMap, cutoff: float) -> Decomposition:

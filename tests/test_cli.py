@@ -170,15 +170,22 @@ def test_corrupt_tensor_reported_with_class(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("MalformedHeader:")
 
 
-@pytest.mark.parametrize("command", ["hfr", "select", "fisher"])
+@pytest.mark.parametrize("command", ["hfr", "select", "fisher", "decompose", "correlate"])
 def test_missing_out_directory_fails_before_any_tensor_is_read(tmp_path, capsys, command):
-    # the one tensor is malformed, so reading it would raise MalformedHeader
+    # the one input is malformed, so reading it would raise its format's error
     manifest = write_dataset(tmp_path, [make_map(np.ones((1, 4, 4)), "a", 1)], 1, labels={0: 0})
-    (tmp_path / "t0001_0000.npy").write_bytes(b"\x00garbage")
+    bad = tmp_path / "t0001_0000.npy"
+    bad.write_bytes(b"\x00garbage")
     out = tmp_path / "no_dir" / "out"
-    assert run(command, "--manifest", str(manifest), "--out", str(out)) == 2
+    high = tmp_path / "h.npy"  # its directory exists
+    argv = {
+        "decompose": ["--tensor", str(bad), "--out-high", str(high), "--out-low", str(out)],
+        "correlate": ["--xs", str(bad), "--ys", str(bad), "--out", str(out)],
+    }.get(command, ["--manifest", str(manifest), "--out", str(out)])
+    assert run(command, *argv) == 2
     assert capsys.readouterr().err == f"IoFailure: cannot write {out}: {out.parent} is not a directory\n"
     assert not out.parent.exists()
+    assert not high.exists()
 
 
 @pytest.mark.parametrize("name", ["header_unhashable_key", "header_set_key"])
@@ -291,6 +298,20 @@ def test_reruns_byte_identical_and_thread_independent(tmp_path):
         ) == 0
         outputs.append((curve_path.read_bytes(), report_path.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_curve_bytes_do_not_depend_on_the_manifest_order(tmp_path):
+    manifest = make_oracle(tmp_path, **{"--images": "7"})
+    doc = json.loads(manifest.read_text())
+    doc["entries"].reverse()
+    reversed_manifest = manifest.with_name("reversed.json")
+    reversed_manifest.write_text(json.dumps(doc))
+    curves = []
+    for path in (manifest, reversed_manifest):
+        out = tmp_path / f"{path.stem}.csv"
+        assert run("hfr", "--manifest", str(path), "--out", str(out)) == 0
+        curves.append(out.read_bytes())
+    assert curves[0] == curves[1]
 
 
 def test_blas_threads_never_change_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -39,6 +40,15 @@ def test_pool_tokens_matrix_and_empty():
     assert np.array_equal(pool_tokens(mat), [2.0, 20.0])
     with pytest.raises(EmptyInput):
         pool_tokens(np.zeros((0, 4)))
+
+
+def test_pool_tokens_within_1e_15_of_the_exactly_rounded_mean():
+    # 2^14 tokens away from zero: summing one token at a time down the
+    # strided token axis is off by ~1e-14 here
+    tokens = np.random.default_rng(5).normal(size=(1 << 14, 6)) + 3.0
+    want = np.array([math.fsum(column) for column in tokens.T]) / tokens.shape[0]
+    for pooled in (pool_tokens(tokens), pool_tokens(make_map(tokens.T.reshape(6, 128, 128)))):
+        assert np.all(np.abs(pooled - want) <= 1e-15 * want)
 
 
 # --- Fisher score -----------------------------------------------------------------

@@ -9,11 +9,11 @@ import freqsel
 
 from util import child_env
 
-MODULES = ("tensor_io", "reduction", "spectral", "diffusion", "discriminability", "selection")
+MODULES = ("tensor_io", "spectral", "diffusion", "discriminability", "selection")
 
 
 def test_every_export_is_the_object_its_module_exports():
-    assert len(freqsel.__all__) == len(set(freqsel.__all__)) == 40
+    assert len(freqsel.__all__) == len(set(freqsel.__all__)) == 39
     assert freqsel.errors is importlib.import_module("freqsel.errors")
     for name in set(freqsel.__all__) - {"errors", "__version__"}:
         owners = [m for m in MODULES if name in importlib.import_module(f"freqsel.{m}").__all__]
@@ -28,7 +28,8 @@ def test_every_export_is_the_object_its_module_exports():
 def test_names_without_a_pipeline_caller_are_gone():
     for name in ("HighPassMask", "gaussian_highpass_mask", "write_tensor", "reshape_tokens",
                  "load_entry", "iter_loaded", "sample_noise", "forward_noise",
-                 "save_schedule_csv", "write_series_csv", "energy", "pearson", "spearman"):
+                 "save_schedule_csv", "write_series_csv", "energy", "pearson", "spearman",
+                 "pairwise_sum"):
         with pytest.raises(AttributeError):
             getattr(freqsel, name)
 

@@ -204,24 +204,26 @@ def test_non_finite_map_rejected_with_its_identity(bad):
      ((33, 64, 64), 30.0, 1.0), ((40, 96, 96), 12.5, 1e-200), ((300, 17, 19), 5.0, 1e250),
      ((129, 32, 32), 7.5, 1.0), ((1, 512, 512), 30.0, 1.0)],
 )
-def test_hfr_bits_match_the_per_step_path(shape, cutoff, scale):
+def test_hfr_within_1e_15_of_the_exactly_rounded_per_step_path(shape, cutoff, scale):
     values = scale * np.random.default_rng(sum(shape)).normal(size=shape)
-    assert hfr(make_map(values), cutoff) == hfr_per_step(values, cutoff)
+    want = hfr_per_step(values, cutoff)
+    assert abs(hfr(make_map(values), cutoff) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("chunk", [1, 4097])
 @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 17, 29), (40, 17, 29), (3, 64, 64), (130, 8, 8)])
-def test_hfr_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk, shape):
+def test_hfr_within_1e_15_at_any_chunk_size(monkeypatch, chunk, shape):
     values = np.random.default_rng(sum(shape)).normal(size=shape)
     monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", chunk)
-    assert hfr(make_map(values), 5.0) == hfr_per_step(values, 5.0)
+    want = hfr_per_step(values, 5.0)
+    assert abs(hfr(make_map(values), 5.0) - want) <= 1e-15 * want
 
 
 def test_hfr_bits_hold_with_threads_scoring_mixed_shapes():
     # each thread keeps its own buffer; a shared one would mix up the maps
     maps = [np.random.default_rng(i).normal(size=shape)
             for i, shape in enumerate([(40, 17, 29), (3, 64, 64), (130, 8, 8), (40, 17, 29)] * 3)]
-    want = [hfr_per_step(v, 5.0) for v in maps]
+    want = [hfr(make_map(v), 5.0) for v in maps]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -232,23 +234,35 @@ def test_hfr_bits_hold_with_threads_scoring_mixed_shapes():
     assert got == want * 4
 
 
+def hfr_peak_kb(tmp_path, shape):
+    """VmHWM of `hfr --threads 1` on one <f4 map of `shape`, in kB."""
+    name = "x".join(map(str, shape))
+    src = tmp_path / f"{name}.npy"
+    write_array(np.random.default_rng(shape[0]).normal(size=shape), src, "f32")
+    manifest = tmp_path / f"{name}.json"
+    manifest.write_text(json.dumps({"total_timesteps": 1, "entries": [
+        {"path": src.name, "image_id": "a", "timestep": 1, "group": ""}]}))
+    return cli_peak_rss_kb("hfr", "--threads", "1", "--manifest", manifest,
+                           "--out", tmp_path / f"{name}.csv")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_hfr_peak_rss_grows_only_by_the_read_copies(tmp_path):
-    def peak_kb(channels):
-        src = tmp_path / f"c{channels}.npy"
-        write_array(np.random.default_rng(channels).normal(size=(channels, 64, 64)), src, "f32")
-        manifest = tmp_path / f"m{channels}.json"
-        manifest.write_text(json.dumps({"total_timesteps": 1, "entries": [
-            {"path": src.name, "image_id": "a", "timestep": 1, "group": ""}]}))
-        return cli_peak_rss_kb("hfr", "--threads", "1", "--manifest", manifest,
-                               "--out", tmp_path / f"c{channels}.csv")
-
     # the one float64 array the reader fills for the 448 extra channels,
     # plus slack: the <f4 payload is widened through a fixed staging buffer
     # and the kernel's scratch is fixed too, so neither grows with them
     extra_kb = 448 * 64 * 64 * 8 / 1024
-    small, large = peak_kb(64), peak_kb(512)
+    small, large = hfr_peak_kb(tmp_path, (64, 64, 64)), hfr_peak_kb(tmp_path, (512, 64, 64))
     assert large - small < extra_kb + 3 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_hfr_peak_rss_of_large_odd_channels_grows_only_by_the_read_copies(tmp_path):
+    # each 1023x1023 channel is above a chunk and its size is odd: the chunk
+    # sums add one partial per chunk, not per element
+    extra_kb = 2 * 1023 * 1023 * 8 / 1024  # the float64 array of the two extra channels
+    small, large = hfr_peak_kb(tmp_path, (1, 1023, 1023)), hfr_peak_kb(tmp_path, (3, 1023, 1023))
+    assert large - small < extra_kb + 4 * 1024, (small, large)
 
 
 def test_non_finite_peak_is_the_nan_check():

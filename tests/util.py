@@ -7,11 +7,13 @@ than the library's cached Hartley-layout grid, the Fisher oracle
 materialises full scatter matrices, and the stream oracle is a pure-Python
 big-int reimplementation of the documented generator (plus the
 whole-array numpy form the streamed generator must match bit for bit).
-The per-step HFR path does use the library's basis and gains: it pins the
-bits of the chunked kernel, not its accuracy.
+The per-step HFR path does use the library's basis and gains, and sums the
+whole map exactly rounded: it checks the chunked kernel's summation, not
+its transform.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import subprocess
@@ -27,7 +29,6 @@ from freqsel import (
     FeatureMeta,
     ManifestEntry,
     extract_high_freq,
-    pairwise_sum,
     save_manifest,
 )
 from freqsel.errors import (
@@ -88,8 +89,8 @@ def rel_err(got, want) -> float:
 
 
 def energy(fmap: FeatureMap) -> float:
-    """sum(values^2) of a map, accumulated pairwise."""
-    return pairwise_sum(np.square(fmap.values))
+    """sum(values^2) of a map, exactly rounded."""
+    return math.fsum(np.square(fmap.values).ravel())
 
 
 # --- pure-Python reimplementation of the noise stream ------------------------
@@ -106,8 +107,6 @@ def stream_bits_py(seed: int, count: int) -> list[int]:
 
 
 def normals_py(count: int, seed: int) -> list[float]:
-    import math
-
     pairs = (count + 1) // 2
     bits = stream_bits_py(seed, 2 * pairs)
     out: list[float] = []
@@ -148,32 +147,18 @@ def standard_normal_whole(count: int, seed: int) -> np.ndarray:
     return out[:count]
 
 
-# --- the allocate-per-level pairwise fold and the HFR path built on it --------
-# The library folds in place over one scratch buffer and scores each map with
-# one scaled copy; both must keep the bits of these plain forms.
-
-def pairwise_sum_per_level(values) -> float:
-    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        m = a.size // 2
-        folded = a[: 2 * m : 2] + a[1 : 2 * m : 2]
-        if a.size % 2:
-            folded = np.concatenate([folded, a[-1:]])
-        a = folded
-    return float(a[0])
-
+# --- the HFR path in plain steps ---------------------------------------------
 
 def hfr_per_step(values, cutoff: float) -> float:
     """HFR with a fresh array per step: |x| for the pre-scale, the scaled map,
-    Z = H_h @ X @ H_w, the power P = Z^2 and G^2 * P."""
+    Z = H_h @ X @ H_w, the power P = Z^2 and G^2 * P, each of the two sums
+    over the whole map exactly rounded."""
     x = np.asarray(values, dtype=np.float64)
     scaled = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
     h, w = x.shape[-2:]
     power = np.square(_hartley(h) @ scaled @ _hartley(w))
     high = np.square(_gains(h, w, cutoff)) * power
-    return pairwise_sum_per_level(high) / pairwise_sum_per_level(power)
+    return math.fsum(high.ravel()) / math.fsum(power.ravel())
 
 
 # --- Fisher oracle via explicit scatter matrices ------------------------------
