@@ -41,9 +41,6 @@ _EXPORTS = {
     "OracleProfile": "diffusion",
     "linear_schedule": "diffusion",
     "load_schedule_csv": "diffusion",
-    "standard_normal": "diffusion",
-    "uniforms": "diffusion",
-    "stream_seed": "diffusion",
     "simulate_forward": "diffusion",
     "gaussian_bump_curve": "diffusion",
     "oracle_features": "diffusion",

@@ -14,27 +14,15 @@ that mixes t with alpha_{t-1} (``simulate --alpha-index t-1``) is a
 shifted schedule, ``NoiseSchedule((0.0,) + schedule.alphas[:-1])``: t = 1
 mixes with alpha = 0 (pure signal) and t = T with alpha_{T-1}.
 
-Noise generator (full contract)
--------------------------------
-Noise is produced by a counter-based SplitMix64 stream feeding Box-Muller,
-so any element can be regenerated from (seed, index) alone:
-
-  * mix64(z): z ^= z >> 30, z *= 0xBF58476D1CE4E5B9; z ^= z >> 27,
-    z *= 0x94D049BB133111EB; z ^= z >> 31 (all mod 2^64)
-  * stream output j (0-based): mix64(seed + (j+1) * 0x9E3779B97F4A7C15 mod 2^64)
-  * consecutive outputs (a, b) map to u1 = ((a >> 11) + 1) * 2^-53 in (0, 1]
-    and u2 = (b >> 11) * 2^-53 in [0, 1)
-  * Box-Muller: r = sqrt(-2 ln u1); the pair contributes r*cos(2 pi u2)
-    then r*sin(2 pi u2); values fill the output in C order, odd tail dropped
-
-Derived streams for (image, timestep, ...) are keyed by folding each field
-into the seed with mix64 (see :func:`stream_seed`). The integer stream and
-the uniforms are exact everywhere. The normals go through numpy's own
-log/cos/sin (SIMD code, not the C library's), so they are bit-identical on
-one machine with one numpy build, and agree to within a few ulp across
-builds: against ``math.log``/``cos``/``sin`` about 0.2% of draws differ,
-by at most 2 ulp. The stream is generated in fixed-size blocks, and the
-bits do not depend on the block size.
+Seeded noise
+------------
+Every draw comes from numpy's PCG64 ``Generator`` seeded by
+``SeedSequence(seed mod 2^64, spawn_key=key)``: key ``(i, t)`` for the
+noise of image i at timestep t and for the oracle's phases, ``(i, 0)`` for
+the oracle's background. Each map is therefore regenerated from its key
+alone, in any order, and reruns are byte-identical on one machine and
+numpy version. A spawn key, unlike an entropy list, keeps trailing zeros
+apart: ``(i, 0)`` and ``(i,)`` give different streams.
 
 Synthetic oracle
 ----------------
@@ -51,12 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .defaults import DEFAULT_TOTAL_TIMESTEPS
 from .errors import (
+    FreqselError,
     FrequencyTooHigh,
     ProfileInvalid,
     ScheduleInvalid,
@@ -78,24 +66,12 @@ __all__ = [
     "OracleProfile",
     "linear_schedule",
     "load_schedule_csv",
-    "standard_normal",
-    "uniforms",
-    "stream_seed",
     "simulate_forward",
     "gaussian_bump_curve",
     "oracle_features",
 ]
 
 _SCHEDULE_HEADER = ("t", "alpha")
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
-_TWO_NEG_53 = 2.0 ** -53
-# normal pairs generated per block: the work buffers stay a few hundred KB
-_BLOCK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -143,97 +119,20 @@ def load_schedule_csv(path) -> NoiseSchedule:
         raise ScheduleInvalid(f"{path}: {exc}") from None
 
 
-def _mix64(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finalizer of `z` into `out` (which may be `z`); all three
-    are uint64 arrays of one shape, and `scratch` is overwritten."""
-    np.right_shift(z, _S30, out=scratch)
-    np.bitwise_xor(z, scratch, out=out)
-    out *= _MIX1
-    np.right_shift(out, _S27, out=scratch)
-    out ^= scratch
-    out *= _MIX2
-    np.right_shift(out, _S31, out=scratch)
-    out ^= scratch
-    return out
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator for `key` under `seed`, by the keying rule above."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64, spawn_key=key)))
 
 
-def _mix64_int(z: int) -> int:
-    a = np.array([z & _MASK64], dtype=np.uint64)
-    return int(_mix64(a, a, np.empty_like(a))[0])
-
-
-def _stream_blocks(seed: int, count: int, block: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream outputs 0..count-1 in consecutive chunks of at most `block`.
-
-    Yields (start, bits) with bits[k] = output start + k. The buffers are
-    reused: each chunk overwrites the previous one, so a caller must consume
-    `bits` before asking for the next chunk.
-    """
-    n = min(block, count)
-    keys = np.uint64(seed & _MASK64) + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
-    step = np.uint64(n * int(_GAMMA) & _MASK64)
-    bits = np.empty_like(keys)
-    scratch = np.empty_like(keys)
-    for start in range(0, count, max(n, 1)):
-        m = min(n, count - start)
-        yield start, _mix64(keys[:m], bits[:m], scratch[:m])
-        keys += step
-
-
-def stream_seed(root_seed: int, *fields: int) -> int:
-    """Derive an independent stream seed by folding fields in order.
-
-    Used to key noise and phases by (image index, timestep, ...) so that
-    regenerating any single tensor never requires replaying a global stream.
-    """
-    h = _mix64_int(root_seed)
-    for f in fields:
-        h = _mix64_int(((h + int(_GAMMA)) & _MASK64) ^ _mix64_int(f))
-    return h
-
-
-def uniforms(count: int, seed: int) -> np.ndarray:
-    """`count` doubles in [0, 1) from the documented stream."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out = np.empty(count, dtype=np.float64)
-    for start, bits in _stream_blocks(seed, count, 2 * _BLOCK_PAIRS):
-        np.right_shift(bits, _S11, out=bits)
-        np.multiply(bits, _TWO_NEG_53, out=out[start : start + bits.size])
-    return out
-
-
-def standard_normal(count: int, seed: int) -> np.ndarray:
-    """`count` N(0,1) doubles from the documented SplitMix64 + Box-Muller stream.
-
-    The stream is generated in blocks of at most ``_BLOCK_PAIRS`` pairs into
-    reused buffers and written straight into the interleaved output. Every
-    step is elementwise, so the bits do not depend on the block size.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    pairs = (count + 1) // 2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    n = min(_BLOCK_PAIRS, pairs)
-    u1_buf, u2_buf, cos_buf = np.empty(n), np.empty(n), np.empty(n)
-    for start, bits in _stream_blocks(seed, 2 * pairs, 2 * _BLOCK_PAIRS):
-        m = bits.size // 2
-        u1, u2, c = u1_buf[:m], u2_buf[:m], cos_buf[:m]
-        np.right_shift(bits, _S11, out=bits)
-        # u1 = ((a >> 11) + 1) * 2^-53 in (0, 1], u2 = (b >> 11) * 2^-53 in [0, 1)
-        np.add(bits[0::2], 1.0, out=u1)
-        u1 *= _TWO_NEG_53
-        np.multiply(bits[1::2], _TWO_NEG_53, out=u2)
-        # r = sqrt(-2 ln u1), theta = 2 pi u2
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        np.sqrt(u1, out=u1)
-        u2 *= 2.0 * np.pi
-        np.cos(u2, out=c)
-        np.multiply(u1, c, out=out[start : start + 2 * m : 2])
-        np.sin(u2, out=u2)
-        np.multiply(u1, u2, out=out[start + 1 : start + 2 * m : 2])
-    return out[:count]
+def _check_grid(timesteps, total_timesteps: int, invalid: type[FreqselError]) -> tuple[int, ...]:
+    """`timesteps` as a tuple, or `invalid` unless it is non-empty, strictly
+    ascending and within [1, total_timesteps]."""
+    grid = tuple(timesteps)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise invalid("timestep grid must be non-empty, unique, ascending")
+    if grid[0] < 1 or grid[-1] > total_timesteps:
+        raise invalid(f"timestep grid must stay within [1, {total_timesteps}]")
+    return grid
 
 
 def simulate_forward(
@@ -247,15 +146,17 @@ def simulate_forward(
     """Noise every manifest entry at each grid timestep and write a new dataset.
 
     Every input entry is treated as a clean image regardless of its own
-    timestep field. Noise for (entry i, timestep t) comes from
-    ``stream_seed(seed, i, t)``, so outputs are independent of the grid
-    order and of how work might be batched. Every alpha is looked up
-    before any file is read or written.
+    timestep field. Noise for (entry i, timestep t) is drawn under key
+    ``(i, t)``, so outputs are independent of the grid order and of how
+    work might be batched. The grid must be non-empty, strictly ascending
+    and within the schedule (else ``ScheduleInvalid``), which is checked,
+    and every alpha looked up, before any file is read or written.
 
     The loop is image-major, so one clean source is held at a time; the
     written manifest still lists the outputs timestep-major and keeps the
     input's ``allow_ragged``.
     """
+    timesteps = _check_grid(timesteps, schedule.total_timesteps, ScheduleInvalid)
     alphas = [schedule.alpha(t) for t in timesteps]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,7 +166,7 @@ def simulate_forward(
             # z_t = alpha * eps + (1 - alpha) * z0, mixed in place into the
             # fresh noise; binding it to the one name frees the previous
             # map's before the mix allocates (1 - alpha) * z0
-            noised = standard_normal(z0.size, stream_seed(seed, i, t)).reshape(z0.shape)
+            noised = _rng(seed, i, t).standard_normal(z0.shape)
             noised *= alpha
             noised += (1.0 - alpha) * z0
             name = f"t{t:04d}_i{i:04d}.npy"
@@ -337,9 +238,9 @@ def gaussian_bump_curve(
 LOW_BAND_RADIUS = 2.0
 
 
-def _low_field(shape: tuple[int, int, int], amplitude: float, seed: int) -> np.ndarray:
+def _low_field(shape: tuple[int, int, int], amplitude: float, rng: np.random.Generator) -> np.ndarray:
     c, h, w = shape
-    white = standard_normal(c * h * w, seed).reshape(c, h, w)
+    white = rng.standard_normal((c, h, w))
     hy, hx = _hartley(h), _hartley(w)
     # keep each channel's Hartley coefficients within the band, then transform back
     low = hy @ ((hy @ white @ hx) * (_radius_sq(h, w) <= LOW_BAND_RADIUS**2)) @ hx
@@ -371,15 +272,15 @@ def oracle_features(
 ) -> DatasetManifest:
     """Write a synthetic dataset whose correct selection answer is known.
 
-    Image i is a fixed band-limited background (independent of t, keyed by
-    ``stream_seed(seed, i, 0)``) plus a diagonal sinusoid at the profile's
-    detail frequency with per-channel phases keyed by
-    ``stream_seed(seed, i, t)`` and amplitude ``curve[t-1]``. Because the
-    background is identical across timesteps, the per-image high-frequency
-    ratio is strictly increasing in the detail amplitude; a detail
-    frequency >= 3 keeps the sinusoid spectrally clear of the background
-    band. No noise schedule enters: the profile's curve fixes T and every
-    amplitude. Writes tensors plus ``manifest.json`` into ``out_dir``.
+    Image i is a fixed band-limited background (independent of t, drawn
+    under key ``(i, 0)``) plus a diagonal sinusoid at the profile's detail
+    frequency with per-channel phases drawn under key ``(i, t)`` and
+    amplitude ``curve[t-1]``. Because the background is identical across
+    timesteps, the per-image high-frequency ratio is strictly increasing in
+    the detail amplitude; a detail frequency >= 3 keeps the sinusoid
+    spectrally clear of the background band. No noise schedule enters: the
+    profile's curve fixes T and every amplitude. Writes tensors plus
+    ``manifest.json`` into ``out_dir``.
 
     The loop is image-major, so one background is held at a time; the
     written manifest still lists the outputs timestep-major. A degenerate
@@ -396,19 +297,16 @@ def oracle_features(
             f"detail frequency {profile.detail_frequency} needs a grid larger than "
             f"{h}x{w} (require 2 * frequency < min(H, W))"
         )
-    grid = tuple(range(1, profile.total_timesteps + 1)) if timesteps is None else tuple(timesteps)
-    if len(grid) < 1 or len(set(grid)) != len(grid) or list(grid) != sorted(grid):
-        raise ProfileInvalid("timestep grid must be non-empty, unique, ascending")
-    if grid[0] < 1 or grid[-1] > profile.total_timesteps:
-        raise ProfileInvalid(f"timestep grid must stay within [1, {profile.total_timesteps}]")
+    total = profile.total_timesteps
+    grid = _check_grid(range(1, total + 1) if timesteps is None else timesteps, total, ProfileInvalid)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_timestep: list[list[ManifestEntry]] = [[] for _ in grid]
     for i in range(n_images):
-        low = _low_field((c, h, w), profile.base_low_freq_amplitude, stream_seed(seed, i, 0))
+        low = _low_field((c, h, w), profile.base_low_freq_amplitude, _rng(seed, i, 0))
         for t, row in zip(grid, by_timestep):
-            phases = 2.0 * np.pi * uniforms(c, stream_seed(seed, i, t))
+            phases = 2.0 * np.pi * _rng(seed, i, t).random(c)
             detail = _detail_pattern((c, h, w), profile.detail_frequency, phases)
             name = f"t{t:04d}_img{i:04d}.npy"
             write_array(low + profile.detail_amplitude_curve[t - 1] * detail, out / name, dtype)
@@ -416,6 +314,6 @@ def oracle_features(
         # one background at a time: this one goes before the next is built
         del low, detail
     entries = tuple(e for row in by_timestep for e in row)
-    manifest = DatasetManifest(profile.total_timesteps, entries, False, out)
+    manifest = DatasetManifest(total, entries, False, out)
     save_manifest(manifest, out / "manifest.json")
     return manifest

@@ -108,7 +108,7 @@ def select_timestep(curve: HfrCurve, tie_epsilon: float = 1e-4, config: dict | N
     """Argmax of the curve; exact ties break toward the smaller timestep."""
     if len(curve) == 0:
         raise EmptyCurve("cannot select from an empty curve")
-    if tie_epsilon < 0.0:
+    if not tie_epsilon >= 0.0:
         raise ValueError(f"tie_epsilon must be >= 0, got {tie_epsilon}")
     best = max(curve.mean_hfr)
     selected = min(t for t, v in zip(curve.timesteps, curve.mean_hfr) if v == best)

@@ -30,8 +30,6 @@ from freqsel import (
     save_manifest,
     select_timestep,
     simulate_forward,
-    standard_normal,
-    stream_seed,
 )
 from freqsel.cli import main
 from freqsel.tensor_io import write_array
@@ -46,6 +44,7 @@ from util import (
     corrupt_corpus,
     energy,
     fisher_scatter_oracle,
+    keyed_generator,
     make_map,
     naive_dft2,
     reference_gains,
@@ -115,7 +114,7 @@ def test_criterion_3_white_noise_hfr_matches_mean_gain():
     with criterion(3, "white-noise HFR vs analytic mean squared gain", 30.0):
         target = float(np.mean(reference_gains(64, 64, 8.0) ** 2))
         draws = [
-            hfr(make_map(standard_normal(64 * 64, stream_seed(303, i)).reshape(1, 64, 64)), 8.0)
+            hfr(make_map(keyed_generator(303, i).standard_normal((1, 64, 64))), 8.0)
             for i in range(200)
         ]
         mean = float(np.mean(draws))
@@ -217,7 +216,7 @@ def test_criterion_7_endpoints_exact_and_runs_deterministic(tmp_path):
         z0 = np.random.default_rng(707).normal(size=(2, 9, 11))
         clean = load_manifest(write_dataset(tmp_path / "clean", [make_map(z0)], 1))
         ends = simulate_forward(clean, NoiseSchedule((0.0, 1.0)), (1, 2), 7, tmp_path / "ends")
-        eps = standard_normal(z0.size, stream_seed(7, 0, 2)).reshape(z0.shape)
+        eps = keyed_generator(7, 0, 2).standard_normal(z0.shape)
         assert np.array_equal(read_tensor(ends.resolve(ends.entries[0])).values, z0)
         assert np.array_equal(read_tensor(ends.resolve(ends.entries[1])).values, eps)
 

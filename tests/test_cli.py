@@ -382,6 +382,20 @@ def test_simulate_pipeline(tmp_path):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
 
 
+def test_simulate_seeds_are_taken_mod_2_to_the_64(tmp_path):
+    manifest = write_dataset(tmp_path / "clean", [make_map(np.ones((2, 4, 4)), "a", 1)], 1)
+
+    def simulated(seed):
+        out = tmp_path / f"seed{seed}"
+        assert run(
+            "simulate", "--manifest", str(manifest), "--total-timesteps", "10",
+            "--timesteps", "1,10", "--seed", seed, "--out", str(out),
+        ) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert simulated("-1") == simulated("18446744073709551615") != simulated("0")
+
+
 def test_simulate_with_schedule_csv(tmp_path, capsys):
     clean = [make_map(np.ones((1, 4, 4)), "a", 1)]
     manifest = write_dataset(tmp_path / "clean", clean, 1)

@@ -19,9 +19,6 @@ from freqsel import (
     oracle_features,
     read_tensor,
     simulate_forward,
-    standard_normal,
-    stream_seed,
-    uniforms,
 )
 from freqsel import cli, diffusion
 from freqsel.errors import (
@@ -34,12 +31,8 @@ from freqsel.tensor_io import map_loaded, write_array
 from util import (
     child_env,
     cli_peak_rss_kb,
+    keyed_generator,
     make_map,
-    mix64_py,
-    normals_py,
-    standard_normal_whole,
-    stream_bits_py,
-    uniforms_whole,
     write_dataset,
 )
 
@@ -112,8 +105,9 @@ def test_schedule_csv_rejects_malformed(tmp_path, content):
 
 
 # --- forward mixing ----------------------------------------------------------------
-# checked through simulate_forward: noise for (entry i, timestep t) is
-# standard_normal(size, stream_seed(seed, i, t)) in the map's shape
+# checked through simulate_forward: noise for (entry i, timestep t) is the
+# standard normals of the generator keyed (i, t) under the seed, in the
+# map's shape
 
 def _simulated(tmp_path, clean_values, alphas, seed=0, dtype="f64"):
     """simulate_forward of the given clean maps at every timestep of `alphas`."""
@@ -124,7 +118,7 @@ def _simulated(tmp_path, clean_values, alphas, seed=0, dtype="f64"):
 
 
 def _noise(shape, seed, i, t):
-    return standard_normal(int(np.prod(shape)), stream_seed(seed, i, t)).reshape(shape)
+    return keyed_generator(seed, i, t).standard_normal(shape)
 
 
 def test_forward_noise_endpoints_exact(tmp_path):
@@ -159,115 +153,52 @@ def test_forward_noise_validation(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-# --- noise stream -----------------------------------------------------------------
-
-STREAM_SEEDS = (0, 2**63, (1 << 64) - 1, stream_seed(3, 1, 2))
-DEFAULT_BLOCK = diffusion._BLOCK_PAIRS
-
-
-def _streamed_bits(seed, count):
-    blocks = diffusion._stream_blocks(seed, count, 2 * diffusion._BLOCK_PAIRS)
-    return np.concatenate([bits.copy() for _, bits in blocks])
-
-
-def test_stream_matches_pure_python_reference():
-    # the uint64 stream and the uniforms are integer arithmetic: exact everywhere
-    for seed in (0, 1, 42):
-        want = stream_bits_py(seed, 100_000)
-        assert _streamed_bits(seed, 100_000).tolist() == want
-        assert uniforms(100_000, seed).tolist() == [(b >> 11) * 2.0**-53 for b in want]
-
-
-def test_normals_within_two_ulp_of_pure_python_reference():
-    # numpy's log/cos/sin are its own SIMD code, not libm: a few draws in a
-    # thousand differ from math.log/cos/sin in the last bit or two
-    for seed in (0, 1, 42, 2**63, (1 << 64) - 1):
-        got = standard_normal(20_000, seed)
-        want = np.asarray(normals_py(20_000, seed))
-        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
-
-
-def _block_counts(block):
-    """Counts on each side of the pair and normal boundaries of one block size."""
-    return sorted(
-        {0, 1, 2, 3, block - 1, block, block + 1, 2 * block + 7}
-        | {2 * block - 1, 2 * block, 2 * block + 1, 4 * block + 7}
-    )
-
-
-@pytest.mark.parametrize("block", [1, 7, DEFAULT_BLOCK])
-def test_streamed_normals_match_whole_array_reference(monkeypatch, block):
-    monkeypatch.setattr(diffusion, "_BLOCK_PAIRS", block)
-    counts = _block_counts(block) + ([320 * 64 * 64] if block == DEFAULT_BLOCK else [1001])
-    for seed in STREAM_SEEDS:
-        for count in counts:
-            got = standard_normal(count, seed)
-            assert got.shape == (count,)
-            assert np.array_equal(got, standard_normal_whole(count, seed)), (seed, count)
-
-
-@pytest.mark.parametrize("block", [1, 7, DEFAULT_BLOCK])
-def test_streamed_uniforms_match_whole_array_reference(monkeypatch, block):
-    monkeypatch.setattr(diffusion, "_BLOCK_PAIRS", block)
-    for seed in STREAM_SEEDS:
-        for count in _block_counts(block) + [1001]:
-            assert np.array_equal(uniforms(count, seed), uniforms_whole(count, seed)), (seed, count)
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_simulate_and_oracle_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block):
-    def outputs(tag):
-        clean = [make_map(np.random.default_rng(i).normal(size=(3, 5, 7)), f"img{i}", 1) for i in range(2)]
-        manifest = load_manifest(write_dataset(tmp_path / tag / "clean", clean, 1))
-        simulate_forward(manifest, linear_schedule(10), (1, 4, 10), seed=8, out_dir=tmp_path / tag / "sim", dtype="f32")
-        profile = OracleProfile(2, 1.0, (0.5, 1.0, 0.2), 2)
-        oracle_features(profile, 2, (3, 9, 11), 4, tmp_path / tag / "oracle")
-        return {
-            p.relative_to(tmp_path / tag): p.read_bytes()
-            for p in sorted((tmp_path / tag).rglob("*"))
-            if p.is_file()
-        }
-
-    default = outputs("default")
-    monkeypatch.setattr(diffusion, "_BLOCK_PAIRS", block)
-    assert outputs("small") == default
-
-
-def test_stream_known_first_output():
-    # widely published first output of this mixing function for seed 0
-    assert stream_bits_py(0, 1)[0] == 0xE220A8397B1DCDAF
-    assert mix64_py(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
-
+# --- seeded noise -------------------------------------------------------------------
 
 def test_uniforms_range_and_determinism():
-    u = uniforms(10000, 7)
-    assert np.array_equal(u, uniforms(10000, 7))
+    u = diffusion._rng(7, 3, 5).random(10000)
+    assert np.array_equal(u, keyed_generator(7, 3, 5).random(10000))
+    assert np.array_equal(u, diffusion._rng(7, 3, 5).random(10000))
     assert np.all((u >= 0.0) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 0.02
 
 
-def test_normals_deterministic_and_reasonable():
-    a = standard_normal(200_000, 123)
-    assert np.array_equal(a, standard_normal(200_000, 123))
+def test_normals_deterministic_and_reasonable(tmp_path):
+    # alpha = 1 writes the keyed noise itself
+    out = _simulated(tmp_path, [np.zeros((2, 200, 500))], (1.0,), seed=123)
+    a = read_tensor(out.resolve(out.entries[0])).values
+    assert np.array_equal(a, _noise(a.shape, 123, 0, 1))
     assert np.all(np.isfinite(a))
     assert abs(a.mean()) < 0.01
     assert abs(a.std() - 1.0) < 0.01
-    # odd counts truncate the final pair
-    assert np.array_equal(standard_normal(7, 5), standard_normal(8, 5)[:7])
 
 
 def test_distinct_seeds_decorrelate():
-    a = standard_normal(50_000, 1)
-    b = standard_normal(50_000, 2)
-    assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
+    a = diffusion._rng(1, 0, 1).standard_normal(50_000)
+    for b in (diffusion._rng(2, 0, 1), diffusion._rng(1, 1, 0), diffusion._rng(1, 0)):
+        assert abs(np.corrcoef(a, b.standard_normal(50_000))[0, 1]) < 0.02
 
 
 def test_stream_seed_keying():
-    assert stream_seed(3, 1, 2) == stream_seed(3, 1, 2)
-    assert stream_seed(3, 1, 2) != stream_seed(3, 2, 1)
-    assert stream_seed(3, 1) != stream_seed(4, 1)
-    derived = {stream_seed(0, i, t) for i in range(30) for t in range(30)}
-    assert len(derived) == 900
+    def first(seed, *key):
+        return diffusion._rng(seed, *key).random()
+
+    assert first(3, 1, 2) == first(3, 1, 2)
+    assert first(3, 1, 2) != first(3, 2, 1)
+    assert first(3, 1) != first(4, 1)
+    # a spawn key keeps a trailing zero: an entropy list would drop it
+    assert all(first(1, i, 0) != first(1, i) for i in range(5))
+    assert len({first(0, i, t) for i in range(30) for t in range(30)}) == 900
+
+
+def test_numpy_keeps_the_normals_simulate_writes(tmp_path):
+    # a numpy release that changes PCG64, SeedSequence or the ziggurat
+    # changes every simulate and oracle byte; this fails first
+    pinned = "[-1.6525103588084447, -1.1801873515430512, 0.012594627118657647, 0.6993739684318862]"
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0, spawn_key=(0, 1))))
+    assert repr(gen.standard_normal(4).tolist()) == pinned
+    out = _simulated(tmp_path, [np.zeros((1, 2, 2))], (1.0,), seed=0)
+    assert repr(read_tensor(out.resolve(out.entries[0])).values.ravel().tolist()) == pinned
 
 
 # --- forward simulation over a dataset ------------------------------------------------
@@ -317,6 +248,17 @@ def test_simulate_forward_deterministic_bytes(tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "y").iterdir())
     for name in names:
         assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+
+@pytest.mark.parametrize("grid", [(5, 5, 3), (5, 3), (3, 5, 5), ()], ids=["repeat", "descending", "repeat_last", "empty"])
+def test_simulate_grid_must_be_unique_and_ascending(tmp_path, grid):
+    # a repeated timestep would write and list one file twice, and count
+    # its image twice in that timestep's mean
+    clean = [make_map(np.ones((1, 4, 4)), "a", 1)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    with pytest.raises(ScheduleInvalid, match="unique, ascending"):
+        simulate_forward(manifest, linear_schedule(10), grid, seed=0, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_grid_outside_schedule_rejected(tmp_path):

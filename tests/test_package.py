@@ -13,7 +13,7 @@ MODULES = ("tensor_io", "spectral", "diffusion", "discriminability", "selection"
 
 
 def test_every_export_is_the_object_its_module_exports():
-    assert len(freqsel.__all__) == len(set(freqsel.__all__)) == 39
+    assert len(freqsel.__all__) == len(set(freqsel.__all__)) == 36
     assert freqsel.errors is importlib.import_module("freqsel.errors")
     for name in set(freqsel.__all__) - {"errors", "__version__"}:
         owners = [m for m in MODULES if name in importlib.import_module(f"freqsel.{m}").__all__]
@@ -29,7 +29,7 @@ def test_names_without_a_pipeline_caller_are_gone():
     for name in ("HighPassMask", "gaussian_highpass_mask", "write_tensor", "reshape_tokens",
                  "load_entry", "iter_loaded", "sample_noise", "forward_noise",
                  "save_schedule_csv", "write_series_csv", "energy", "pearson", "spearman",
-                 "pairwise_sum"):
+                 "pairwise_sum", "standard_normal", "uniforms", "stream_seed"):
         with pytest.raises(AttributeError):
             getattr(freqsel, name)
 

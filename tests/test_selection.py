@@ -207,6 +207,12 @@ def test_select_rejects_negative_epsilon():
         select_timestep(HfrCurve((1,), (0.5,), (1,)), tie_epsilon=-1.0)
 
 
+def test_select_rejects_nan_epsilon():
+    # best - v <= nan is never true, so a NaN would drop the selection from its own ties
+    with pytest.raises(ValueError):
+        select_timestep(HfrCurve((1, 2), (0.5, 0.6), (1, 1)), tie_epsilon=float("nan"))
+
+
 def test_report_dict_schema():
     curve = HfrCurve((1, 5), (0.2, 0.7), (2, 2), cutoff=12.0)
     report = select_timestep(curve, config={"command": "select", "cutoff": 12.0})

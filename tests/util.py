@@ -4,9 +4,8 @@ The oracles here deliberately avoid the library's own code paths: the DFT
 oracle is the quadratic-time definition evaluated by matrix product, the
 high-pass gains come from circular bin distances in DFT layout rather
 than the library's cached Hartley-layout grid, the Fisher oracle
-materialises full scatter matrices, and the stream oracle is a pure-Python
-big-int reimplementation of the documented generator (plus the
-whole-array numpy form the streamed generator must match bit for bit).
+materialises full scatter matrices, and the noise generator is rebuilt
+from numpy by the documented keying rule.
 The per-step HFR path does use the library's basis and gains, and sums the
 whole map exactly rounded: it checks the chunked kernel's summation, not
 its transform.
@@ -39,8 +38,6 @@ from freqsel.errors import (
 )
 from freqsel.spectral import _gains, _hartley
 from freqsel.tensor_io import write_array
-
-MASK64 = (1 << 64) - 1
 
 
 # --- quadratic-time DFT oracle ---------------------------------------------
@@ -93,58 +90,12 @@ def energy(fmap: FeatureMap) -> float:
     return math.fsum(np.square(fmap.values).ravel())
 
 
-# --- pure-Python reimplementation of the noise stream ------------------------
+# --- the documented noise keying rule ----------------------------------------
 
-def mix64_py(z: int) -> int:
-    z &= MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def stream_bits_py(seed: int, count: int) -> list[int]:
-    return [mix64_py((seed + (j + 1) * 0x9E3779B97F4A7C15) & MASK64) for j in range(count)]
-
-
-def normals_py(count: int, seed: int) -> list[float]:
-    pairs = (count + 1) // 2
-    bits = stream_bits_py(seed, 2 * pairs)
-    out: list[float] = []
-    for a, b in zip(bits[0::2], bits[1::2]):
-        u1 = ((a >> 11) + 1) * 2.0**-53
-        u2 = (b >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u1))
-        out.append(r * math.cos(2.0 * math.pi * u2))
-        out.append(r * math.sin(2.0 * math.pi * u2))
-    return out[:count]
-
-
-# --- whole-array numpy form of the noise stream ----------------------------------
-# The generator as it stood before it was streamed in blocks: one array per
-# step over the whole count. The streamed generator must match it bit for bit.
-
-def stream_bits_whole(seed: int, count: int) -> np.ndarray:
-    z = np.uint64(seed & MASK64) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def uniforms_whole(count: int, seed: int) -> np.ndarray:
-    return (stream_bits_whole(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def standard_normal_whole(count: int, seed: int) -> np.ndarray:
-    pairs = (count + 1) // 2
-    bits = stream_bits_whole(seed, 2 * pairs)
-    u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:count]
+def keyed_generator(seed: int, *key: int) -> np.random.Generator:
+    """numpy's PCG64 generator for `key` under `seed`, restated from the
+    documented rule: ``SeedSequence(seed mod 2^64, spawn_key=key)``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64, spawn_key=key)))
 
 
 # --- the HFR path in plain steps ---------------------------------------------
