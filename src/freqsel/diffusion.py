@@ -7,7 +7,8 @@ noise map: z_t = alpha * eps + (1 - alpha) * z0. At alpha = 0 this is the
 identity on z0 and at alpha = 1 the identity on eps, exactly (0 * x + 1 * y
 evaluates to y in IEEE-754 for finite x, y). The default schedule is linear,
 alpha_t = t / T for t = 1..T. :func:`simulate_forward` applies it to a
-whole dataset, holding one clean source in memory at a time.
+whole dataset, holding one clean source in memory at a time, and noises
+and writes each map in pieces, so no map-sized noise array exists.
 
 Timestep t always mixes with the schedule's own alpha_t. The convention
 that mixes t with alpha_{t-1} (``simulate --alpha-index t-1``) is a
@@ -37,6 +38,7 @@ image by image and holds one background field in memory at a time.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,11 +55,13 @@ from .errors import (
 from .fileio import read_csv
 from .spectral import _hartley, _radius_sq
 from .tensor_io import (
+    _PIECE,
     DatasetManifest,
     ManifestEntry,
     map_loaded,
     save_manifest,
     write_array,
+    write_pieces,
 )
 
 __all__ = [
@@ -135,6 +139,28 @@ def _check_grid(timesteps, total_timesteps: int, invalid: type[FreqselError]) ->
     return grid
 
 
+def _write_noised(z0: np.ndarray, alpha: float, rng: np.random.Generator, path, dtype: str) -> None:
+    """Write z_t = alpha * eps + (1 - alpha) * z0 to `path`, eps the normals
+    `rng` draws in z0's shape, one piece of ``_PIECE`` elements at a time.
+
+    Consecutive ``standard_normal(out=...)`` calls continue one stream, so
+    the pieces hold the bits of one whole-map draw, mixed by the same
+    operations; no map-sized noise, temporary or payload exists.
+    """
+    flat = z0.reshape(-1)
+
+    def pieces():
+        buf = np.empty(min(flat.size, _PIECE))
+        for start in range(0, flat.size, _PIECE):
+            piece = buf[: min(_PIECE, flat.size - start)]
+            rng.standard_normal(out=piece)
+            piece *= alpha
+            piece += (1.0 - alpha) * flat[start : start + piece.size]
+            yield piece
+
+    write_pieces(pieces(), z0.shape, path, dtype)
+
+
 def simulate_forward(
     manifest: DatasetManifest,
     schedule: NoiseSchedule,
@@ -142,36 +168,59 @@ def simulate_forward(
     seed: int,
     out_dir,
     dtype: str = "f64",
+    threads: int = 1,
 ) -> DatasetManifest:
     """Noise every manifest entry at each grid timestep and write a new dataset.
 
     Every input entry is treated as a clean image regardless of its own
     timestep field. Noise for (entry i, timestep t) is drawn under key
     ``(i, t)``, so outputs are independent of the grid order and of how
-    work might be batched. The grid must be non-empty, strictly ascending
-    and within the schedule (else ``ScheduleInvalid``), which is checked,
-    and every alpha looked up, before any file is read or written.
+    work is batched. The grid must be non-empty, strictly ascending and
+    within the schedule (else ``ScheduleInvalid``), which is checked, and
+    every alpha looked up, before any file is read or written.
 
-    The loop is image-major, so one clean source is held at a time; the
-    written manifest still lists the outputs timestep-major and keeps the
-    input's ``allow_ragged``.
+    The loop is image-major and holds one clean source at a time: the
+    last one is released before the next is read. With ``threads > 1`` a
+    source's timesteps are noised and written on a pool of up to
+    `threads` workers, each holding pieces of a map, not a map. Results
+    are consumed in grid order, so the reported fault is the first in
+    (source, timestep) order for any thread count. The written manifest
+    lists the outputs timestep-major and keeps the input's
+    ``allow_ragged``.
     """
     timesteps = _check_grid(timesteps, schedule.total_timesteps, ScheduleInvalid)
     alphas = [schedule.alpha(t) for t in timesteps]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_timestep: list[list[ManifestEntry]] = [[] for _ in timesteps]
-    for i, (entry, z0) in enumerate(map_loaded(manifest, lambda fmap: fmap.values)):
-        for t, alpha, row in zip(timesteps, alphas, by_timestep):
-            # z_t = alpha * eps + (1 - alpha) * z0, mixed in place into the
-            # fresh noise; binding it to the one name frees the previous
-            # map's before the mix allocates (1 - alpha) * z0
-            noised = _rng(seed, i, t).standard_normal(z0.shape)
-            noised *= alpha
-            noised += (1.0 - alpha) * z0
-            name = f"t{t:04d}_i{i:04d}.npy"
-            write_array(noised, out / name, dtype)
+    workers = min(threads, len(timesteps))
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+
+    def noise_source(i: int, entry: ManifestEntry, z0: np.ndarray) -> None:
+        names = [f"t{t:04d}_i{i:04d}.npy" for t in timesteps]
+        tasks = [
+            (z0, alpha, _rng(seed, i, t), out / name, dtype)
+            for t, alpha, name in zip(timesteps, alphas, names)
+        ]
+        if pool is None:
+            for task in tasks:
+                _write_noised(*task)
+        else:
+            for future in [pool.submit(_write_noised, *task) for task in tasks]:
+                future.result()
+        for t, name, row in zip(timesteps, names, by_timestep):
             row.append(ManifestEntry(name, entry.image_id, t, entry.group, entry.label, entry.accuracy))
+
+    try:
+        i = 0
+        for entry, z0 in map_loaded(manifest, lambda fmap: fmap.values):
+            noise_source(i, entry, z0)
+            i += 1
+            # one source at a time: this one goes before the next is read
+            del z0
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     entries = tuple(e for row in by_timestep for e in row)
     result = DatasetManifest(schedule.total_timesteps, entries, manifest.allow_ragged, out)
     save_manifest(result, out / "manifest.json")

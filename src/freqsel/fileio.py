@@ -72,8 +72,14 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def atomic_write_bytes(path, *chunks) -> None:
+def atomic_write_bytes(path, chunks: Iterable) -> None:
     """Write the bytes-like `chunks` in order via a sibling temp file and a rename.
+
+    `chunks` may be a generator that makes each chunk as it is asked for,
+    so a large file never has to exist in memory; each chunk is written
+    before the next is asked for, so a chunk may reuse the last one's
+    buffer. Any error, from the OS or raised by `chunks`, unlinks the temp
+    file and leaves what was at `path` as it was.
 
     Readers never see a partial file, and a process crash never leaves one.
     Nothing is fsynced, so after a power loss the file may be empty or
@@ -98,7 +104,7 @@ def atomic_write_bytes(path, *chunks) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 def atomic_write_json(path, doc) -> None:

@@ -23,6 +23,11 @@ the way through one staging buffer, so a map is in memory once; the
 widening is exact, and a read-write-read trip through either dtype is
 byte-identical. Parsed headers are cached by their bytes.
 
+Writes are piecewise too: :func:`write_pieces` streams float64 pieces into
+the file, each cast to the file's dtype through one staging buffer,
+checked for NaN/Inf and written before the next is asked for, so a writer
+that makes its values piece by piece never holds a map-sized payload.
+
 Dataset manifest
 ----------------
 JSON index binding tensor files to dataset identity::
@@ -40,8 +45,10 @@ an entry whose file has gone since the manifest was loaded,
 ``"allow_ragged": true``, and a ``FreqselError`` from loading or mapping a
 tensor as the same class, naming the file.
 
-Arrays are written by :func:`write_array`; text files and the atomic
-writes under it live in :mod:`freqsel.fileio`, which needs no numpy.
+Arrays are written by :func:`write_array` (one whole array) or
+:func:`write_pieces`, over one cast-and-check path; text files and the
+atomic writes under both live in :mod:`freqsel.fileio`, which needs no
+numpy.
 """
 from __future__ import annotations
 
@@ -55,7 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -306,29 +313,59 @@ def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
     return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header
 
 
-def _encode(values: np.ndarray, path, dtype: str) -> tuple[bytes, np.ndarray]:
-    """(header, payload) of `values` as a tensor file of `dtype` at `path`.
+def _tensor_chunks(pieces: Iterable[np.ndarray], shape: tuple[int, ...], path, dtype: str) -> Iterator:
+    """The header, then the payload piece by piece, of a tensor file of
+    `shape` and `dtype` at `path` whose float64 values, in C order, arrive
+    as `pieces`.
 
-    The shape rule is checked first, so no file is written that
-    :func:`read_tensor` would reject. The payload is cast straight to the
-    file's dtype (no copy at all for C-ordered f64 on a little-endian
-    host). The finite check runs on the cast payload, so a value beyond
-    the f32 range is a ``NonFiniteValue``, not an Inf on disk.
+    The dtype and the shape rule are checked at the call, before a single
+    piece is asked for, so no file is started that :func:`read_tensor`
+    would reject. Each piece is cast to the file's dtype in slices of
+    ``_PIECE`` elements (``<f4`` through one staging buffer, ``<f8`` with
+    no copy on a little-endian host), and each slice is checked for NaN
+    and Inf after the cast, so a value beyond the f32 range is a
+    ``NonFiniteValue``, not an Inf on disk. Pieces that do not add up to
+    the shape are a ``ShapeMismatch``.
     """
     if dtype not in _DESCR_BY_DTYPE:
         raise UnsupportedDtype(f"cannot write dtype {dtype!r} (need 'f32' or 'f64')")
-    _check_shape(values.shape, str(path))
-    descr = _DESCR_BY_DTYPE[dtype]
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(values, dtype=descr)
-    _check_finite(payload, str(path))
-    return _build_header(values.shape, descr), payload
+    _check_shape(shape, str(path))
+    return _cast_pieces(pieces, shape, _DESCR_BY_DTYPE[dtype], str(path))
+
+
+def _cast_pieces(pieces, shape: tuple[int, ...], descr: str, context: str) -> Iterator:
+    yield _build_header(shape, descr)
+    total = math.prod(shape)
+    stage = np.empty(min(total, _PIECE), dtype=descr) if descr == "<f4" else None
+    count = 0
+    for piece in pieces:
+        flat = np.asarray(piece, dtype="<f8").reshape(-1)
+        for start in range(0, flat.size, _PIECE):
+            part = flat[start : start + _PIECE]
+            count += part.size
+            if count > total:
+                raise ShapeMismatch(f"{context}: more than {total} values for shape {shape}")
+            if stage is not None:
+                with np.errstate(over="ignore"):
+                    stage[: part.size] = part
+                part = stage[: part.size]
+            _check_finite(part, context)
+            yield part
+    if count < total:
+        raise ShapeMismatch(f"{context}: {count} values for shape {shape}, which needs {total}")
+
+
+def write_pieces(pieces: Iterable[np.ndarray], shape: tuple[int, ...], path, dtype: str) -> None:
+    """Stream float64 `pieces` (C order) into a tensor file of `shape` and
+    `dtype`, each one cast, checked and written before the next is asked
+    for, so a generator may reuse one buffer for all of them. A fault
+    leaves no file; see :func:`_tensor_chunks` for the checks."""
+    atomic_write_bytes(path, _tensor_chunks(pieces, shape, path, dtype))
 
 
 def write_array(values: np.ndarray, path, dtype: str) -> None:
-    """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`;
-    the payload is written after the header, never joined to it."""
-    atomic_write_bytes(path, *_encode(values, path, dtype))
+    """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`."""
+    write_pieces((values,), values.shape, path, dtype)
 
 
 @dataclass(frozen=True)
@@ -470,6 +507,8 @@ def map_loaded(
                     f"but {first_path} has shape {first_shape}"
                 )
             yield entry, value
+            # not held while the next entry is loaded
+            del value
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

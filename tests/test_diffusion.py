@@ -20,7 +20,7 @@ from freqsel import (
     read_tensor,
     simulate_forward,
 )
-from freqsel import cli, diffusion
+from freqsel import cli, diffusion, tensor_io
 from freqsel.errors import (
     FrequencyTooHigh,
     ProfileInvalid,
@@ -30,6 +30,7 @@ from freqsel.tensor_io import map_loaded, write_array
 
 from util import (
     child_env,
+    child_peak_rss_kb,
     cli_peak_rss_kb,
     keyed_generator,
     make_map,
@@ -201,6 +202,27 @@ def test_numpy_keeps_the_normals_simulate_writes(tmp_path):
     assert repr(read_tensor(out.resolve(out.entries[0])).values.ravel().tolist()) == pinned
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_pieces_write_what_one_whole_draw_writes(tmp_path, dtype, threads):
+    # simulate draws, mixes and writes each map in pieces of _PIECE elements;
+    # 3*300*700 is several pieces and not a whole number of them, so this
+    # holds only if consecutive standard_normal(out=...) calls continue one
+    # stream and the last, short piece is mixed like the rest
+    shape = (3, 300, 700)
+    assert shape[0] * shape[1] * shape[2] % tensor_io._PIECE != 0
+    z0 = np.random.default_rng(9).normal(size=shape)
+    clean = [make_map(z0, "img0", 1)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    sched = NoiseSchedule((0.25, 0.5))
+    simulate_forward(manifest, sched, (1, 2), 17, tmp_path / "sim", dtype, threads)
+    for t in (1, 2):
+        alpha = sched.alpha(t)
+        write_array(alpha * _noise(shape, 17, 0, t) + (1 - alpha) * z0, tmp_path / "want.npy", dtype)
+        got = (tmp_path / "sim" / f"t{t:04d}_i0000.npy").read_bytes()
+        assert got == (tmp_path / "want.npy").read_bytes()
+
+
 # --- forward simulation over a dataset ------------------------------------------------
 
 def test_simulate_forward_writes_expected_dataset(tmp_path):
@@ -283,6 +305,54 @@ def test_simulate_peak_rss_does_not_grow_with_the_source_count(tmp_path):
 
     small, large = peak_kb(2), peak_kb(8)
     assert large - small < 2 * source_kb, (small, large)
+
+
+_SOURCE = (256, 64, 64)
+_SOURCE_KB = np.prod(_SOURCE) * 8 / 1024  # one clean source as float64
+
+# imports what `simulate` imports, numpy.random included, and reads the
+# dataset's sources one at a time as simulate does, writing nothing
+_READ_SOURCES = """
+import sys
+import numpy.random
+import freqsel.diffusion
+from freqsel.cli import build_parser
+from freqsel.tensor_io import load_manifest, map_loaded
+build_parser()
+for _, values in map_loaded(load_manifest(sys.argv[1]), lambda fmap: fmap.values):
+    pass
+"""
+
+
+def _sources(tmp_path, n):
+    clean = [make_map(np.random.default_rng(i).normal(size=_SOURCE), f"img{i}", 1) for i in range(n)]
+    return write_dataset(tmp_path / f"clean{n}", clean, 1)
+
+
+def _simulate_peak_kb(tmp_path, manifest, threads):
+    return cli_peak_rss_kb(
+        "simulate", "--manifest", manifest, "--total-timesteps", "2", "--timesteps", "1,2",
+        "--dtype", "f32", "--threads", threads, "--out", tmp_path / f"sim_{manifest.parent.name}_{threads}",
+    )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_simulate_holds_one_source_and_no_map_sized_array(tmp_path):
+    one, two = _sources(tmp_path, 1), _sources(tmp_path, 2)
+    read = child_peak_rss_kb(_READ_SOURCES, one)
+    single = _simulate_peak_kb(tmp_path, one, 1)
+    # the noise, the mix and the cast payload are pieces, not maps
+    assert single - read < _SOURCE_KB / 4, (read, single)
+    # the first source is released before the second is read
+    double = _simulate_peak_kb(tmp_path, two, 1)
+    assert double - single < _SOURCE_KB / 2, (single, double)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_simulate_threads_hold_pieces_not_maps(tmp_path):
+    manifest = _sources(tmp_path, 1)
+    one, two = _simulate_peak_kb(tmp_path, manifest, 1), _simulate_peak_kb(tmp_path, manifest, 2)
+    assert two - one < _SOURCE_KB / 2, (one, two)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

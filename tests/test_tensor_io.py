@@ -34,7 +34,7 @@ from freqsel.errors import (
 )
 from freqsel.fileio import atomic_write_bytes, atomic_write_text
 from freqsel import tensor_io
-from freqsel.tensor_io import map_loaded, write_array
+from freqsel.tensor_io import _PIECE, map_loaded, write_array, write_pieces
 
 from util import corrupt_corpus, make_map, write_dataset
 
@@ -174,6 +174,30 @@ def test_write_rejects_nonfinite_and_bad_dtype(tmp_path):
         write_array(np.ones((1, 2, 2)), tmp_path / "bad.npy", "f16")
 
 
+def test_piecewise_writer_checks_each_piece_and_leaves_no_file_on_a_fault(tmp_path):
+    path = tmp_path / "x.npy"
+    write_pieces([np.arange(3.0), np.arange(3.0, 8.0)], (2, 4), path, "f32")
+    assert np.array_equal(read_tensor(path).values, np.arange(8.0).reshape(1, 2, 4))
+    path.unlink()
+    # a value beyond the f32 range in the last piece, after two full ones
+    pieces = [np.ones(_PIECE), np.ones(_PIECE), np.full(10, 1e39)]
+    with pytest.raises(NonFiniteValue, match=re.escape(str(path))):
+        write_pieces(pieces, (1, 2, _PIECE + 5), path, "f32")
+    # pieces that fall short of the shape, or run past it
+    for pieces in ([np.ones(7)], [np.ones(6), np.ones(3)]):
+        with pytest.raises(ShapeMismatch, match=re.escape(str(path))):
+            write_pieces(pieces, (2, 4), path, "f64")
+
+    # the shape rule is checked before a piece is asked for
+    def untouchable():
+        raise AssertionError("a piece was asked for")
+        yield
+
+    with pytest.raises(RankError):
+        write_pieces(untouchable(), (8,), path, "f64")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "shape, error", [((5,), RankError), ((1, 1, 2, 2), RankError), ((0, 3), ShapeMismatch)],
     ids=["rank_1", "rank_4", "zero_dim"],
@@ -214,10 +238,18 @@ def test_writes_honour_the_umask(tmp_path, umask):
 
 def test_atomic_write_joins_chunks_and_leaves_no_temp_on_failure(tmp_path):
     path = tmp_path / "x.bin"
-    atomic_write_bytes(path, b"ab", memoryview(b"cd"), np.arange(2, dtype="<u1"))
+    atomic_write_bytes(path, [b"ab", memoryview(b"cd"), np.arange(2, dtype="<u1")])
     assert path.read_bytes() == b"abcd\x00\x01"
     with pytest.raises(TypeError):
-        atomic_write_bytes(path, b"new", 3)
+        atomic_write_bytes(path, [b"new", 3])
+    assert path.read_bytes() == b"abcd\x00\x01"
+
+    def failing():
+        yield b"new"
+        raise NonFiniteValue("made after the first chunk")
+
+    with pytest.raises(NonFiniteValue):
+        atomic_write_bytes(path, failing())
     assert path.read_bytes() == b"abcd\x00\x01"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
 

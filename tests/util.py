@@ -142,27 +142,37 @@ def child_env(**overrides):
     return env
 
 
-# Runs the CLI, then prints the process's own peak RSS in kB. VmHWM belongs
-# to the address space the child built after exec; ru_maxrss may carry the
-# peak of the parent it was forked from.
-_PEAK_RSS = """
+# Appended to a child's script: prints the process's own peak RSS in kB.
+# VmHWM belongs to the address space the child built after exec; ru_maxrss
+# may carry the peak of the parent it was forked from.
+_PRINT_PEAK = """
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+_CLI = """
 import sys
 from freqsel.cli import main
 code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-sys.exit(code)
+if code:
+    sys.exit(code)
 """
 
 
-def cli_peak_rss_kb(*argv) -> int:
-    """Run `freqsel *argv` in a child process, which must exit 0; its VmHWM in kB."""
+def child_peak_rss_kb(script: str, *argv) -> int:
+    """Run the Python `script` with `argv` in a child process, which must
+    exit 0, then print its peak RSS; that VmHWM in kB."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *map(str, argv)],
+        [sys.executable, "-c", script + _PRINT_PEAK, *map(str, argv)],
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1])
+
+
+def cli_peak_rss_kb(*argv) -> int:
+    """Run `freqsel *argv` in a child process, which must exit 0; its VmHWM in kB."""
+    return child_peak_rss_kb(_CLI, *argv)
 
 
 # --- dataset builders ----------------------------------------------------------
