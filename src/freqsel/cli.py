@@ -20,9 +20,9 @@ errors print a single ``ErrorClass: detail`` line on stderr. File outputs
 are written atomically, and reruns of the same command line produce
 byte-identical files; ``--threads`` only changes wall time, never bytes,
 which is why it is excluded from the config echoed into reports. It
-defaults to 1 for ``hfr`` and ``select``, whose threads each hold a map,
-and to ``auto``, the CPUs the process may run on, for ``simulate``, whose
-threads each hold pieces of a map.
+defaults to 1 for ``hfr`` and ``select``, whose threads each hold a map.
+``simulate`` has no such flag: its threads each hold pieces of a map, so
+it runs on every CPU the process may use.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .errors import (
     ManifestSchemaError,
     SeriesInvalid,
 )
-from .fileio import atomic_write_json
+from .fileio import atomic_write_bytes, atomic_write_json
 from .selection import (
     HfrCurve,
     average_hfr,
@@ -141,12 +141,16 @@ def default_probe_grid(total_timesteps: int) -> tuple[int, ...]:
     return tuple(sorted({1} | set(range(50, total_timesteps + 1, 50))))
 
 
+def _usable_cpus() -> int:
+    # the affinity mask is what a container or taskset actually grants
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return max(1, os.cpu_count() or 1)
+
+
 def _threads_arg(text: str) -> int:
     if text == "auto":
-        # the affinity mask is what a container or taskset actually grants
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return max(1, os.cpu_count() or 1)
+        return _usable_cpus()
     try:
         value = int(text)
     except ValueError:
@@ -182,12 +186,12 @@ def _add_timesteps(sp, help_text: str) -> None:
     sp.add_argument("--timesteps", type=parse_timestep_grid, default=None, help=help_text)
 
 
-def _add_threads(sp, default: str = "1") -> None:
+def _add_threads(sp) -> None:
     sp.add_argument(
         "--threads",
         type=_threads_arg,
-        default=default,
-        help=f"worker threads for per-map work; never changes output bytes (default {default})",
+        default=1,
+        help="worker threads for per-map work; never changes output bytes (default 1)",
     )
 
 
@@ -273,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="t",
         help="alpha lookup convention: alpha_t or alpha_{t-1} (default t)",
     )
-    _add_threads(p, "auto")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--dtype", choices=("f32", "f64"), default="f64", help="output element type")
     p.set_defaults(run=cmd_simulate)
@@ -362,19 +365,16 @@ def cmd_select(args) -> int:
 
 def cmd_decompose(args) -> int:
     from .spectral import decompose
-    from .tensor_io import _tensor_chunks, read_tensor, write_array
+    from .tensor_io import _encode, read_tensor
 
     _check_out(args.out_high)
     _check_out(args.out_low)
     parts = decompose(read_tensor(args.tensor), args.cutoff)
-    outputs = ((parts.high.values, args.out_high), (parts.low.values, args.out_low))
-    # both parts are cast and checked, by the writer's own code, before
-    # either file is written
-    for values, path in outputs:
-        for _ in _tensor_chunks((values,), values.shape, path, args.dtype):
-            pass
-    for values, path in outputs:
-        write_array(values, path, args.dtype)
+    # both parts are cast and checked before either file is written
+    high = _encode(parts.high.values, args.out_high, args.dtype)
+    low = _encode(parts.low.values, args.out_low, args.dtype)
+    atomic_write_bytes(args.out_high, high)
+    atomic_write_bytes(args.out_low, low)
     print(f"decomposed {args.tensor} -> {args.out_high} + {args.out_low}")
     return 0
 
@@ -431,7 +431,7 @@ def cmd_simulate(args) -> int:
     manifest = load_manifest(args.manifest)
     schedule = _resolve_schedule(args.schedule, args.total_timesteps, args.alpha_index)
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(schedule.total_timesteps)
-    result = simulate_forward(manifest, schedule, grid, args.seed, args.out, args.dtype, args.threads)
+    result = simulate_forward(manifest, schedule, grid, args.seed, args.out, args.dtype, _usable_cpus())
     print(f"wrote {len(result.entries)} noised tensors to {args.out}")
     return 0
 

@@ -180,11 +180,15 @@ def simulate_forward(
     every alpha looked up, before any file is read or written.
 
     The loop is image-major and holds one clean source at a time: the
-    last one is released before the next is read. With ``threads > 1`` a
-    source's timesteps are noised and written on a pool of up to
-    `threads` workers, each holding pieces of a map, not a map. Results
+    last one is released before the next is read. With ``threads > 1`` the
+    timesteps of a source of at least one piece (``_PIECE`` elements) are
+    noised and written on a pool of up to `threads` workers, each holding
+    pieces of a map, not a map; smaller sources stay on the calling
+    thread. Results
     are consumed in grid order, so the reported fault is the first in
-    (source, timestep) order for any thread count. The written manifest
+    (source, timestep) order for any thread count, and maps the pool
+    finished after that fault are removed: a failed run leaves the maps
+    one thread would have written before it stopped. The written manifest
     lists the outputs timestep-major and keeps the input's
     ``allow_ragged``.
     """
@@ -202,11 +206,24 @@ def simulate_forward(
             (z0, alpha, _rng(seed, i, t), out / name, dtype)
             for t, alpha, name in zip(timesteps, alphas, names)
         ]
-        if pool is None:
+        # a map of less than one piece is noised in less time than a thread
+        # takes to pick it up: the pool would add CPU and save no wall time
+        if pool is None or z0.size < _PIECE:
             for task in tasks:
                 _write_noised(*task)
         else:
-            for future in [pool.submit(_write_noised, *task) for task in tasks]:
+            futures = [pool.submit(_write_noised, *task) for task in tasks]
+            for k, future in enumerate(futures):
+                if future.exception() is None:
+                    continue
+                # one thread writes no map after the first fault, so neither
+                # may the pool: what a failed run leaves must not depend on
+                # the thread count
+                for later in futures[k + 1 :]:
+                    later.cancel()
+                for later, name in zip(futures[k + 1 :], names[k + 1 :]):
+                    if not later.cancelled() and later.exception() is None:
+                        (out / name).unlink(missing_ok=True)
                 future.result()
         for t, name, row in zip(timesteps, names, by_timestep):
             row.append(ManifestEntry(name, entry.image_id, t, entry.group, entry.label, entry.accuracy))

@@ -363,6 +363,15 @@ def write_pieces(pieces: Iterable[np.ndarray], shape: tuple[int, ...], path, dty
     atomic_write_bytes(path, _tensor_chunks(pieces, shape, path, dtype))
 
 
+def _encode(values: np.ndarray, path, dtype: str) -> list:
+    """The chunks :func:`write_array` would write for `values`, all cast
+    and checked, to be written later with ``atomic_write_bytes``. ``<f4``
+    pieces are copied out of the staging buffer, which the next piece
+    overwrites; ``<f8`` pieces stay views of `values`."""
+    chunks = _tensor_chunks((values,), values.shape, path, dtype)
+    return [chunk if dtype == "f64" else bytes(chunk) for chunk in chunks]
+
+
 def write_array(values: np.ndarray, path, dtype: str) -> None:
     """Serialise a float64 array of rank 2 or 3 as a tensor file of `dtype`."""
     write_pieces((values,), values.shape, path, dtype)

@@ -246,7 +246,7 @@ def test_criterion_7_endpoints_exact_and_runs_deterministic(tmp_path):
                          "--out-high", str(root / "high.npy"),
                          "--out-low", str(root / "low.npy")]) == 0
             assert main(["simulate", "--manifest", str(manifest), "--total-timesteps", "40",
-                         "--timesteps", "40", "--seed", "13", "--threads", threads,
+                         "--timesteps", "20,40", "--seed", "13",
                          "--out", str(root / "noised")]) == 0
             return {
                 p.relative_to(root): p.read_bytes()

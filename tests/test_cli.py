@@ -456,43 +456,6 @@ def test_simulate_keeps_allow_ragged(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_simulate_threads_never_change_bytes(tmp_path):
-    # sources of several pieces each, and more timesteps than threads
-    rng = np.random.default_rng(2)
-    clean = [make_map(rng.normal(size=(2, 200, 300)), f"img{i}", 1) for i in range(2)]
-    manifest = write_dataset(tmp_path / "clean", clean, 1)
-    trees = []
-    for threads in ("1", "2", "auto"):
-        out = tmp_path / f"sim_{threads}"
-        assert run(
-            "simulate", "--manifest", str(manifest), "--total-timesteps", "10", "--timesteps", "1,4,7,10",
-            "--seed", "3", "--dtype", "f32", "--threads", threads, "--out", str(out),
-        ) == 0
-        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(trees[0]) == 9
-    assert trees[0] == trees[1] == trees[2]
-
-
-def test_simulate_reports_the_first_fault_in_grid_order_for_any_thread_count(tmp_path, capsys):
-    # 1e39 in the last piece overflows f32 at t = 1 and t = 2, which two
-    # threads noise at once; the fault at t = 1 is the one reported
-    values = np.ones((2, 300, 300))
-    values[-1, -1, -1] = 1e39
-    manifest = write_dataset(tmp_path / "in", [make_map(values, "big", 1)], 1)
-    lines = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}"
-        assert run(
-            "simulate", "--manifest", str(manifest), "--total-timesteps", "4", "--timesteps", "1..4",
-            "--dtype", "f32", "--threads", threads, "--out", str(out),
-        ) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"NonFiniteValue: {out / 't0001_i0000.npy'}")
-        lines.append(line.replace(str(out), "<out>"))
-        assert [p.name for p in out.iterdir() if p.suffix == ".tmp" or p.name == "manifest.json"] == []
-    assert lines[0] == lines[1]
-
-
 def test_oracle_peak_outside_the_curve_exits_2(tmp_path, capsys):
     out = tmp_path / "data"
     assert run("oracle", "--out", str(out), "--total-timesteps", "10", "--peak-timestep", "20") == 2

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from freqsel import (
 from freqsel import cli, diffusion, tensor_io
 from freqsel.errors import (
     FrequencyTooHigh,
+    NonFiniteValue,
     ProfileInvalid,
     ScheduleInvalid,
 )
@@ -307,20 +309,82 @@ def test_simulate_peak_rss_does_not_grow_with_the_source_count(tmp_path):
     assert large - small < 2 * source_kb, (small, large)
 
 
+def test_simulate_threads_never_change_bytes(tmp_path):
+    # sources of several pieces each, and more timesteps than threads
+    rng = np.random.default_rng(2)
+    clean = [make_map(rng.normal(size=(2, 200, 300)), f"img{i}", 1) for i in range(2)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    trees = []
+    for threads in (1, 2, 4):
+        out = tmp_path / f"sim_{threads}"
+        simulate_forward(manifest, linear_schedule(10), (1, 4, 7, 10), 3, out, "f32", threads)
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(trees[0]) == 9
+    assert trees[0] == trees[1] == trees[2]
+
+
+def test_simulate_pools_only_maps_of_at_least_one_piece(tmp_path, monkeypatch):
+    threads_seen = []
+    write = diffusion._write_noised
+
+    def spy(*task):
+        threads_seen.append(threading.get_ident())
+        write(*task)
+
+    monkeypatch.setattr(diffusion, "_write_noised", spy)
+    side = int(tensor_io._PIECE ** 0.5)
+    clean = [make_map(np.ones((1, side, side - 1)), "small", 1), make_map(np.ones((1, side, side)), "one", 1)]
+    manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1, allow_ragged=True))
+    simulate_forward(manifest, linear_schedule(2), (1, 2), 0, tmp_path / "out", "f32", 2)
+    here = threading.get_ident()
+    assert threads_seen[:2] == [here, here]
+    assert here not in threads_seen[2:] and len(threads_seen) == 4
+
+
+def test_simulate_fault_and_leftovers_do_not_depend_on_threads(tmp_path):
+    # 1e39 in the second source's last piece overflows f32 at t = 1 and 2
+    # (alpha 0.25, 0.5), which two threads noise at once, but not at t = 3
+    # and 4; the fault at t = 1 is the one reported, and the maps of the
+    # failed source that the pool finished are not left behind
+    big = np.ones((2, 300, 300))
+    big[-1, -1, -1] = 1e39
+    clean = [make_map(np.ones((2, 300, 300)), "ok", 1), make_map(big, "big", 1)]
+    manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1))
+    leftovers = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        with pytest.raises(NonFiniteValue) as exc:
+            simulate_forward(manifest, linear_schedule(4), (1, 2, 3, 4), 0, out, "f32", threads)
+        assert str(exc.value).startswith(str(out / "t0001_i0001.npy"))
+        leftovers.append(sorted(p.name for p in out.iterdir()))
+    assert leftovers[0] == [f"t{t:04d}_i0000.npy" for t in (1, 2, 3, 4)]
+    assert leftovers[1] == leftovers[0]
+
+
 _SOURCE = (256, 64, 64)
 _SOURCE_KB = np.prod(_SOURCE) * 8 / 1024  # one clean source as float64
 
-# imports what `simulate` imports, numpy.random included, and reads the
-# dataset's sources one at a time as simulate does, writing nothing
-_READ_SOURCES = """
+# imports what `simulate` imports, numpy.random included
+_IMPORTS = """
 import sys
 import numpy.random
 import freqsel.diffusion
 from freqsel.cli import build_parser
 from freqsel.tensor_io import load_manifest, map_loaded
 build_parser()
+"""
+
+# reads the dataset's sources one at a time as simulate does, writing nothing
+_READ_SOURCES = _IMPORTS + """
 for _, values in map_loaded(load_manifest(sys.argv[1]), lambda fmap: fmap.values):
     pass
+"""
+
+# what `simulate --timesteps 1,2 --dtype f32` runs, on argv[3] threads
+_SIMULATE = _IMPORTS + """
+from freqsel.diffusion import linear_schedule, simulate_forward
+manifest = load_manifest(sys.argv[1])
+simulate_forward(manifest, linear_schedule(2), (1, 2), 0, sys.argv[2], "f32", int(sys.argv[3]))
 """
 
 
@@ -330,10 +394,8 @@ def _sources(tmp_path, n):
 
 
 def _simulate_peak_kb(tmp_path, manifest, threads):
-    return cli_peak_rss_kb(
-        "simulate", "--manifest", manifest, "--total-timesteps", "2", "--timesteps", "1,2",
-        "--dtype", "f32", "--threads", threads, "--out", tmp_path / f"sim_{manifest.parent.name}_{threads}",
-    )
+    out = tmp_path / f"sim_{manifest.parent.name}_{threads}"
+    return child_peak_rss_kb(_SIMULATE, manifest, out, threads)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
