@@ -33,13 +33,13 @@ noise band-limited to radius <= 2 bins around DC, RMS-normalised) plus a
 diagonal sinusoid at a known frequency whose amplitude follows a
 caller-chosen per-timestep profile. The mean high-frequency ratio is then
 strictly increasing in the detail amplitude, so the profile's argmax is the
-provably correct selection answer. Like :func:`simulate_forward`, it works
-image by image and holds one background field in memory at a time.
+provably correct selection answer. It shares :func:`simulate_forward`'s
+dataset writer: image by image, one background field in memory at a time,
+each map streamed to its file channel by channel.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +58,9 @@ from .tensor_io import (
     _PIECE,
     DatasetManifest,
     ManifestEntry,
+    _in_order,
     map_loaded,
     save_manifest,
-    write_array,
     write_pieces,
 )
 
@@ -161,6 +161,43 @@ def _write_noised(z0: np.ndarray, alpha: float, rng: np.random.Generator, path, 
     write_pieces(pieces(), z0.shape, path, dtype)
 
 
+def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total: int, ragged: bool):
+    """Write each source's map at each timestep of `grid`, then the manifest.
+
+    `sources` yields (entry template, float64 array) pairs; ``make(i,
+    source, t, path)`` writes the map of source i at t, named
+    ``t{t:04d}_{stem}{i:04d}.npy``. One source is held at a time. The
+    timesteps of a source of at least one piece (``_PIECE`` elements) run
+    on up to `threads` workers; a smaller one is written faster than a
+    thread picks it up, so it stays on the calling thread. Under
+    ``_in_order`` a fault is the first in (source, timestep) order and
+    leaves the maps one thread would have left, and no manifest. The
+    manifest lists the maps timestep-major.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    by_timestep: list[list[ManifestEntry]] = [[] for _ in grid]
+    # a counter, not enumerate or zip: their cached result tuple would keep
+    # the last source alive while the next one is made
+    i = 0
+    for entry, source in sources:
+        tasks = [(t, out / f"t{t:04d}_{stem}{i:04d}.npy") for t in grid]
+        workers = min(threads, len(grid)) if source.size >= _PIECE else 1
+        written = _in_order(
+            lambda task: make(i, source, *task), tasks, workers, len(grid),
+            lambda task: task[1].unlink(missing_ok=True),
+        )
+        for _ in written:
+            pass
+        for (t, path), row in zip(tasks, by_timestep):
+            row.append(replace(entry, path=path.name, timestep=t))
+        i += 1
+        del source
+    manifest = DatasetManifest(total, tuple(e for row in by_timestep for e in row), ragged, out)
+    save_manifest(manifest, out / "manifest.json")
+    return manifest
+
+
 def simulate_forward(
     manifest: DatasetManifest,
     schedule: NoiseSchedule,
@@ -177,71 +214,20 @@ def simulate_forward(
     ``(i, t)``, so outputs are independent of the grid order and of how
     work is batched. The grid must be non-empty, strictly ascending and
     within the schedule (else ``ScheduleInvalid``), which is checked, and
-    every alpha looked up, before any file is read or written.
-
-    The loop is image-major and holds one clean source at a time: the
-    last one is released before the next is read. With ``threads > 1`` the
-    timesteps of a source of at least one piece (``_PIECE`` elements) are
-    noised and written on a pool of up to `threads` workers, each holding
-    pieces of a map, not a map; smaller sources stay on the calling
-    thread. Results
-    are consumed in grid order, so the reported fault is the first in
-    (source, timestep) order for any thread count, and maps the pool
-    finished after that fault are removed: a failed run leaves the maps
-    one thread would have written before it stopped. The written manifest
-    lists the outputs timestep-major and keeps the input's
-    ``allow_ragged``.
+    every alpha looked up, before any file is read or written. Up to
+    `threads` workers each noise pieces of a map, not a map; the written
+    manifest keeps the input's ``allow_ragged``.
     """
     timesteps = _check_grid(timesteps, schedule.total_timesteps, ScheduleInvalid)
-    alphas = [schedule.alpha(t) for t in timesteps]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    by_timestep: list[list[ManifestEntry]] = [[] for _ in timesteps]
-    workers = min(threads, len(timesteps))
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    alphas = {t: schedule.alpha(t) for t in timesteps}
 
-    def noise_source(i: int, entry: ManifestEntry, z0: np.ndarray) -> None:
-        names = [f"t{t:04d}_i{i:04d}.npy" for t in timesteps]
-        tasks = [
-            (z0, alpha, _rng(seed, i, t), out / name, dtype)
-            for t, alpha, name in zip(timesteps, alphas, names)
-        ]
-        # a map of less than one piece is noised in less time than a thread
-        # takes to pick it up: the pool would add CPU and save no wall time
-        if pool is None or z0.size < _PIECE:
-            for task in tasks:
-                _write_noised(*task)
-        else:
-            futures = [pool.submit(_write_noised, *task) for task in tasks]
-            for k, future in enumerate(futures):
-                if future.exception() is None:
-                    continue
-                # one thread writes no map after the first fault, so neither
-                # may the pool: what a failed run leaves must not depend on
-                # the thread count
-                for later in futures[k + 1 :]:
-                    later.cancel()
-                for later, name in zip(futures[k + 1 :], names[k + 1 :]):
-                    if not later.cancelled() and later.exception() is None:
-                        (out / name).unlink(missing_ok=True)
-                future.result()
-        for t, name, row in zip(timesteps, names, by_timestep):
-            row.append(ManifestEntry(name, entry.image_id, t, entry.group, entry.label, entry.accuracy))
+    def noise(i: int, z0: np.ndarray, t: int, path: Path) -> None:
+        _write_noised(z0, alphas[t], _rng(seed, i, t), path, dtype)
 
-    try:
-        i = 0
-        for entry, z0 in map_loaded(manifest, lambda fmap: fmap.values):
-            noise_source(i, entry, z0)
-            i += 1
-            # one source at a time: this one goes before the next is read
-            del z0
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    entries = tuple(e for row in by_timestep for e in row)
-    result = DatasetManifest(schedule.total_timesteps, entries, manifest.allow_ragged, out)
-    save_manifest(result, out / "manifest.json")
-    return result
+    sources = map_loaded(manifest, lambda fmap: fmap.values)
+    return _write_dataset(
+        sources, timesteps, noise, "i", out_dir, threads, schedule.total_timesteps, manifest.allow_ragged
+    )
 
 
 @dataclass(frozen=True)
@@ -306,25 +292,20 @@ LOW_BAND_RADIUS = 2.0
 
 def _low_field(shape: tuple[int, int, int], amplitude: float, rng: np.random.Generator) -> np.ndarray:
     c, h, w = shape
-    white = rng.standard_normal((c, h, w))
     hy, hx = _hartley(h), _hartley(w)
-    # keep each channel's Hartley coefficients within the band, then transform back
-    low = hy @ ((hy @ white @ hx) * (_radius_sq(h, w) <= LOW_BAND_RADIUS**2)) @ hx
-    rms = float(np.sqrt(np.mean(low * low)))
+    # keep each channel's Hartley coefficients within the band, then transform
+    # back: the products of hy @ white @ hx, masked, in two map-sized buffers
+    low, spare = rng.standard_normal((c, h, w)), np.empty((c, h, w))
+    np.matmul(hy, low, out=spare)
+    np.matmul(spare, hx, out=low)
+    low *= _radius_sq(h, w) <= LOW_BAND_RADIUS**2
+    np.matmul(hy, low, out=spare)
+    np.matmul(spare, hx, out=low)
+    rms = float(np.sqrt(np.mean(np.multiply(low, low, out=spare))))
     if rms == 0.0:
         raise ProfileInvalid("degenerate background field (all zeros); change the seed")
-    return low * (amplitude / rms)
-
-
-def _detail_pattern(shape: tuple[int, int, int], frequency: int, phases: np.ndarray) -> np.ndarray:
-    c, h, w = shape
-    hh = np.arange(h, dtype=np.float64)[:, np.newaxis] / h
-    ww = np.arange(w, dtype=np.float64)[np.newaxis, :] / w
-    arg = 2.0 * np.pi * frequency * (hh + ww)
-    # exact unit RMS: the phase-dependent cross term sums to zero whenever
-    # 2 * frequency is not a multiple of the grid size, which the
-    # frequency bound guarantees
-    return np.sqrt(2.0) * np.sin(arg[np.newaxis, :, :] + phases[:, np.newaxis, np.newaxis])
+    low *= amplitude / rms
+    return low
 
 
 def oracle_features(
@@ -348,10 +329,8 @@ def oracle_features(
     profile's curve fixes T and every amplitude. Writes tensors plus
     ``manifest.json`` into ``out_dir``.
 
-    The loop is image-major, so one background is held at a time; the
-    written manifest still lists the outputs timestep-major. A degenerate
-    background at image k is reported after images 0..k-1 are written,
-    and no manifest is written then.
+    A degenerate background at image k is reported after images 0..k-1
+    are written, and no manifest is written then.
     """
     c, h, w = (int(d) for d in shape)
     if min(c, h, w) < 1:
@@ -366,20 +345,23 @@ def oracle_features(
     total = profile.total_timesteps
     grid = _check_grid(range(1, total + 1) if timesteps is None else timesteps, total, ProfileInvalid)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    by_timestep: list[list[ManifestEntry]] = [[] for _ in grid]
-    for i in range(n_images):
-        low = _low_field((c, h, w), profile.base_low_freq_amplitude, _rng(seed, i, 0))
-        for t, row in zip(grid, by_timestep):
-            phases = 2.0 * np.pi * _rng(seed, i, t).random(c)
-            detail = _detail_pattern((c, h, w), profile.detail_frequency, phases)
-            name = f"t{t:04d}_img{i:04d}.npy"
-            write_array(low + profile.detail_amplitude_curve[t - 1] * detail, out / name, dtype)
-            row.append(ManifestEntry(name, f"img{i:04d}", t, "oracle"))
-        # one background at a time: this one goes before the next is built
-        del low, detail
-    entries = tuple(e for row in by_timestep for e in row)
-    manifest = DatasetManifest(total, entries, False, out)
-    save_manifest(manifest, out / "manifest.json")
-    return manifest
+    hh = np.arange(h, dtype=np.float64)[:, np.newaxis] / h
+    ww = np.arange(w, dtype=np.float64)[np.newaxis, :] / w
+    arg = 2.0 * np.pi * profile.detail_frequency * (hh + ww)
+
+    def backgrounds():
+        for i in range(n_images):
+            yield ManifestEntry("", f"img{i:04d}", 1, "oracle"), _low_field(
+                (c, h, w), profile.base_low_freq_amplitude, _rng(seed, i, 0)
+            )
+
+    def detail(i: int, low: np.ndarray, t: int, path: Path) -> None:
+        phases = 2.0 * np.pi * _rng(seed, i, t).random(c)
+        amp = profile.detail_amplitude_curve[t - 1]
+        # exact unit RMS: the phase-dependent cross term sums to zero whenever
+        # 2 * frequency is not a multiple of the grid size, which the
+        # frequency bound guarantees
+        channels = (low[k] + amp * (np.sqrt(2.0) * np.sin(arg + phases[k])) for k in range(c))
+        write_pieces(channels, (c, h, w), path, dtype)
+
+    return _write_dataset(backgrounds(), grid, detail, "img", out_dir, 1, total, False)

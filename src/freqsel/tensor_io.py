@@ -504,31 +504,48 @@ def map_loaded(
         except FreqselError as exc:
             raise exc if str(target) in str(exc) else type(exc)(f"{target}: {exc}")
 
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        results = map(job, tasks) if pool is None else _ahead(pool, job, tasks, 2 * threads)
-        first: dict[int, tuple] = {}
-        for entry, shape, value in results:
-            first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
-            if shape != first_shape and not manifest.allow_ragged:
-                raise MetaMismatch(
-                    f"timestep {entry.timestep}: {entry.path} has shape {shape} "
-                    f"but {first_path} has shape {first_shape}"
-                )
-            yield entry, value
-            # not held while the next entry is loaded
-            del value
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    first: dict[int, tuple] = {}
+    for entry, shape, value in _in_order(job, tasks, threads, 2 * threads):
+        first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
+        if shape != first_shape and not manifest.allow_ragged:
+            raise MetaMismatch(
+                f"timestep {entry.timestep}: {entry.path} has shape {shape} "
+                f"but {first_path} has shape {first_shape}"
+            )
+        yield entry, value
+        # not held while the next entry is loaded
+        del value
 
 
-def _ahead(pool: ThreadPoolExecutor, job, items, depth: int) -> Iterator:
-    """job(item) for each item in order, with at most `depth` submitted ahead."""
+def _in_order(job, items, threads: int, depth: int, undo=None) -> Iterator:
+    """job(item) for each item, in order. With ``threads > 1`` at most
+    `depth` jobs run ahead on a pool, shut down when the generator ends or
+    is closed. At the first fault the later jobs are cancelled,
+    ``undo(item)`` runs for each later job that had already finished, and
+    the fault is raised: what a failed run leaves does not depend on
+    `threads`."""
+    if threads <= 1:
+        yield from map(job, items)
+        return
+    pool = ThreadPoolExecutor(threads)
     pending: deque = deque()
-    for item in items:
-        pending.append(pool.submit(job, item))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+
+    def head():
+        _, future = pending.popleft()
+        if future.exception() is not None:
+            for _, later in pending:
+                later.cancel()
+            for item, later in pending:
+                if undo is not None and not later.cancelled() and later.exception() is None:
+                    undo(item)
+        return future.result()
+
+    try:
+        for item in items:
+            pending.append((item, pool.submit(job, item)))
+            if len(pending) == depth:
+                yield head()
+        while pending:
+            yield head()
+    finally:
+        pool.shutdown(cancel_futures=True)

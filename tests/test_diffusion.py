@@ -24,6 +24,7 @@ from freqsel import (
 from freqsel import cli, diffusion, tensor_io
 from freqsel.errors import (
     FrequencyTooHigh,
+    MalformedHeader,
     NonFiniteValue,
     ProfileInvalid,
     ScheduleInvalid,
@@ -124,7 +125,7 @@ def _noise(shape, seed, i, t):
     return keyed_generator(seed, i, t).standard_normal(shape)
 
 
-def test_forward_noise_endpoints_exact(tmp_path):
+def test_simulate_endpoints_exact(tmp_path):
     z0 = np.random.default_rng(0).normal(size=(2, 6, 6)) * 100
     out = _simulated(tmp_path, [z0], (0.0, 1.0), seed=5)
     # alpha = 0 writes the clean map, alpha = 1 the noise, bit for bit
@@ -137,14 +138,14 @@ def test_forward_noise_endpoints_exact(tmp_path):
     alpha=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_forward_noise_formula(tmp_path_factory, alpha, seed):
+def test_simulate_mix_formula(tmp_path_factory, alpha, seed):
     z0 = np.random.default_rng(seed).normal(size=(1, 4, 4))
     out = _simulated(tmp_path_factory.mktemp("fwd"), [z0], (alpha,), seed=seed)
     eps = _noise(z0.shape, seed, 0, 1)
     assert np.array_equal(read_tensor(out.resolve(out.entries[0])).values, alpha * eps + (1 - alpha) * z0)
 
 
-def test_forward_noise_validation(tmp_path):
+def test_simulate_looks_up_every_alpha_first(tmp_path):
     with pytest.raises(ScheduleInvalid):
         NoiseSchedule((0.5, 1.5))
     # every alpha is looked up before a single file is read or written
@@ -158,7 +159,7 @@ def test_forward_noise_validation(tmp_path):
 
 # --- seeded noise -------------------------------------------------------------------
 
-def test_uniforms_range_and_determinism():
+def test_rng_range_and_determinism():
     u = diffusion._rng(7, 3, 5).random(10000)
     assert np.array_equal(u, keyed_generator(7, 3, 5).random(10000))
     assert np.array_equal(u, diffusion._rng(7, 3, 5).random(10000))
@@ -182,7 +183,7 @@ def test_distinct_seeds_decorrelate():
         assert abs(np.corrcoef(a, b.standard_normal(50_000))[0, 1]) < 0.02
 
 
-def test_stream_seed_keying():
+def test_rng_keying():
     def first(seed, *key):
         return diffusion._rng(seed, *key).random()
 
@@ -361,6 +362,42 @@ def test_simulate_fault_and_leftovers_do_not_depend_on_threads(tmp_path):
     assert leftovers[1] == leftovers[0]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_read_fault_leaves_the_sources_before_it(tmp_path, threads):
+    # sources of more than one piece, so two threads write their maps
+    clean = [make_map(np.ones((2, 200, 200)), f"img{i}", 1) for i in range(3)]
+    manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1))
+    manifest.resolve(manifest.entries[1]).write_bytes(b"not a tensor")
+    out = tmp_path / "out"
+    with pytest.raises(MalformedHeader):
+        simulate_forward(manifest, linear_schedule(3), (1, 2, 3), 0, out, "f32", threads)
+    # no map of a later source, no manifest.json and no *.tmp
+    assert sorted(p.name for p in out.iterdir()) == [f"t{t:04d}_i0000.npy" for t in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_oracle_fault_at_an_image_leaves_the_images_before_it(tmp_path, monkeypatch, threads):
+    low_field, write_dataset_ = diffusion._low_field, diffusion._write_dataset
+    made = []
+
+    def low_field_failing_at_image_1(*args):
+        made.append(args)
+        if len(made) == 2:
+            raise ProfileInvalid("degenerate background field")
+        return low_field(*args)
+
+    def write_on_threads(sources, grid, make, stem, out_dir, _threads, *rest):
+        return write_dataset_(sources, grid, make, stem, out_dir, threads, *rest)
+
+    # the oracle passes one thread; its shared writer is run on `threads`
+    monkeypatch.setattr(diffusion, "_low_field", low_field_failing_at_image_1)
+    monkeypatch.setattr(diffusion, "_write_dataset", write_on_threads)
+    out = tmp_path / "oracle"
+    with pytest.raises(ProfileInvalid, match="degenerate"):
+        oracle_features(OracleProfile(2, 1.0, (0.5, 1.0, 0.2), 4), 3, (2, 200, 200), 0, out, dtype="f32")
+    assert sorted(p.name for p in out.iterdir()) == [f"t{t:04d}_img0000.npy" for t in (1, 2, 3)]
+
+
 _SOURCE = (256, 64, 64)
 _SOURCE_KB = np.prod(_SOURCE) * 8 / 1024  # one clean source as float64
 
@@ -408,6 +445,24 @@ def test_simulate_holds_one_source_and_no_map_sized_array(tmp_path):
     # the first source is released before the second is read
     double = _simulate_peak_kb(tmp_path, two, 1)
     assert double - single < _SOURCE_KB / 2, (single, double)
+
+
+# what `oracle --images 1 --shape 256,64,64 --timesteps 1,2 --dtype f32` runs
+_ORACLE = _IMPORTS + """
+from freqsel.cli import main
+assert main(["oracle", "--out", sys.argv[1], "--images", "1", "--shape", "256,64,64",
+             "--total-timesteps", "2", "--peak-timestep", "2", "--timesteps", "1,2",
+             "--dtype", "f32"]) == 0
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_oracle_holds_one_background_and_no_whole_map(tmp_path):
+    read = child_peak_rss_kb(_READ_SOURCES, _sources(tmp_path, 1))
+    oracle = child_peak_rss_kb(_ORACLE, tmp_path / "oracle")
+    # the background field and one spare buffer of its size, plus pieces:
+    # no whole detail pattern or output map
+    assert oracle - read < 1.5 * _SOURCE_KB, (read, oracle)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

@@ -1,7 +1,9 @@
-"""The package surface: lazy exports, and which commands load numpy."""
+"""The package surface: lazy exports, which commands load numpy, and the
+scripts built on the library."""
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +84,20 @@ def test_import_freqsel_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['freqsel', 'freqsel.errors']"
+
+
+def test_scripts_recover_the_planted_peak(tmp_path):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    runs = [
+        (["run_oracle_experiment.py", "--workdir", str(tmp_path / "demo"), "--images", "4",
+          "--grid-step", "20"], "recovered exactly"),
+        (["sweep_cutoff.py", "--threads", "2"], "distinct selections across sweep: [80]"),
+    ]
+    for (script, *args), line in runs:
+        proc = subprocess.run(
+            [sys.executable, str(scripts / script), *args],
+            cwd=tmp_path, env=child_env(TMPDIR=str(tmp_path)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert line in proc.stdout.splitlines(), proc.stdout

@@ -449,6 +449,41 @@ def test_map_loaded_stops_its_workers_and_the_window(tmp_path, threads, stop):
     assert max(index for index, _ in calls) <= k + 2 * threads
 
 
+def test_in_order_undoes_the_later_jobs_that_finished_after_a_fault():
+    # job 2 fails once job 3 has finished on the other worker; the fault
+    # is job 2's, every later job that finished is undone, and no item past
+    # the window of 4 is taken
+    k, depth = 2, 4
+    pulled, finished, undone, lock = [], [], [], threading.Lock()
+    later_done = threading.Event()
+
+    def items():
+        for x in range(10):
+            pulled.append(x)
+            yield x
+
+    def job(x):
+        if x == k:
+            assert later_done.wait(timeout=30)
+            raise ValueError(f"job {x}")
+        with lock:
+            finished.append(x)
+        if x == k + 1:
+            later_done.set()
+        return x
+
+    before = set(threading.enumerate())
+    got = []
+    with pytest.raises(ValueError, match=f"^job {k}$"):
+        for value in tensor_io._in_order(job, items(), 2, depth, undone.append):
+            got.append(value)
+    assert set(threading.enumerate()) == before
+    assert got == list(range(k))
+    assert pulled == list(range(k + depth))
+    assert k + 1 in undone
+    assert sorted(undone) == sorted(x for x in finished if x > k)
+
+
 def test_map_loaded_names_each_file_once(tmp_path):
     manifest = _numbered_dataset(tmp_path, n=2)
     broken = manifest.resolve(manifest.entries[1])
