@@ -184,7 +184,7 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
         tasks = [(t, out / f"t{t:04d}_{stem}{i:04d}.npy") for t in grid]
         workers = min(threads, len(grid)) if source.size >= _PIECE else 1
         written = _in_order(
-            lambda task: make(i, source, *task), tasks, workers, len(grid),
+            lambda task: make(i, source, *task), tasks, workers,
             lambda task: task[1].unlink(missing_ok=True),
         )
         for _ in written:

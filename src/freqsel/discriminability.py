@@ -13,7 +13,8 @@ around the global mean. Each class block is summed by numpy's pairwise
 so the result is independent of class iteration order.
 
 Correlations come in both flavours: Pearson on raw values and Spearman as
-Pearson on average-tie ranks (stable mergesort ordering).
+Pearson on average-tie ranks, ties grouped by :func:`numpy.unique` (so
+``0.0`` and ``-0.0`` tie).
 """
 from __future__ import annotations
 
@@ -174,19 +175,8 @@ def _pearson_checked(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank block."""
-    n = values.size
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    starts_flag = np.empty(n, dtype=bool)
-    starts_flag[0] = True
-    starts_flag[1:] = sorted_values[1:] != sorted_values[:-1]
-    group = np.cumsum(starts_flag) - 1
-    starts = np.nonzero(starts_flag)[0]
-    ends = np.append(starts[1:], n)
-    block_rank = (starts + ends - 1) / 2.0 + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = block_rank[group]
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def correlate(xs, ys) -> Correlation:

@@ -21,7 +21,9 @@ are promoted to a single-channel rank-3 map on load. The payload is read
 in pieces straight into the map's float64 array, f32 pieces widened on
 the way through one staging buffer, so a map is in memory once; the
 widening is exact, and a read-write-read trip through either dtype is
-byte-identical. Parsed headers are cached by their bytes.
+byte-identical. The file is opened with Python's buffered reader, whose
+``read`` and ``readinto`` return short only at the end of the file.
+Parsed headers are cached by their bytes.
 
 Writes are piecewise too: :func:`write_pieces` streams float64 pieces into
 the file, each cast to the file's dtype through one staging buffer,
@@ -43,7 +45,9 @@ requested timestep without entries (before any read), ``MissingFile`` for
 an entry whose file has gone since the manifest was loaded,
 ``MetaMismatch`` for tensors at one timestep that differ in shape unless
 ``"allow_ragged": true``, and a ``FreqselError`` from loading or mapping a
-tensor as the same class, naming the file.
+tensor as the same class, naming the file once. :func:`read_tensor` is
+the one place that puts a tensor file's path in front of a read error;
+its parsing and payload checks raise without one.
 
 Arrays are written by :func:`write_array` (one whole array) or
 :func:`write_pieces`, over one cast-and-check path; text files and the
@@ -174,11 +178,6 @@ class FeatureMap:
         return self.values.shape[2]
 
 
-def _check_finite(arr: np.ndarray, context: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"{context}: payload contains NaN or Inf")
-
-
 @lru_cache(maxsize=64)
 def _parse_header(header: bytes) -> tuple[tuple[int, ...], str]:
     """(shape, descr) of a header dict; a header shared by many files is
@@ -215,53 +214,31 @@ def _parse_header(header: bytes) -> tuple[tuple[int, ...], str]:
     return shape, descr
 
 
-def _fill(fh, view: memoryview) -> int:
-    """Read into the byte view until it is full or the file ends; the number
-    of bytes read."""
-    got = 0
-    while got < len(view):
-        n = fh.readinto(view[got:])
-        if not n:
-            break
-        got += n
-    return got
-
-
-def _read_exact(fh, size: int) -> bytes:
-    """Up to `size` bytes: fewer only at the end of the file."""
-    buf = memoryview(bytearray(size))
-    return bytes(buf[: _fill(fh, buf)])
-
-
-def _read_values(fh, context: str) -> tuple[np.ndarray, str]:
-    """The payload of an open tensor file as a rank-3 float64 array that
-    nothing else holds, and the file's dtype.
+def _read_values(fh) -> tuple[np.ndarray, str]:
+    """The payload of a tensor file open for buffered reading as a rank-3
+    float64 array that nothing else holds, and the file's dtype. Errors
+    name no file: :func:`read_tensor` adds its path.
 
     The payload is read in pieces straight into the array: ``<f8`` in place,
     ``<f4`` through one reused staging buffer whose pieces are widened into
     it. So a map is in memory once, plus one piece, and the finite check
     runs per piece.
     """
-    preamble = _read_exact(fh, 10)
+    preamble = fh.read(10)
     if len(preamble) < 10 or preamble[:6] != _MAGIC:
-        raise MalformedHeader(f"{context}: bad magic, not a tensor file")
+        raise MalformedHeader("bad magic, not a tensor file")
     if preamble[6:8] != _VERSION:
-        raise MalformedHeader(f"{context}: unsupported container version {preamble[6:8]!r}")
+        raise MalformedHeader(f"unsupported container version {preamble[6:8]!r}")
     (header_len,) = struct.unpack("<H", preamble[8:10])
-    header = _read_exact(fh, header_len)
+    header = fh.read(header_len)
     if len(header) < header_len:
-        raise MalformedHeader(f"{context}: header extends past end of file")
-    try:
-        shape, descr = _parse_header(header)
-    except FreqselError as exc:
-        raise type(exc)(f"{context}: {exc}") from exc
+        raise MalformedHeader("header extends past end of file")
+    shape, descr = _parse_header(header)
 
     expected = (4 if descr == "<f4" else 8) * math.prod(shape)
 
     def wrong_length(payload_len: int) -> MalformedHeader:
-        return MalformedHeader(
-            f"{context}: payload is {payload_len} bytes, shape {shape} needs {expected}"
-        )
+        return MalformedHeader(f"payload is {payload_len} bytes, shape {shape} needs {expected}")
 
     # the size on record rules out a wrong length before anything is
     # allocated; reading past the payload catches a file that changed since
@@ -274,10 +251,11 @@ def _read_values(fh, context: str) -> tuple[np.ndarray, str]:
     for start in range(0, flat.size, _PIECE):
         piece = flat[start : start + _PIECE]
         target = piece if stage is None else stage[: piece.size]
-        got = _fill(fh, memoryview(target).cast("B"))
+        got = fh.readinto(target)
         if got < target.nbytes:
             raise wrong_length(start * target.itemsize + got)
-        _check_finite(target, context)
+        if not np.isfinite(target).all():
+            raise NonFiniteValue("payload contains NaN or Inf")
         if stage is not None:
             piece[...] = target
     if fh.read(1):
@@ -289,13 +267,16 @@ def _read_values(fh, context: str) -> tuple[np.ndarray, str]:
 
 
 def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
-    """Load one tensor file. `meta` overrides identity; file dtype always wins."""
+    """Load one tensor file. `meta` overrides identity; file dtype always
+    wins. Every error names the file once."""
     p = Path(path)
     try:
-        with open(p, "rb", buffering=0) as fh:
-            values, dtype = _read_values(fh, str(p))
+        with open(p, "rb") as fh:
+            values, dtype = _read_values(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read {p}: {exc}") from exc
+    except FreqselError as exc:
+        raise type(exc)(f"{p}: {exc}") from exc
     if meta is None:
         meta = FeatureMeta(image_id=p.stem, dtype=dtype)
     else:
@@ -349,7 +330,8 @@ def _cast_pieces(pieces, shape: tuple[int, ...], descr: str, context: str) -> It
                 with np.errstate(over="ignore"):
                     stage[: part.size] = part
                 part = stage[: part.size]
-            _check_finite(part, context)
+            if not np.isfinite(part).all():
+                raise NonFiniteValue(f"{context}: payload contains NaN or Inf")
             yield part
     if count < total:
         raise ShapeMismatch(f"{context}: {count} values for shape {shape}, which needs {total}")
@@ -480,7 +462,10 @@ def map_loaded(
 ) -> Iterator[tuple[ManifestEntry, object]]:
     """Yield (entry, fn(map)) for the wanted entries, in manifest order. With
     ``threads > 1`` up to ``2 * threads`` entries are loaded and mapped ahead
-    on a pool, shut down when the generator ends or is closed."""
+    on a pool, shut down when the generator ends or is closed. A fault
+    names its file once: the missing-file check and :func:`read_tensor`
+    name it themselves, and an error raised by `fn` gets the path put in
+    front."""
     if timesteps is None:
         tasks = manifest.entries
     else:
@@ -496,16 +481,16 @@ def map_loaded(
 
     def job(entry: ManifestEntry):
         target = manifest.resolve(entry)
+        if not target.is_file():
+            raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
+        fmap = read_tensor(target, FeatureMeta(entry.image_id, entry.timestep, entry.group))
         try:
-            if not target.is_file():
-                raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
-            fmap = read_tensor(target, FeatureMeta(entry.image_id, entry.timestep, entry.group))
             return entry, fmap.values.shape, fn(fmap)
         except FreqselError as exc:
-            raise exc if str(target) in str(exc) else type(exc)(f"{target}: {exc}")
+            raise type(exc)(f"{target}: {exc}") from exc
 
     first: dict[int, tuple] = {}
-    for entry, shape, value in _in_order(job, tasks, threads, 2 * threads):
+    for entry, shape, value in _in_order(job, tasks, threads):
         first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
         if shape != first_shape and not manifest.allow_ragged:
             raise MetaMismatch(
@@ -517,10 +502,10 @@ def map_loaded(
         del value
 
 
-def _in_order(job, items, threads: int, depth: int, undo=None) -> Iterator:
+def _in_order(job, items, threads: int, undo=None) -> Iterator:
     """job(item) for each item, in order. With ``threads > 1`` at most
-    `depth` jobs run ahead on a pool, shut down when the generator ends or
-    is closed. At the first fault the later jobs are cancelled,
+    ``2 * threads`` jobs run ahead on a pool, shut down when the generator
+    ends or is closed. At the first fault the later jobs are cancelled,
     ``undo(item)`` runs for each later job that had already finished, and
     the fault is raised: what a failed run leaves does not depend on
     `threads`."""
@@ -543,7 +528,7 @@ def _in_order(job, items, threads: int, depth: int, undo=None) -> Iterator:
     try:
         for item in items:
             pending.append((item, pool.submit(job, item)))
-            if len(pending) == depth:
+            if len(pending) == 2 * threads:
                 yield head()
         while pending:
             yield head()

@@ -180,6 +180,9 @@ def test_spearman_with_ties_matches_scipy():
     xs = np.array([1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0])
     ys = np.array([5.0, 5.0, 3.0, 4.0, 4.0, 2.0, 1.0])
     assert correlate(xs, ys).spearman == pytest.approx(scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12)
+    # 0.0 and -0.0 are one tie group
+    zs = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 1.0])
+    assert correlate(zs, ys).spearman == pytest.approx(scipy.stats.spearmanr(zs, ys).statistic, abs=1e-12)
 
 
 def test_perfect_monotone_relations():

@@ -34,6 +34,7 @@ from freqsel.errors import (
 )
 from freqsel.fileio import atomic_write_bytes, atomic_write_text
 from freqsel import tensor_io
+from freqsel.spectral import hfr
 from freqsel.tensor_io import _PIECE, map_loaded, write_array, write_pieces
 
 from util import corrupt_corpus, make_map, write_dataset
@@ -258,8 +259,11 @@ def test_atomic_write_joins_chunks_and_leaves_no_temp_on_failure(tmp_path):
 def test_corrupted_files_rejected(tmp_path, name, raw, expected):
     path = tmp_path / f"{name}.npy"
     path.write_bytes(raw)
-    with pytest.raises(expected):
+    with pytest.raises(expected) as err:
         read_tensor(path)
+    # the path is put in front once, by read_tensor alone
+    assert str(err.value).startswith(f"{path}: ")
+    assert str(err.value).count(str(path)) == 1
 
 
 # --- payloads read in pieces ---------------------------------------------------------
@@ -452,7 +456,7 @@ def test_map_loaded_stops_its_workers_and_the_window(tmp_path, threads, stop):
 def test_in_order_undoes_the_later_jobs_that_finished_after_a_fault():
     # job 2 fails once job 3 has finished on the other worker; the fault
     # is job 2's, every later job that finished is undone, and no item past
-    # the window of 4 is taken
+    # the window of 2 * 2 threads is taken
     k, depth = 2, 4
     pulled, finished, undone, lock = [], [], [], threading.Lock()
     later_done = threading.Event()
@@ -475,7 +479,7 @@ def test_in_order_undoes_the_later_jobs_that_finished_after_a_fault():
     before = set(threading.enumerate())
     got = []
     with pytest.raises(ValueError, match=f"^job {k}$"):
-        for value in tensor_io._in_order(job, items(), 2, depth, undone.append):
+        for value in tensor_io._in_order(job, items(), 2, undone.append):
             got.append(value)
     assert set(threading.enumerate()) == before
     assert got == list(range(k))
@@ -490,6 +494,12 @@ def test_map_loaded_names_each_file_once(tmp_path):
     broken.write_bytes(b"\x00garbage")
     with pytest.raises(MalformedHeader) as err:
         list(map_loaded(manifest, lambda fmap: fmap))
+    assert str(err.value).count(str(broken)) == 1
+    # an error raised by fn, not by the read, names the file once too
+    write_array(np.zeros((1, 4, 4)), broken, "f64")
+    with pytest.raises(ZeroEnergyFeature) as err:
+        list(map_loaded(manifest, lambda fmap: hfr(fmap, 0.5)))
+    assert str(err.value).startswith(f"{broken}: ")
     assert str(err.value).count(str(broken)) == 1
 
 
