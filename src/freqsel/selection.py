@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
@@ -86,18 +87,20 @@ def average_hfr(
 ) -> HfrCurve:
     """Mean HFR per timestep over a manifest.
 
-    Maps are loaded and scored by :func:`~freqsel.tensor_io.map_loaded`,
-    under its rules; ``threads`` only parallelises that per-map work. Each
-    mean is the exactly rounded :func:`math.fsum` of its timestep's values
-    over the count, so the curve is bit-identical for any thread count and
-    any order of the manifest's entries.
+    Each map is scored as its file is read, chunk by chunk, by
+    :func:`~freqsel.tensor_io._map_payloads`, under its rules; ``threads``
+    only parallelises that per-map work. Each mean is the exactly rounded
+    :func:`math.fsum` of its timestep's values over the count, so the curve
+    is bit-identical for any thread count and any order of the manifest's
+    entries.
     """
-    from .spectral import hfr
-    from .tensor_io import map_loaded
+    from .spectral import _payload_hfr
+    from .tensor_io import _map_payloads
 
     steps = manifest.timesteps() if timesteps is None else tuple(sorted({int(t) for t in timesteps}))
     by_timestep: dict[int, list[float]] = {t: [] for t in steps}
-    for entry, value in map_loaded(manifest, lambda fmap: hfr(fmap, cutoff), steps, threads):
+    score = partial(_payload_hfr, cutoff=cutoff)
+    for entry, value in _map_payloads(manifest, score, steps, threads):
         by_timestep[entry.timestep].append(value)
     means = tuple(math.fsum(by_timestep[t]) / len(by_timestep[t]) for t in steps)
     counts = tuple(len(by_timestep[t]) for t in steps)

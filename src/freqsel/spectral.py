@@ -18,10 +18,18 @@ elementwise, and the ratio of the monotonically rounded sums lies in
 [0, 1]; it is invariant to rescaling the map.
 
 H is cached read-only per size and G per (height, width, cutoff), after
-the rule of :func:`freqsel.defaults.checked_cutoff`. Each chunk of
-channels is summed by numpy's pairwise ``sum`` and the chunks' partials by
-the exactly rounded :func:`math.fsum`, so a map's HFR has the same bits on
-every rerun and whichever thread scores it.
+the rule of :func:`freqsel.defaults.checked_cutoff`. A map is scored in
+chunks of whole channels, from memory (:func:`hfr`) or straight from its
+open tensor file (``_payload_hfr``, which :func:`freqsel.average_hfr`
+uses), through one chunk loop. Each chunk k is scaled by its own power of
+two 2^e_k, the one that puts its peak into [0.5, 1), so its squares
+neither overflow nor underflow; its sums of P and G^2 * P, by numpy's
+pairwise ``sum``, are then multiplied by 2^(2 (e_min - e_k)), e_min the
+exponent of the map's peak. A power of two scales exactly in the normal
+range, so these partials are those of the map scaled by 2^e_min as a
+whole. The exactly rounded :func:`math.fsum` adds them, so a map's HFR has
+the same bits on every rerun, from memory or from the file, and whichever
+thread scores it.
 """
 from __future__ import annotations
 
@@ -35,7 +43,7 @@ import numpy as np
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
 from .errors import NonFiniteValue, ZeroEnergyFeature
 from .reduction import max_abs
-from .tensor_io import FeatureMap
+from .tensor_io import FeatureMap, FeatureMeta, _Payload
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -46,12 +54,12 @@ __all__ = [
 ]
 
 
-# hfr's working set: 2^17 float64 elements (1 MiB) per buffer slot
+# hfr's chunk: at most 2^17 float64 elements (1 MiB) of whole channels
 _CHUNK_ELEMENTS = 1 << 17
-# Each thread keeps its hfr buffer for the next map of the same shape. A
-# buffer freed after every map lets malloc trim the heap top, and then both
-# it and the reader's arrays are faulted in again for the next map
-# (1280x16x16 maps: ~1700 minor faults per map; none with the buffer kept).
+# Each thread keeps its hfr buffers for the next map of the same shape. A
+# buffer freed after every map lets malloc trim the heap top, and then it
+# is faulted in again for the next map (1280x16x16 maps: ~1700 minor
+# faults per map; none with the buffers kept).
 _scratch = threading.local()
 
 
@@ -94,69 +102,114 @@ def _gains(h: int, w: int, cutoff: float) -> np.ndarray:
     return g
 
 
-def _basis(fmap: FeatureMap, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H_h, H_w, G) for the map's height and width, after the cutoff rule."""
+def _basis(h: int, w: int, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H_h, H_w, G) for a height and width, after the cutoff rule."""
     cutoff = checked_cutoff(cutoff)
-    h, w = fmap.height, fmap.width
     return _hartley(h), _hartley(w), _gains(h, w, cutoff)
 
 
-def _scale_exponent(fmap: FeatureMap) -> int:
-    """The exponent that scales max |x| into [0.5, 1) (0 for an all-zero map),
-    after the NaN/Inf check. The scaling is exact and keeps the transform
-    and the squares from overflow and underflow over the float64 range."""
-    peak = max_abs(fmap.values)
+def _peak(values: np.ndarray, meta: FeatureMeta) -> float:
+    """max |values| of the map `meta` names, after the NaN/Inf check."""
+    peak = max_abs(values)
     if not math.isfinite(peak):
-        raise NonFiniteValue(
-            f"feature map {fmap.meta.image_id!r} (t={fmap.meta.timestep}) contains NaN or Inf"
-        )
-    return -math.frexp(peak)[1]
+        raise NonFiniteValue(f"feature map {meta.image_id!r} (t={meta.timestep}) contains NaN or Inf")
+    return peak
+
+
+def _scale(values: np.ndarray, peak: float, out: np.ndarray) -> int:
+    """Write `values` times 2^e into the float64 `out`, e the exponent that
+    puts `peak`, their max |x|, into [0.5, 1) (0 for 0), and return e. The
+    scaling is exact and keeps the transform and the squares from overflow
+    and underflow over the float64 range. It runs in float64 whatever the
+    dtype of `values`: on ``<f4`` values the float32 loop would flush what
+    the scaling takes below the float32 range to 0."""
+    exponent = -math.frexp(peak)[1]
+    np.ldexp(values, exponent, out=out, dtype=np.float64)
+    return exponent
 
 
 def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
     """Filter a map through the high-pass gains: H_h @ (G * Z) @ H_w per
-    channel, with Z = H_h @ X @ H_w, all on the pre-scaled map."""
-    hy, hx, gains = _basis(fmap, cutoff)
-    exponent = _scale_exponent(fmap)
-    z = hy @ np.ldexp(fmap.values, exponent) @ hx
+    channel, with Z = H_h @ X @ H_w, all on the map pre-scaled by the
+    power of two that puts max |x| into [0.5, 1)."""
+    hy, hx, gains = _basis(fmap.height, fmap.width, cutoff)
+    scaled = np.empty(fmap.values.shape)
+    exponent = _scale(fmap.values, _peak(fmap.values, fmap.meta), scaled)
+    z = hy @ scaled @ hx
     high = hy @ np.multiply(z, gains, out=z) @ hx
     return FeatureMap._owned(np.ldexp(high, -exponent, out=high), fmap.meta)
 
 
 def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """High-frequency energy ratio of one map, channels pooled.
+    """High-frequency energy ratio of one map, channels pooled; see
+    :func:`_chunked_hfr`."""
+    values, meta = fmap.values, fmap.meta
 
-    The pre-scaled map is walked in chunks of whole channels, as many as
-    fit in _CHUNK_ELEMENTS (one if even one does not), through one buffer
-    of two chunk-sized slots per thread, which does not grow with the
-    channel count: the scaled channels, then Z, P and G^2 * P in place; and
-    H_h @ X. Each chunk adds one partial sum of P and one of G^2 * P, and
-    :func:`math.fsum` rounds the partials' totals exactly.
+    def read(start: int, out: np.ndarray, stage: np.ndarray) -> tuple[np.ndarray, float]:
+        chunk = values[start : start + len(out)]
+        return chunk, _peak(chunk, meta)
+
+    return _chunked_hfr(read, values.shape, cutoff, meta)
+
+
+def _payload_hfr(payload: _Payload, meta: FeatureMeta, cutoff: float) -> float:
+    """:func:`hfr` of the map an open tensor file holds, read chunk by chunk
+    into the scratch that scores it, so no map-sized array exists."""
+    return _chunked_hfr(lambda start, out, stage: payload.read(out, stage), payload.shape, cutoff, meta)
+
+
+def _chunked_hfr(read, shape: tuple[int, int, int], cutoff: float, meta: FeatureMeta) -> float:
+    """The HFR of the (c, h, w) map whose channels ``read(start, out,
+    stage)`` gives, in order, as (values, max |values|) in `out`'s shape;
+    `stage` is a ``<f4`` array as large as `out` that the values may be
+    read into.
+
+    The map is walked in chunks of whole channels, as many as fit in
+    _CHUNK_ELEMENTS (one if even one does not), through two buffers per
+    thread that do not grow with the channel count: a chunk-sized one for
+    the scaled channels, then Z, P and G^2 * P in place, and one of half
+    as many channels, rounded up, that stages ``<f4`` values and then holds
+    H_h @ X for each half of the chunk in turn. Each chunk is scaled by its
+    own power of two 2^e_k, the one that puts its peak into [0.5, 1),
+    widened and scaled in one ``ldexp``; an all-zero chunk adds nothing.
+    Its partial sums of P and G^2 * P are then brought to the scale of the
+    map's peak, 2^e_min, by 2^(2 (e_min - e_k)): scaling by a power of two
+    is exact in the normal range, so these are the partials of a map scaled
+    by 2^e_min as a whole. :func:`math.fsum` rounds the partials' totals
+    exactly.
     """
-    hy, hx, gains = _basis(fmap, cutoff)
-    exponent = _scale_exponent(fmap)
-    values = fmap.values
-    c, h, w = values.shape
+    c, h, w = shape
+    hy, hx, gains = _basis(h, w, cutoff)
     step = max(1, _CHUNK_ELEMENTS // (h * w))
-    shape = (2, min(step, c), h, w)
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape != shape:
-        buf = _scratch.buf = np.empty(shape)
+    k = min(step, c)
+    half = (k + 1) // 2
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].shape != (k, h, w):
+        bufs = _scratch.bufs = (np.empty((k, h, w)), np.empty((half, h, w)))
+    chunk, spare = bufs
+    stage = spare.reshape(-1).view("<f4")
     gains_sq = gains * gains
-    high, total = [], []
+    high, total, exponents = [], [], []
     for start in range(0, c, step):
-        power, hyx = buf[:, : min(step, c - start)]
-        np.ldexp(values[start : start + step], exponent, out=power)
-        np.matmul(np.matmul(hy, power, out=hyx), hx, out=power)
+        power = chunk[: min(step, c - start)]
+        values, peak = read(start, power, stage)
+        if peak == 0.0:
+            continue
+        exponent = _scale(values, peak, power)
+        for j in range(0, len(power), half):
+            part = power[j : j + half]
+            np.matmul(np.matmul(hy, part, out=spare[: len(part)]), hx, out=part)
         np.square(power, out=power)
         total.append(power.sum())
         high.append(np.multiply(power, gains_sq, out=power).sum())
-    energy = math.fsum(total)
+        exponents.append(exponent)
+    top = min(exponents, default=0)
+    energy = math.fsum(math.ldexp(s, 2 * (top - e)) for s, e in zip(total, exponents))
     if energy == 0.0:
         raise ZeroEnergyFeature(
-            f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})"
+            f"zero-energy feature map (image {meta.image_id!r}, t={meta.timestep})"
         )
-    return math.fsum(high) / energy
+    return math.fsum(math.ldexp(s, 2 * (top - e)) for s, e in zip(high, exponents)) / energy
 
 
 def decompose(fmap: FeatureMap, cutoff: float) -> Decomposition:

@@ -17,13 +17,21 @@ A tensor file is a restricted NPY v1.0 stream:
 Anything else - wrong magic, wrong version, truncated or oversized
 payloads, Fortran order, zero dims, exotic dtypes, NaN/Inf values - is
 rejected with a specific exception rather than guessed at. Rank-2 files
-are promoted to a single-channel rank-3 map on load. The payload is read
-in pieces straight into the map's float64 array, f32 pieces widened on
-the way through one staging buffer, so a map is in memory once; the
-widening is exact, and a read-write-read trip through either dtype is
-byte-identical. The file is opened with Python's buffered reader, whose
-``read`` and ``readinto`` return short only at the end of the file.
-Parsed headers are cached by their bytes.
+are promoted to a single-channel rank-3 map on load. The file is opened
+with Python's buffered reader, whose ``read`` and ``readinto`` return
+short only at the end of the file, by :func:`_opened`, the one place that
+puts a tensor file's path in front of an error. The reader has three
+parts, each check in one of them: ``_Payload`` reads and checks the
+header and the payload length on record when it is made; its ``read``
+takes the next values in order, ``<f8`` into the caller's float64 array
+and ``<f4`` into the caller's staging buffer, checks them for NaN/Inf by
+their max |x|, which it returns, and at the last value checks that the
+file ends there. :func:`read_tensor` fills a whole map from these reads,
+in pieces, so a map is in memory once; the widening is exact, and a
+read-write-read trip through either dtype is byte-identical. The HFR
+scorer reads each chunk of channels into its own scratch instead, so no
+map-sized array exists while a file is scored. Parsed headers are cached
+by their bytes.
 
 Writes are piecewise too: :func:`write_pieces` streams float64 pieces into
 the file, each cast to the file's dtype through one staging buffer,
@@ -39,15 +47,15 @@ JSON index binding tensor files to dataset identity::
                   "group": str, "label": int|null, "accuracy": float|null}]}
 
 Relative entry paths resolve against the manifest's own directory. Tensors
-are read through :func:`map_loaded`, the one load path, which reports the
-first fault in manifest order for any thread count: ``EmptyTimestep`` for a
-requested timestep without entries (before any read), ``MissingFile`` for
-an entry whose file has gone since the manifest was loaded,
-``MetaMismatch`` for tensors at one timestep that differ in shape unless
-``"allow_ragged": true``, and a ``FreqselError`` from loading or mapping a
-tensor as the same class, naming the file once. :func:`read_tensor` is
-the one place that puts a tensor file's path in front of a read error;
-its parsing and payload checks raise without one.
+are read through ``_map_payloads``, the one load path, whose callers read
+each open file's payload themselves; :func:`map_loaded` is its form that
+hands them whole maps. It reports the first fault in manifest order for
+any thread count: ``EmptyTimestep`` for a requested timestep without
+entries (before any read), ``MissingFile`` for an entry whose file has
+gone since the manifest was loaded, ``MetaMismatch`` for tensors at one
+timestep whose headers differ in shape unless ``"allow_ragged": true``,
+and a ``FreqselError`` from reading or using a tensor as the same class,
+naming the file once.
 
 Arrays are written by :func:`write_array` (one whole array) or
 :func:`write_pieces`, over one cast-and-check path; text files and the
@@ -63,6 +71,7 @@ import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -84,6 +93,7 @@ from .errors import (
     UnsupportedDtype,
 )
 from .fileio import atomic_write_bytes, atomic_write_json, read_text
+from .reduction import max_abs
 
 __all__ = [
     "FeatureMeta",
@@ -214,69 +224,101 @@ def _parse_header(header: bytes) -> tuple[tuple[int, ...], str]:
     return shape, descr
 
 
-def _read_values(fh) -> tuple[np.ndarray, str]:
-    """The payload of a tensor file open for buffered reading as a rank-3
-    float64 array that nothing else holds, and the file's dtype. Errors
-    name no file: :func:`read_tensor` adds its path.
-
-    The payload is read in pieces straight into the array: ``<f8`` in place,
-    ``<f4`` through one reused staging buffer whose pieces are widened into
-    it. So a map is in memory once, plus one piece, and the finite check
-    runs per piece.
+class _Payload:
+    """A tensor file open for buffered reading, past its checked header:
+    ``shape`` (rank 3; a rank-2 file is one channel) and ``dtype`` of the
+    map, then the values in C order, one :meth:`read` after another. The
+    header, then the payload length on record, are checked when it is made;
+    each read checks its values for NaN and Inf, and the read that takes
+    the last value checks that the file ends there. Errors name no file:
+    :func:`_opened` adds its path.
     """
-    preamble = fh.read(10)
-    if len(preamble) < 10 or preamble[:6] != _MAGIC:
-        raise MalformedHeader("bad magic, not a tensor file")
-    if preamble[6:8] != _VERSION:
-        raise MalformedHeader(f"unsupported container version {preamble[6:8]!r}")
-    (header_len,) = struct.unpack("<H", preamble[8:10])
-    header = fh.read(header_len)
-    if len(header) < header_len:
-        raise MalformedHeader("header extends past end of file")
-    shape, descr = _parse_header(header)
 
-    expected = (4 if descr == "<f4" else 8) * math.prod(shape)
+    def __init__(self, fh) -> None:
+        preamble = fh.read(10)
+        if len(preamble) < 10 or preamble[:6] != _MAGIC:
+            raise MalformedHeader("bad magic, not a tensor file")
+        if preamble[6:8] != _VERSION:
+            raise MalformedHeader(f"unsupported container version {preamble[6:8]!r}")
+        (header_len,) = struct.unpack("<H", preamble[8:10])
+        header = fh.read(header_len)
+        if len(header) < header_len:
+            raise MalformedHeader("header extends past end of file")
+        shape, self._descr = _parse_header(header)
+        self._fh, self._header_shape, self._done = fh, shape, 0
+        self._expected = (4 if self._descr == "<f4" else 8) * math.prod(shape)
+        self.shape = shape if len(shape) == 3 else (1,) + shape
+        self.dtype = _DTYPE_BY_DESCR[self._descr]
+        # the size on record rules out a wrong length before anything is
+        # allocated; reading past the payload catches a file that changed since
+        payload_len = os.fstat(fh.fileno()).st_size - 10 - header_len
+        if payload_len != self._expected:
+            raise self._wrong_length(payload_len)
 
-    def wrong_length(payload_len: int) -> MalformedHeader:
-        return MalformedHeader(f"payload is {payload_len} bytes, shape {shape} needs {expected}")
+    def _wrong_length(self, payload_len: int) -> MalformedHeader:
+        return MalformedHeader(
+            f"payload is {payload_len} bytes, shape {self._header_shape} needs {self._expected}"
+        )
 
-    # the size on record rules out a wrong length before anything is
-    # allocated; reading past the payload catches a file that changed since
-    payload_len = os.fstat(fh.fileno()).st_size - 10 - header_len
-    if payload_len != expected:
-        raise wrong_length(payload_len)
-    values = np.empty(shape if len(shape) == 3 else (1,) + shape, dtype=np.float64)
-    flat = values.reshape(-1)
-    stage = np.empty(min(flat.size, _PIECE), dtype=descr) if descr == "<f4" else None
-    for start in range(0, flat.size, _PIECE):
-        piece = flat[start : start + _PIECE]
-        target = piece if stage is None else stage[: piece.size]
-        got = fh.readinto(target)
-        if got < target.nbytes:
-            raise wrong_length(start * target.itemsize + got)
-        if not np.isfinite(target).all():
+    def read(self, out: np.ndarray, stage: np.ndarray | None) -> tuple[np.ndarray, float]:
+        """The next ``out.size`` values in `out`'s shape, and their max |x|
+        after the NaN/Inf check. ``<f8`` values are read into `out`, a
+        C-ordered float64 array, and returned as it; ``<f4`` values are read
+        into `stage`, a ``<f4`` array of at least as many elements, and
+        returned there for the caller to widen."""
+        raw = out.reshape(-1) if self._descr == "<f8" else stage[: out.size]
+        got = self._fh.readinto(raw)
+        self._done += got
+        if got < raw.nbytes:
+            raise self._wrong_length(self._done)
+        peak = max_abs(raw)
+        if not math.isfinite(peak):
             raise NonFiniteValue("payload contains NaN or Inf")
-        if stage is not None:
-            piece[...] = target
-    if fh.read(1):
-        extra = 1
-        while chunk := fh.read(_PIECE):
-            extra += len(chunk)
-        raise wrong_length(expected + extra)
-    return values, _DTYPE_BY_DESCR[descr]
+        if self._done == self._expected:
+            self._check_end()
+        return raw.reshape(out.shape), peak
+
+    def _check_end(self) -> None:
+        if self._fh.read(1):
+            extra = 1
+            while chunk := self._fh.read(_PIECE):
+                extra += len(chunk)
+            raise self._wrong_length(self._expected + extra)
+
+    def values(self) -> np.ndarray:
+        """The whole payload as a float64 array of ``shape`` that nothing
+        else holds, read straight into it in pieces of ``_PIECE`` elements,
+        ``<f4`` pieces through one staging buffer, so a map is in memory
+        once, plus one piece."""
+        values = np.empty(self.shape)
+        flat = values.reshape(-1)
+        stage = np.empty(min(flat.size, _PIECE), dtype="<f4") if self._descr == "<f4" else None
+        for start in range(0, flat.size, _PIECE):
+            piece = flat[start : start + _PIECE]
+            raw, _ = self.read(piece, stage)
+            if stage is not None:
+                piece[...] = raw
+        return values
+
+
+def _opened(path, use: Callable[[_Payload], object]):
+    """use(payload) for the tensor file at `path`. Every error raised while
+    the file is open, by its checks or by `use`, names the file once."""
+    p = Path(path)
+    try:
+        with open(p, "rb") as fh:
+            return use(_Payload(fh))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {p}: {exc}") from exc
+    except FreqselError as exc:
+        raise type(exc)(f"{p}: {exc}") from exc
 
 
 def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
     """Load one tensor file. `meta` overrides identity; file dtype always
     wins. Every error names the file once."""
     p = Path(path)
-    try:
-        with open(p, "rb") as fh:
-            values, dtype = _read_values(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {p}: {exc}") from exc
-    except FreqselError as exc:
-        raise type(exc)(f"{p}: {exc}") from exc
+    values, dtype = _opened(p, lambda payload: (payload.values(), payload.dtype))
     if meta is None:
         meta = FeatureMeta(image_id=p.stem, dtype=dtype)
     else:
@@ -460,12 +502,24 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 def map_loaded(
     manifest: DatasetManifest, fn: Callable[[FeatureMap], object], timesteps=None, threads: int = 1
 ) -> Iterator[tuple[ManifestEntry, object]]:
-    """Yield (entry, fn(map)) for the wanted entries, in manifest order. With
-    ``threads > 1`` up to ``2 * threads`` entries are loaded and mapped ahead
-    on a pool, shut down when the generator ends or is closed. A fault
-    names its file once: the missing-file check and :func:`read_tensor`
-    name it themselves, and an error raised by `fn` gets the path put in
-    front."""
+    """Yield (entry, fn(map)) for the wanted entries, in manifest order, each
+    map read whole; see :func:`_map_payloads` for the rules."""
+    return _map_payloads(
+        manifest, lambda payload, meta: fn(FeatureMap._owned(payload.values(), meta)), timesteps, threads
+    )
+
+
+def _map_payloads(
+    manifest: DatasetManifest, use: Callable[[_Payload, FeatureMeta], object], timesteps=None, threads: int = 1
+) -> Iterator[tuple[ManifestEntry, object]]:
+    """Yield (entry, use(payload, meta)) for the wanted entries, in manifest
+    order, `use` reading the open file's payload itself. With ``threads >
+    1`` up to ``2 * threads`` entries are read and used ahead on a pool,
+    shut down when the generator ends or is closed. A fault names its file
+    once: the missing-file check names it, and :func:`_opened` puts it in
+    front of every error raised while the file is open, by the reader's
+    checks or by `use`. The shape rule takes each map's shape from its
+    header."""
     if timesteps is None:
         tasks = manifest.entries
     else:
@@ -483,36 +537,51 @@ def map_loaded(
         target = manifest.resolve(entry)
         if not target.is_file():
             raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
-        fmap = read_tensor(target, FeatureMeta(entry.image_id, entry.timestep, entry.group))
-        try:
-            return entry, fmap.values.shape, fn(fmap)
-        except FreqselError as exc:
-            raise type(exc)(f"{target}: {exc}") from exc
+
+        def read(payload: _Payload):
+            meta = FeatureMeta(entry.image_id, entry.timestep, entry.group, payload.dtype)
+            return entry, payload.shape, use(payload, meta)
+
+        return _opened(target, read)
 
     first: dict[int, tuple] = {}
-    for entry, shape, value in _in_order(job, tasks, threads):
-        first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
-        if shape != first_shape and not manifest.allow_ragged:
-            raise MetaMismatch(
-                f"timestep {entry.timestep}: {entry.path} has shape {shape} "
-                f"but {first_path} has shape {first_shape}"
-            )
-        yield entry, value
-        # not held while the next entry is loaded
-        del value
+    with _pool(threads) as pool:
+        for entry, shape, value in _in_order(job, tasks, pool, 2 * threads):
+            first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
+            if shape != first_shape and not manifest.allow_ragged:
+                raise MetaMismatch(
+                    f"timestep {entry.timestep}: {entry.path} has shape {shape} "
+                    f"but {first_path} has shape {first_shape}"
+                )
+            yield entry, value
+            # not held while the next entry is read
+            del value
 
 
-def _in_order(job, items, threads: int, undo=None) -> Iterator:
-    """job(item) for each item, in order. With ``threads > 1`` at most
-    ``2 * threads`` jobs run ahead on a pool, shut down when the generator
-    ends or is closed. At the first fault the later jobs are cancelled,
-    ``undo(item)`` runs for each later job that had already finished, and
-    the fault is raised: what a failed run leaves does not depend on
-    `threads`."""
+@contextmanager
+def _pool(threads: int) -> Iterator[ThreadPoolExecutor | None]:
+    """A pool of `threads` workers for :func:`_in_order`, or None for one
+    thread; on exit the jobs not yet started are cancelled and the running
+    ones waited for."""
     if threads <= 1:
-        yield from map(job, items)
+        yield None
         return
     pool = ThreadPoolExecutor(threads)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_order(job, items, pool: ThreadPoolExecutor | None, depth: int, undo=None) -> Iterator:
+    """job(item) for each item, in order: on the calling thread when `pool`
+    is None, else on `pool` with at most `depth` jobs ahead. At the first
+    fault the later jobs are cancelled, ``undo(item)`` runs for each later
+    job that had already finished, and the fault is raised: what a failed
+    run leaves does not depend on the pool."""
+    if pool is None:
+        yield from map(job, items)
+        return
     pending: deque = deque()
 
     def head():
@@ -525,12 +594,9 @@ def _in_order(job, items, threads: int, undo=None) -> Iterator:
                     undo(item)
         return future.result()
 
-    try:
-        for item in items:
-            pending.append((item, pool.submit(job, item)))
-            if len(pending) == 2 * threads:
-                yield head()
-        while pending:
+    for item in items:
+        pending.append((item, pool.submit(job, item)))
+        if len(pending) == depth:
             yield head()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    while pending:
+        yield head()
