@@ -59,7 +59,6 @@ from .tensor_io import (
     DatasetManifest,
     ManifestEntry,
     _in_order,
-    _pool,
     map_loaded,
     save_manifest,
     write_pieces,
@@ -169,33 +168,31 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
     source, t, path)`` writes the map of source i at t, named
     ``t{t:04d}_{stem}{i:04d}.npy``. One source is held at a time. The
     timesteps of a source of at least one piece (``_PIECE`` elements) run
-    on one pool of up to `threads` workers, kept for the whole run; a
-    smaller one is written faster than a thread picks it up, so it stays on
-    the calling thread. Under ``_in_order`` a fault is the first in
-    (source, timestep) order and leaves the maps one thread would have
-    left, and no manifest. The manifest lists the maps timestep-major.
+    on up to `threads` workers; a smaller one is written faster than a
+    thread picks it up, so it stays on the calling thread. Under
+    ``_in_order`` a fault is the first in (source, timestep) order and
+    leaves the maps one thread would have left, and no manifest. The
+    manifest lists the maps timestep-major.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_timestep: list[list[ManifestEntry]] = [[] for _ in grid]
-    workers = min(threads, len(grid))
-    with _pool(workers) as pool:
-        # a counter, not enumerate or zip: their cached result tuple would
-        # keep the last source alive while the next one is made
-        i = 0
-        for entry, source in sources:
-            tasks = [(t, out / f"t{t:04d}_{stem}{i:04d}.npy") for t in grid]
-            written = _in_order(
-                lambda task: make(i, source, *task), tasks,
-                pool if source.size >= _PIECE else None, 2 * workers,
-                lambda task: task[1].unlink(missing_ok=True),
-            )
-            for _ in written:
-                pass
-            for (t, path), row in zip(tasks, by_timestep):
-                row.append(replace(entry, path=path.name, timestep=t))
-            i += 1
-            del source
+    # a counter, not enumerate or zip: their cached result tuple would keep
+    # the last source alive while the next one is made
+    i = 0
+    for entry, source in sources:
+        tasks = [(t, out / f"t{t:04d}_{stem}{i:04d}.npy") for t in grid]
+        workers = min(threads, len(grid)) if source.size >= _PIECE else 1
+        written = _in_order(
+            lambda task: make(i, source, *task), tasks, workers,
+            lambda task: task[1].unlink(missing_ok=True),
+        )
+        for _ in written:
+            pass
+        for (t, path), row in zip(tasks, by_timestep):
+            row.append(replace(entry, path=path.name, timestep=t))
+        i += 1
+        del source
     manifest = DatasetManifest(total, tuple(e for row in by_timestep for e in row), ragged, out)
     save_manifest(manifest, out / "manifest.json")
     return manifest

@@ -94,13 +94,12 @@ def average_hfr(
     is bit-identical for any thread count and any order of the manifest's
     entries.
     """
-    from .spectral import _payload_hfr
+    from .spectral import hfr
     from .tensor_io import _map_payloads
 
     steps = manifest.timesteps() if timesteps is None else tuple(sorted({int(t) for t in timesteps}))
     by_timestep: dict[int, list[float]] = {t: [] for t in steps}
-    score = partial(_payload_hfr, cutoff=cutoff)
-    for entry, value in _map_payloads(manifest, score, steps, threads):
+    for entry, value in _map_payloads(manifest, partial(hfr, cutoff=cutoff), steps, threads):
         by_timestep[entry.timestep].append(value)
     means = tuple(math.fsum(by_timestep[t]) / len(by_timestep[t]) for t in steps)
     counts = tuple(len(by_timestep[t]) for t in steps)

@@ -19,9 +19,9 @@ elementwise, and the ratio of the monotonically rounded sums lies in
 
 H is cached read-only per size and G per (height, width, cutoff), after
 the rule of :func:`freqsel.defaults.checked_cutoff`. A map is scored in
-chunks of whole channels, from memory (:func:`hfr`) or straight from its
-open tensor file (``_payload_hfr``, which :func:`freqsel.average_hfr`
-uses), through one chunk loop. Each chunk k is scaled by its own power of
+chunks of whole channels by :func:`hfr`, from memory or straight from its
+open tensor file, as :func:`freqsel.average_hfr` hands it over, through
+one chunk loop. Each chunk k is scaled by its own power of
 two 2^e_k, the one that puts its peak into [0.5, 1), so its squares
 neither overflow nor underflow; its sums of P and G^2 * P, by numpy's
 pairwise ``sum``, are then multiplied by 2^(2 (e_min - e_k)), e_min the
@@ -140,9 +140,14 @@ def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
     return FeatureMap._owned(np.ldexp(high, -exponent, out=high), fmap.meta)
 
 
-def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
+def hfr(fmap: FeatureMap | _Payload, cutoff: float = DEFAULT_CUTOFF) -> float:
     """High-frequency energy ratio of one map, channels pooled; see
-    :func:`_chunked_hfr`."""
+    :func:`_chunked_hfr`. `fmap` may also be an open tensor file as
+    ``tensor_io._map_payloads`` hands it over: its values are then read
+    chunk by chunk into the scratch that scores them, so no map-sized
+    array exists."""
+    if isinstance(fmap, _Payload):
+        return _chunked_hfr(lambda start, out, stage: fmap.read(out, stage), fmap.shape, cutoff, fmap.meta)
     values, meta = fmap.values, fmap.meta
 
     def read(start: int, out: np.ndarray, stage: np.ndarray) -> tuple[np.ndarray, float]:
@@ -150,12 +155,6 @@ def hfr(fmap: FeatureMap, cutoff: float = DEFAULT_CUTOFF) -> float:
         return chunk, _peak(chunk, meta)
 
     return _chunked_hfr(read, values.shape, cutoff, meta)
-
-
-def _payload_hfr(payload: _Payload, meta: FeatureMeta, cutoff: float) -> float:
-    """:func:`hfr` of the map an open tensor file holds, read chunk by chunk
-    into the scratch that scores it, so no map-sized array exists."""
-    return _chunked_hfr(lambda start, out, stage: payload.read(out, stage), payload.shape, cutoff, meta)
 
 
 def _chunked_hfr(read, shape: tuple[int, int, int], cutoff: float, meta: FeatureMeta) -> float:

@@ -71,7 +71,6 @@ import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -226,15 +225,16 @@ def _parse_header(header: bytes) -> tuple[tuple[int, ...], str]:
 
 class _Payload:
     """A tensor file open for buffered reading, past its checked header:
-    ``shape`` (rank 3; a rank-2 file is one channel) and ``dtype`` of the
-    map, then the values in C order, one :meth:`read` after another. The
+    ``shape`` (rank 3; a rank-2 file is one channel) and ``meta`` (the
+    identity it was opened with, with the file's dtype) of the map, then
+    the values in C order, one :meth:`read` after another. The
     header, then the payload length on record, are checked when it is made;
     each read checks its values for NaN and Inf, and the read that takes
     the last value checks that the file ends there. Errors name no file:
     :func:`_opened` adds its path.
     """
 
-    def __init__(self, fh) -> None:
+    def __init__(self, fh, identity: FeatureMeta) -> None:
         preamble = fh.read(10)
         if len(preamble) < 10 or preamble[:6] != _MAGIC:
             raise MalformedHeader("bad magic, not a tensor file")
@@ -248,7 +248,8 @@ class _Payload:
         self._fh, self._header_shape, self._done = fh, shape, 0
         self._expected = (4 if self._descr == "<f4" else 8) * math.prod(shape)
         self.shape = shape if len(shape) == 3 else (1,) + shape
-        self.dtype = _DTYPE_BY_DESCR[self._descr]
+        dtype = _DTYPE_BY_DESCR[self._descr]
+        self.meta = FeatureMeta(identity.image_id, identity.timestep, identity.group, dtype)
         # the size on record rules out a wrong length before anything is
         # allocated; reading past the payload catches a file that changed since
         payload_len = os.fstat(fh.fileno()).st_size - 10 - header_len
@@ -285,11 +286,11 @@ class _Payload:
                 extra += len(chunk)
             raise self._wrong_length(self._expected + extra)
 
-    def values(self) -> np.ndarray:
-        """The whole payload as a float64 array of ``shape`` that nothing
-        else holds, read straight into it in pieces of ``_PIECE`` elements,
-        ``<f4`` pieces through one staging buffer, so a map is in memory
-        once, plus one piece."""
+    def feature_map(self) -> FeatureMap:
+        """The whole payload as a map that nothing else holds, read straight
+        into its float64 array in pieces of ``_PIECE`` elements, ``<f4``
+        pieces through one staging buffer, so a map is in memory once, plus
+        one piece."""
         values = np.empty(self.shape)
         flat = values.reshape(-1)
         stage = np.empty(min(flat.size, _PIECE), dtype="<f4") if self._descr == "<f4" else None
@@ -298,16 +299,17 @@ class _Payload:
             raw, _ = self.read(piece, stage)
             if stage is not None:
                 piece[...] = raw
-        return values
+        return FeatureMap._owned(values, self.meta)
 
 
-def _opened(path, use: Callable[[_Payload], object]):
-    """use(payload) for the tensor file at `path`. Every error raised while
-    the file is open, by its checks or by `use`, names the file once."""
+def _opened(path, identity: FeatureMeta, use: Callable[[_Payload], object]):
+    """use(payload) for the tensor file at `path`, opened as the map
+    `identity` names. Every error raised while the file is open, by its
+    checks or by `use`, names the file once."""
     p = Path(path)
     try:
         with open(p, "rb") as fh:
-            return use(_Payload(fh))
+            return use(_Payload(fh, identity))
     except OSError as exc:
         raise IoFailure(f"cannot read {p}: {exc}") from exc
     except FreqselError as exc:
@@ -318,12 +320,7 @@ def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
     """Load one tensor file. `meta` overrides identity; file dtype always
     wins. Every error names the file once."""
     p = Path(path)
-    values, dtype = _opened(p, lambda payload: (payload.values(), payload.dtype))
-    if meta is None:
-        meta = FeatureMeta(image_id=p.stem, dtype=dtype)
-    else:
-        meta = FeatureMeta(meta.image_id, meta.timestep, meta.group, dtype)
-    return FeatureMap._owned(values, meta)
+    return _opened(p, meta or FeatureMeta(image_id=p.stem), _Payload.feature_map)
 
 
 def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
@@ -504,16 +501,15 @@ def map_loaded(
 ) -> Iterator[tuple[ManifestEntry, object]]:
     """Yield (entry, fn(map)) for the wanted entries, in manifest order, each
     map read whole; see :func:`_map_payloads` for the rules."""
-    return _map_payloads(
-        manifest, lambda payload, meta: fn(FeatureMap._owned(payload.values(), meta)), timesteps, threads
-    )
+    return _map_payloads(manifest, lambda payload: fn(payload.feature_map()), timesteps, threads)
 
 
 def _map_payloads(
-    manifest: DatasetManifest, use: Callable[[_Payload, FeatureMeta], object], timesteps=None, threads: int = 1
+    manifest: DatasetManifest, use: Callable[[_Payload], object], timesteps=None, threads: int = 1
 ) -> Iterator[tuple[ManifestEntry, object]]:
-    """Yield (entry, use(payload, meta)) for the wanted entries, in manifest
-    order, `use` reading the open file's payload itself. With ``threads >
+    """Yield (entry, use(payload)) for the wanted entries, in manifest
+    order, `use` reading the open file's payload itself; the payload's
+    ``meta`` is the entry's identity and the file's dtype. With ``threads >
     1`` up to ``2 * threads`` entries are read and used ahead on a pool,
     shut down when the generator ends or is closed. A fault names its file
     once: the missing-file check names it, and :func:`_opened` puts it in
@@ -537,51 +533,33 @@ def _map_payloads(
         target = manifest.resolve(entry)
         if not target.is_file():
             raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
-
-        def read(payload: _Payload):
-            meta = FeatureMeta(entry.image_id, entry.timestep, entry.group, payload.dtype)
-            return entry, payload.shape, use(payload, meta)
-
-        return _opened(target, read)
+        identity = FeatureMeta(entry.image_id, entry.timestep, entry.group)
+        return _opened(target, identity, lambda payload: (entry, payload.shape, use(payload)))
 
     first: dict[int, tuple] = {}
-    with _pool(threads) as pool:
-        for entry, shape, value in _in_order(job, tasks, pool, 2 * threads):
-            first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
-            if shape != first_shape and not manifest.allow_ragged:
-                raise MetaMismatch(
-                    f"timestep {entry.timestep}: {entry.path} has shape {shape} "
-                    f"but {first_path} has shape {first_shape}"
-                )
-            yield entry, value
-            # not held while the next entry is read
-            del value
+    for entry, shape, value in _in_order(job, tasks, threads):
+        first_shape, first_path = first.setdefault(entry.timestep, (shape, entry.path))
+        if shape != first_shape and not manifest.allow_ragged:
+            raise MetaMismatch(
+                f"timestep {entry.timestep}: {entry.path} has shape {shape} "
+                f"but {first_path} has shape {first_shape}"
+            )
+        yield entry, value
+        # not held while the next entry is loaded
+        del value
 
 
-@contextmanager
-def _pool(threads: int) -> Iterator[ThreadPoolExecutor | None]:
-    """A pool of `threads` workers for :func:`_in_order`, or None for one
-    thread; on exit the jobs not yet started are cancelled and the running
-    ones waited for."""
+def _in_order(job, items, threads: int, undo=None) -> Iterator:
+    """job(item) for each item, in order. With ``threads > 1`` at most
+    ``2 * threads`` jobs run ahead on a pool, shut down when the generator
+    ends or is closed. At the first fault the later jobs are cancelled,
+    ``undo(item)`` runs for each later job that had already finished, and
+    the fault is raised: what a failed run leaves does not depend on
+    `threads`."""
     if threads <= 1:
-        yield None
-        return
-    pool = ThreadPoolExecutor(threads)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _in_order(job, items, pool: ThreadPoolExecutor | None, depth: int, undo=None) -> Iterator:
-    """job(item) for each item, in order: on the calling thread when `pool`
-    is None, else on `pool` with at most `depth` jobs ahead. At the first
-    fault the later jobs are cancelled, ``undo(item)`` runs for each later
-    job that had already finished, and the fault is raised: what a failed
-    run leaves does not depend on the pool."""
-    if pool is None:
         yield from map(job, items)
         return
+    pool = ThreadPoolExecutor(threads)
     pending: deque = deque()
 
     def head():
@@ -594,9 +572,12 @@ def _in_order(job, items, pool: ThreadPoolExecutor | None, depth: int, undo=None
                     undo(item)
         return future.result()
 
-    for item in items:
-        pending.append((item, pool.submit(job, item)))
-        if len(pending) == depth:
+    try:
+        for item in items:
+            pending.append((item, pool.submit(job, item)))
+            if len(pending) == 2 * threads:
+                yield head()
+        while pending:
             yield head()
-    while pending:
-        yield head()
+    finally:
+        pool.shutdown(cancel_futures=True)

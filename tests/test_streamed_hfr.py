@@ -180,6 +180,19 @@ def test_zero_energy_names_the_file_the_image_and_the_timestep(tmp_path):
         assert str(err.value) == f"{path}: zero-energy feature map (image 'img0002', t=3)"
 
 
+
+def test_average_hfr_scores_each_open_file_through_hfr(tmp_path, monkeypatch):
+    # per-map work runs inside spectral.hfr, looked up at the call, so a
+    # wrapper put on that name sees every map, on the threads that score it
+    manifest = write_manifest(tmp_path, [(t, normal((3, 8, 8), t + i, "<f4")) for t in (1, 2) for i in range(3)])
+    want = average_hfr(manifest)
+    real = spectral.hfr
+    for threads in THREADS:
+        seen = []
+        monkeypatch.setattr(spectral, "hfr", lambda fmap, cutoff: seen.append(fmap.meta.image_id) or real(fmap, cutoff))
+        assert average_hfr(manifest, threads=threads) == want
+        assert sorted(seen) == [e.image_id for e in manifest.entries], threads
+
 # --- in far less memory ----------------------------------------------------------------
 
 def hfr_threads_2_peak_kb(tmp_path, channels):
@@ -193,9 +206,9 @@ def hfr_threads_2_peak_kb(tmp_path, channels):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_hfr_threads_hold_no_map(tmp_path):
     # each scoring thread holds a 1 MiB chunk and half of one, not a map;
-    # the idle child imports what the CLI run imports and scores nothing
+    # the idle child scores nothing
     half_map_kb = 320 * 64 * 64 * 8 / 2 / 1024
-    idle = child_peak_rss_kb("import freqsel.cli, freqsel.spectral")
+    idle = child_peak_rss_kb("import freqsel.spectral")
     scoring = hfr_threads_2_peak_kb(tmp_path, 320)
     assert scoring - idle < half_map_kb, (idle, scoring)
 

@@ -478,8 +478,8 @@ def test_in_order_undoes_the_later_jobs_that_finished_after_a_fault():
 
     before = set(threading.enumerate())
     got = []
-    with pytest.raises(ValueError, match=f"^job {k}$"), tensor_io._pool(2) as pool:
-        for value in tensor_io._in_order(job, items(), pool, depth, undone.append):
+    with pytest.raises(ValueError, match=f"^job {k}$"):
+        for value in tensor_io._in_order(job, items(), 2, undone.append):
             got.append(value)
     assert set(threading.enumerate()) == before
     assert got == list(range(k))
