@@ -182,8 +182,8 @@ def test_zero_energy_names_the_file_the_image_and_the_timestep(tmp_path):
 
 
 def test_average_hfr_scores_each_open_file_through_hfr(tmp_path, monkeypatch):
-    # per-map work runs inside spectral.hfr, looked up at the call, so a
-    # wrapper put on that name sees every map, on the threads that score it
+    # every map is scored inside a call of spectral.hfr, where a wrapper on
+    # that name, such as a tracing span, sees it
     manifest = write_manifest(tmp_path, [(t, normal((3, 8, 8), t + i, "<f4")) for t in (1, 2) for i in range(3)])
     want = average_hfr(manifest)
     real = spectral.hfr
