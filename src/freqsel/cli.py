@@ -150,28 +150,14 @@ def _usable_cpus() -> int:
 
 
 def _threads_arg(text: str) -> int:
-    if text == "auto":
-        return _usable_cpus()
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--threads needs an integer or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {value}")
-    return value
+    return _usable_cpus() if text == "auto" else _positive_int(text)
 
 
 def _shape_arg(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"--shape needs 'channels,height,width', got {text!r}")
-    try:
-        c, h, w = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--shape needs three integers, got {text!r}")
-    if min(c, h, w) < 1:
-        raise argparse.ArgumentTypeError(f"--shape dims must be >= 1, got {text!r}")
-    return c, h, w
+    return tuple(_positive_int(p) for p in parts)
 
 
 def _add_cutoff(sp) -> None:
@@ -183,6 +169,10 @@ def _add_cutoff(sp) -> None:
     )
 
 
+def _add_dtype(sp) -> None:
+    sp.add_argument("--dtype", choices=("f32", "f64"), default="f64", help="output element type")
+
+
 def _add_timesteps(sp, help_text: str) -> None:
     sp.add_argument("--timesteps", type=parse_timestep_grid, default=None, help=help_text)
 
@@ -192,16 +182,20 @@ def _add_threads(sp) -> None:
         "--threads",
         type=_threads_arg,
         default=1,
-        help="worker threads for per-map work; never changes output bytes (default 1)",
+        help="worker threads for per-map work, or 'auto' for every usable CPU; "
+        "never changes output bytes (default 1)",
     )
 
 
 def _check_out(path) -> None:
-    """IoFailure unless the directory an output file goes into exists (or no
-    file is asked for), so a command fails before it reads a tensor."""
+    """IoFailure unless an output file can go at `path` (or no file is asked
+    for): its directory exists and it is not a directory itself, so a
+    command fails before it reads a tensor."""
     parent = path and os.path.dirname(os.path.abspath(path))
     if parent and not os.path.isdir(parent):
         raise IoFailure(f"cannot write {path}: {parent} is not a directory")
+    if path and os.path.isdir(path):
+        raise IoFailure(f"cannot write {path}: it is a directory")
 
 
 def _resolve_schedule(spec_text: str, total_timesteps: int, alpha_index: str):
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff(p)
     p.add_argument("--out-high", required=True, help="output path for the high-pass part")
     p.add_argument("--out-low", required=True, help="output path for the low-pass part")
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f64", help="output element type")
+    _add_dtype(p)
     p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser("fisher", help="label-based separability per timestep (diagnostic)")
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="alpha lookup convention: alpha_t or alpha_{t-1} (default t)",
     )
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f64", help="output element type")
+    _add_dtype(p)
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("oracle", help="synthetic dataset with a known best timestep")
@@ -299,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-width", type=_positive_float, default=100.0, help="width of the amplitude bump (default 100)")
     p.add_argument("--detail-frequency", type=_positive_int, default=8, help="diagonal detail frequency (default 8)")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f64", help="output element type")
+    _add_dtype(p)
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("correlate", help="Pearson/Spearman between two t,value series")

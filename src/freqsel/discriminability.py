@@ -95,7 +95,8 @@ def pool_tokens(source) -> np.ndarray:
     """Mean over the token axis: FeatureMap -> (channels,), (N, d) -> (d,).
 
     Each feature's tokens are summed as one contiguous row, so numpy's
-    ``sum`` takes its pairwise path along them."""
+    ``sum`` takes its pairwise path along them, after an exact power-of-two
+    scale of the row, so the means are finite over the whole float64 range."""
     if isinstance(source, FeatureMap):
         rows = source.values.reshape(source.channels, -1)
     else:
@@ -105,7 +106,8 @@ def pool_tokens(source) -> np.ndarray:
         rows = np.ascontiguousarray(tokens.T)
     if rows.shape[1] == 0:
         raise EmptyInput("cannot pool zero tokens")
-    return rows.sum(axis=1) / rows.shape[1]
+    # one row scaled at a time, so no map-sized copy exists
+    return np.array([np.ldexp(s.sum() / rows.shape[1], e) for s, e in map(pow2_scale, rows)])
 
 
 def fisher_score(data: LabeledEmbeddingSet) -> FisherResult:

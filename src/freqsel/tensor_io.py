@@ -9,8 +9,10 @@ A tensor file is a restricted NPY v1.0 stream:
   * bytes 8-9   little-endian uint16: header length
   * header      ASCII Python dict literal with exactly the keys
     ``'descr'`` (``'<f4'`` or ``'<f8'``), ``'fortran_order'`` (``False``)
-    and ``'shape'`` (rank 2 or 3, all dims >= 1), padded with spaces so
-    that the total preamble length is a multiple of 64
+    and ``'shape'`` (rank 2 or 3, all dims >= 1), as numpy writes it:
+    padded with spaces and ended by a newline, so that the total preamble
+    length is a multiple of 64. The reader also takes a header without
+    the newline.
   * payload     raw little-endian IEEE-754 values, C order, exactly
     ``prod(shape) * itemsize`` bytes
 
@@ -37,6 +39,8 @@ Writes are piecewise too: :func:`write_pieces` streams float64 pieces into
 the file, each cast to the file's dtype through one staging buffer,
 checked for NaN/Inf and written before the next is asked for, so a writer
 that makes its values piece by piece never holds a map-sized payload.
+Every file written is byte-identical to ``np.save`` of its values in the
+file's dtype.
 
 Dataset manifest
 ----------------
@@ -65,6 +69,7 @@ numpy.
 from __future__ import annotations
 
 import ast
+import io
 import json
 import math
 import os
@@ -106,7 +111,6 @@ __all__ = [
 
 _MAGIC = b"\x93NUMPY"
 _VERSION = b"\x01\x00"
-_ALIGN = 64
 _DESCR_BY_DTYPE = {"f32": "<f4", "f64": "<f8"}
 _DTYPE_BY_DESCR = {v: k for k, v in _DESCR_BY_DTYPE.items()}
 _HEADER_KEYS = {"descr", "fortran_order", "shape"}
@@ -323,38 +327,31 @@ def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
     return _opened(p, meta or FeatureMeta(image_id=p.stem), _Payload.feature_map)
 
 
-def _build_header(shape: tuple[int, ...], descr: str) -> bytes:
-    body = "{'descr': '%s', 'fortran_order': False, 'shape': (%s), }" % (
-        descr,
-        ", ".join(str(d) for d in shape),
-    )
-    pad = -(10 + len(body)) % _ALIGN
-    header = (body + " " * pad).encode("ascii")
-    return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header
-
-
 def _tensor_chunks(pieces: Iterable[np.ndarray], shape: tuple[int, ...], path, dtype: str) -> Iterator:
     """The header, then the payload piece by piece, of a tensor file of
     `shape` and `dtype` at `path` whose float64 values, in C order, arrive
-    as `pieces`.
+    as `pieces`: the bytes of ``np.save`` of those values in that dtype.
 
-    The dtype and the shape rule are checked at the call, before a single
-    piece is asked for, so no file is started that :func:`read_tensor`
-    would reject. Each piece is cast to the file's dtype in slices of
-    ``_PIECE`` elements (``<f4`` through one staging buffer, ``<f8`` with
-    no copy on a little-endian host), and each slice is checked for NaN
-    and Inf after the cast, so a value beyond the f32 range is a
-    ``NonFiniteValue``, not an Inf on disk. Pieces that do not add up to
-    the shape are a ``ShapeMismatch``.
+    The dtype and the shape rule are checked first, before a single piece
+    is asked for, so no file is finished that :func:`read_tensor` would
+    reject. Each piece is cast to the file's dtype in slices of ``_PIECE``
+    elements (``<f4`` through one staging buffer, ``<f8`` with no copy on
+    a little-endian host), and each slice is checked for NaN and Inf after
+    the cast, so a value beyond the f32 range is a ``NonFiniteValue``, not
+    an Inf on disk. Pieces that do not add up to the shape are a
+    ``ShapeMismatch``.
     """
+    context = str(path)
     if dtype not in _DESCR_BY_DTYPE:
         raise UnsupportedDtype(f"cannot write dtype {dtype!r} (need 'f32' or 'f64')")
-    _check_shape(shape, str(path))
-    return _cast_pieces(pieces, shape, _DESCR_BY_DTYPE[dtype], str(path))
-
-
-def _cast_pieces(pieces, shape: tuple[int, ...], descr: str, context: str) -> Iterator:
-    yield _build_header(shape, descr)
+    _check_shape(shape, context)
+    descr = _DESCR_BY_DTYPE[dtype]
+    header = io.BytesIO()
+    # numpy integer dims would be written as their repr, np.int64(n)
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": descr, "fortran_order": False, "shape": tuple(map(int, shape))}
+    )
+    yield header.getvalue()
     total = math.prod(shape)
     stage = np.empty(min(total, _PIECE), dtype=descr) if descr == "<f4" else None
     count = 0

@@ -122,6 +122,27 @@ def test_data_errors_exit_2_with_error_class(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("hfr", "--manifest", "{manifest}", "--out", "{out}"),
+        ("select", "--manifest", "{manifest}", "--out", "{out}"),
+        ("decompose", "--tensor", "{tensor}", "--out-high", "{out}", "--out-low", "{tmp}/low.npy"),
+    ],
+    ids=["hfr", "select", "decompose"],
+)
+def test_an_out_that_is_a_directory_fails_before_any_tensor_is_read(tmp_path, capsys, argv):
+    manifest = write_dataset(tmp_path / "data", [make_map(np.ones((1, 4, 4)), "a", 1)], 1)
+    tensor = next((tmp_path / "data").glob("*.npy"))
+    tensor.write_bytes(b"not a tensor")  # MalformedHeader, if it were read
+    out = tmp_path / "outdir"
+    out.mkdir()
+    names = {"manifest": manifest, "tensor": tensor, "out": out, "tmp": tmp_path}
+    assert run(*(arg.format(**names) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"IoFailure: cannot write {out}: it is a directory\n"
+    assert list(out.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
     "command, flag, error",
     [
         ("select", "--curve", "SeriesInvalid"),

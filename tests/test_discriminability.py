@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -14,6 +15,7 @@ from freqsel import (
     pool_tokens,
     read_series_csv,
 )
+from freqsel.cli import main
 from freqsel.errors import (
     ConstantSeries,
     DegenerateWithinScatter,
@@ -49,6 +51,11 @@ def test_pool_tokens_within_1e_15_of_the_exactly_rounded_mean():
     want = np.array([math.fsum(column) for column in tokens.T]) / tokens.shape[0]
     for pooled in (pool_tokens(tokens), pool_tokens(make_map(tokens.T.reshape(6, 128, 128)))):
         assert np.all(np.abs(pooled - want) <= 1e-15 * want)
+
+
+def test_pool_tokens_finite_near_the_float64_maximum():
+    pooled = pool_tokens(make_map(np.full((2, 4, 4), 1.5e308)))
+    assert np.array_equal(pooled, [1.5e308, 1.5e308])
 
 
 # --- Fisher score -----------------------------------------------------------------
@@ -121,6 +128,22 @@ def test_fisher_finite_and_scale_free_over_float64_range(seed, exponent):
     base = fisher_score(LabeledEmbeddingSet(emb, labels)).score
     scaled = fisher_score(LabeledEmbeddingSet(emb * 10.0**exponent, labels)).score
     assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def test_fisher_cli_on_maps_near_the_float64_maximum(tmp_path):
+    # 64 tokens of about 2^1020 sum past the float64 maximum unless pre-scaled;
+    # a power-of-two scale is exact, so the score keeps its bits
+    rng = np.random.default_rng(3)
+    base = [rng.uniform(1.0, 2.0, size=(3, 8, 8)) + 0.5 * (i % 2) for i in range(4)]
+    scores = []
+    for scale in (1.0, 2.0**1020):
+        maps = [make_map(v * scale, f"img{i}", 1) for i, v in enumerate(base)]
+        manifest = write_dataset(tmp_path / f"x{scale:g}", maps, 1, labels={i: i % 2 for i in range(4)})
+        out = tmp_path / f"fisher{scale:g}.json"
+        assert main(["fisher", "--manifest", str(manifest), "--out", str(out)]) == 0
+        scores.append(json.loads(out.read_text())["per_timestep"][0]["score"])
+    assert math.isfinite(scores[0]) and scores[0] > 0
+    assert scores[1] == scores[0]
 
 
 def test_fisher_degenerate_within_scatter():

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import re
 import struct
@@ -34,10 +36,11 @@ from freqsel.errors import (
 )
 from freqsel.fileio import atomic_write_bytes, atomic_write_text
 from freqsel import tensor_io
+from freqsel.selection import average_hfr
 from freqsel.spectral import hfr
 from freqsel.tensor_io import _PIECE, map_loaded, write_array, write_pieces
 
-from util import corrupt_corpus, make_map, write_dataset
+from util import _raw_npy, corrupt_corpus, make_map, write_dataset
 
 
 # --- FeatureMap type ---------------------------------------------------------
@@ -150,7 +153,44 @@ def test_header_preamble_aligned(tmp_path):
         (hlen,) = struct.unpack("<H", raw[8:10])
         assert (10 + hlen) % 64 == 0
         header = raw[10 : 10 + hlen].decode("ascii")
-        assert header.rstrip(" ").endswith("}")
+        assert header.endswith("\n")
+        assert header[:-1].rstrip(" ").endswith("}")
+
+
+_NPY_SHAPES = [(1, 1), (3, 5), (1, 1, 1), (2, 17, 23), (4, 64, 64), (3, 70001), (123456, 1, 1)]
+
+
+@pytest.mark.parametrize("dtype, descr", [("f32", "<f4"), ("f64", "<f8")])
+@pytest.mark.parametrize("shape", _NPY_SHAPES, ids=[str(s) for s in _NPY_SHAPES])
+def test_written_files_equal_np_save(tmp_path, shape, dtype, descr):
+    values = np.random.default_rng(math.prod(shape)).normal(size=shape)
+    want = io.BytesIO()
+    np.save(want, values.astype(descr))
+    write_array(values, tmp_path / "whole.npy", dtype)
+    assert (tmp_path / "whole.npy").read_bytes() == want.getvalue()
+    # uneven pieces, some spanning a slice boundary, some inside one slice
+    flat = values.reshape(-1)
+    cuts = sorted({0, flat.size} | {c for c in (1, 1000, _PIECE + 3, 2 * _PIECE + 7) if c < flat.size})
+    pieces = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+    # a shape of numpy integers, as a caller may pass to oracle_features
+    write_pieces(pieces, tuple(np.array(shape)), tmp_path / "pieces.npy", dtype)
+    assert (tmp_path / "pieces.npy").read_bytes() == want.getvalue()
+
+
+def test_a_header_without_the_newline_still_loads(tmp_path):
+    # files written before the header ended with a newline pad with spaces only
+    raw = _raw_npy()
+    (hlen,) = struct.unpack("<H", raw[8:10])
+    assert raw[10 + hlen - 1 : 10 + hlen] == b" "
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "t0001_0000.npy").write_bytes(raw)
+    entry = ManifestEntry("t0001_0000.npy", "m", 1, "")
+    save_manifest(DatasetManifest(1, (entry,), False, tmp_path / "old"), tmp_path / "old" / "manifest.json")
+    values = np.arange(6.0).reshape(1, 2, 3)
+    assert np.array_equal(read_tensor(tmp_path / "old" / "t0001_0000.npy").values, values)
+    new = write_dataset(tmp_path / "new", [make_map(values)], 1)
+    old_curve = average_hfr(load_manifest(tmp_path / "old" / "manifest.json"), 0.5)
+    assert old_curve == average_hfr(load_manifest(new), 0.5)
 
 
 def test_interop_with_numpy_both_directions(tmp_path):
