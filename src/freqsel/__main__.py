@@ -1,6 +1,19 @@
+"""``python -m freqsel`` and the ``freqsel`` console script.
+
+BLAS runs on one thread unless the caller set a thread count: the CLI's
+own pools (``--threads``, ``simulate``'s workers) are its parallelism, and
+an idle OpenBLAS worker spins for about 0.1 s of CPU after numpy loads.
+OpenBLAS, MKL and BLIS each rank their own variable above
+``OMP_NUM_THREADS``, so any of them set by the caller still wins. This
+runs before ``cli`` is imported, and ``cli`` loads numpy only inside a
+command, so the default is in place before any BLAS library starts.
+"""
+import os
 import sys
 
-from .cli import main
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from .cli import main  # noqa: E402
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -24,6 +24,16 @@ defaults to 1 for ``hfr`` and ``select``, whose threads each score a map
 as its file is read and hold about 1.5 MiB of chunk scratch, not the map.
 ``simulate`` has no such flag: its threads each hold pieces of a map, so
 it runs on every CPU the process may use.
+
+These pools are the CLI's only parallelism: run as ``python -m freqsel``
+or the ``freqsel`` script, it runs BLAS on one thread unless a BLAS or
+OpenMP thread variable is set (``__main__`` sets ``OMP_NUM_THREADS=1``
+before numpy loads). An idle OpenBLAS worker spins for about 0.1 s of CPU
+in every process, and the per-channel matmuls of the bench's maps gain
+nothing from it. To give BLAS more threads, set ``OPENBLAS_NUM_THREADS``
+(or ``MKL_NUM_THREADS``, ``BLIS_NUM_THREADS``, ``OMP_NUM_THREADS``): the
+cost of one thread is on maps of one large channel, where ``hfr
+--threads 1`` loses BLAS's second core. Bytes never depend on it.
 """
 from __future__ import annotations
 
@@ -364,6 +374,8 @@ def cmd_decompose(args) -> int:
 
     _check_out(args.out_high)
     _check_out(args.out_low)
+    if os.path.realpath(args.out_high) == os.path.realpath(args.out_low):
+        raise IoFailure(f"cannot write {args.out_low}: it is also --out-high")
     parts = decompose(read_tensor(args.tensor), args.cutoff)
     # both parts are cast and checked before either file is written
     high = _encode(parts.high.values, args.out_high, args.dtype)

@@ -48,6 +48,7 @@ from .defaults import DEFAULT_TOTAL_TIMESTEPS
 from .errors import (
     FreqselError,
     FrequencyTooHigh,
+    IoFailure,
     ProfileInvalid,
     ScheduleInvalid,
     ShapeMismatch,
@@ -161,6 +162,10 @@ def _write_noised(z0: np.ndarray, alpha: float, rng: np.random.Generator, path, 
     write_pieces(pieces(), z0.shape, path, dtype)
 
 
+def _map_name(t: int, stem: str, i: int) -> str:
+    return f"t{t:04d}_{stem}{i:04d}.npy"
+
+
 def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total: int, ragged: bool):
     """Write each source's map at each timestep of `grid`, then the manifest.
 
@@ -181,7 +186,7 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
     # the last source alive while the next one is made
     i = 0
     for entry, source in sources:
-        tasks = [(t, out / f"t{t:04d}_{stem}{i:04d}.npy") for t in grid]
+        tasks = [(t, out / _map_name(t, stem, i)) for t in grid]
         workers = min(threads, len(grid)) if source.size >= _PIECE else 1
         written = _in_order(
             lambda task: make(i, source, *task), tasks, workers,
@@ -196,6 +201,25 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
     manifest = DatasetManifest(total, tuple(e for row in by_timestep for e in row), ragged, out)
     save_manifest(manifest, out / "manifest.json")
     return manifest
+
+
+def _check_not_inputs(manifest: DatasetManifest, grid: tuple[int, ...], out: Path) -> None:
+    """IoFailure if a map ``simulate_forward`` would write is one of its
+    inputs, which the writer could replace before reading it. Paths compare
+    resolved, both as the file an entry names and as its directory entry,
+    so a symlink on either side does not hide the clash."""
+    inputs: dict[Path, str] = {}
+    for entry in manifest.entries:
+        path = manifest.resolve(entry)
+        inputs.setdefault(path.resolve(), entry.image_id)
+        inputs.setdefault(path.parent.resolve() / path.name, entry.image_id)
+    root = out.resolve()
+    for i in range(len(manifest.entries)):
+        for t in grid:
+            name = _map_name(t, "i", i)
+            if root / name in inputs:
+                image_id = inputs[root / name]
+                raise IoFailure(f"cannot write {out / name}: it is input entry {image_id} of the manifest")
 
 
 def simulate_forward(
@@ -214,12 +238,14 @@ def simulate_forward(
     ``(i, t)``, so outputs are independent of the grid order and of how
     work is batched. The grid must be non-empty, strictly ascending and
     within the schedule (else ``ScheduleInvalid``), which is checked, and
-    every alpha looked up, before any file is read or written. Up to
+    every alpha looked up, before any file is read or written; so is that
+    no map it writes is one of its inputs (else ``IoFailure``). Up to
     `threads` workers each noise pieces of a map, not a map; the written
     manifest keeps the input's ``allow_ragged``.
     """
     timesteps = _check_grid(timesteps, schedule.total_timesteps, ScheduleInvalid)
     alphas = {t: schedule.alpha(t) for t in timesteps}
+    _check_not_inputs(manifest, timesteps, Path(out_dir))
 
     def noise(i: int, z0: np.ndarray, t: int, path: Path) -> None:
         _write_noised(z0, alphas[t], _rng(seed, i, t), path, dtype)

@@ -338,8 +338,11 @@ def test_curve_bytes_do_not_depend_on_the_manifest_order(tmp_path):
 def test_blas_threads_never_change_bytes(tmp_path):
     manifest = make_oracle(tmp_path, **{"--images": "2", "--shape": "4,64,64", "--timesteps": "4..20..4"})
     curves = []
-    for blas, threads in (("1", "1"), ("2", "1"), ("2", "2"), ("1", "2")):
+    # None: neither variable set, so the CLI's own default of one BLAS thread
+    for blas, threads in (("1", "1"), ("2", "1"), ("2", "2"), ("1", "2"), (None, "2")):
         env = child_env(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+        if blas is None:
+            del env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]
         curve = tmp_path / f"blas{blas}_pool{threads}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "freqsel", "hfr", "--manifest", str(manifest),
@@ -376,6 +379,15 @@ def test_decompose_writes_parts(tmp_path):
     assert np.max(np.abs(got - values)) <= 1e-9 * np.max(np.abs(values))
 
 
+def test_decompose_rejects_one_file_for_both_parts(tmp_path, capsys):
+    tensor = tmp_path / "in.npy"
+    tensor.write_bytes(b"not a tensor")  # MalformedHeader, if it were read
+    out = tmp_path / "parts.npy"
+    assert run("decompose", "--tensor", str(tensor), "--out-high", str(out), "--out-low", str(out)) == 2
+    assert capsys.readouterr().err == f"IoFailure: cannot write {out}: it is also --out-high\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.npy"]
+
+
 def test_simulate_pipeline(tmp_path):
     clean = [make_map(np.random.default_rng(i).normal(size=(1, 8, 8)), f"img{i}", 1) for i in range(2)]
     manifest = write_dataset(tmp_path / "clean", clean, 1)
@@ -401,6 +413,28 @@ def test_simulate_pipeline(tmp_path):
     ) == 0
     for p in sorted(out.glob("*")):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+@pytest.mark.parametrize("via_symlink", [False, True])
+def test_simulate_into_its_own_inputs_fails_and_writes_nothing(tmp_path, capsys, via_symlink):
+    clean = [make_map(np.random.default_rng(i).normal(size=(1, 8, 8)), f"img{i}", 1) for i in range(2)]
+    manifest = write_dataset(tmp_path / "clean", clean, 1)
+    data = tmp_path / "data"
+    simulate = ["simulate", "--total-timesteps", "10", "--timesteps", "1,2,3,4", "--seed", "3"]
+    assert run(*simulate, "--manifest", str(manifest), "--out", str(data)) == 0
+    before = {p.name: p.read_bytes() for p in sorted(data.iterdir())}
+    assert len(before) == 9  # 8 maps and the manifest
+    capsys.readouterr()
+    out = data
+    if via_symlink:
+        out = tmp_path / "link"
+        out.symlink_to(data)
+    # run in place, the maps of entries 0 and 1 would replace inputs 2-7 before they are read
+    assert run(*simulate, "--manifest", str(data / "manifest.json"), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"IoFailure: cannot write {out / 't0001_i0000.npy'}: it is input entry img0 of the manifest\n"
+    )
+    assert {p.name: p.read_bytes() for p in sorted(data.iterdir())} == before
 
 
 def test_simulate_seeds_are_taken_mod_2_to_the_64(tmp_path):

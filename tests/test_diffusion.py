@@ -2,6 +2,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from freqsel import (
 from freqsel import cli, diffusion, tensor_io
 from freqsel.errors import (
     FrequencyTooHigh,
+    IoFailure,
     MalformedHeader,
     NonFiniteValue,
     ProfileInvalid,
@@ -155,6 +157,21 @@ def test_simulate_looks_up_every_alpha_first(tmp_path):
     with pytest.raises(ScheduleInvalid):
         simulate_forward(manifest, linear_schedule(5), (1, 9), seed=0, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_an_output_named_as_a_linked_input(tmp_path):
+    # the input is a link where an output goes: the writer would replace the
+    # link, and the entry would then name the noised map
+    clean = [make_map(np.ones((1, 4, 4)), "a", 1)]
+    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
+    out = tmp_path / "out"
+    out.mkdir()
+    link = out / "t0001_i0000.npy"
+    link.symlink_to(manifest.resolve(manifest.entries[0]))
+    linked = replace(manifest, entries=(replace(manifest.entries[0], path=str(link)),))
+    with pytest.raises(IoFailure, match=f"^cannot write {link}: it is input entry a of the manifest$"):
+        simulate_forward(linked, linear_schedule(5), (1, 3), seed=0, out_dir=out)
+    assert link.is_symlink() and list(out.iterdir()) == [link]
 
 
 # --- seeded noise -------------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""The package surface: lazy exports, which commands load numpy, and the
-scripts built on the library."""
+"""The package surface: lazy exports, which commands load numpy, the CLI's
+BLAS thread default, and the scripts built on the library."""
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import freqsel
 
+from freqsel.tensor_io import write_array
 from util import child_env
 
 MODULES = ("tensor_io", "spectral", "diffusion", "discriminability", "selection")
@@ -75,6 +78,64 @@ def test_curve_commands_and_usage_never_load_numpy(tmp_path, argv, code):
     assert proc.stderr.endswith("numpy loaded: False\n")
     if "--out" in argv:
         assert '"selected_t": 50' in (tmp_path / "r.json").read_text()
+
+
+# Runs freqsel's __main__ with the given arguments, then reports on stderr
+# the process's OS thread count, once the command has loaded numpy.
+_RUN_MAIN_THREADS = """
+import runpy, sys
+sys.argv = ["freqsel", *sys.argv[1:]]
+try:
+    runpy.run_module("freqsel", run_name="__main__", alter_sys=True)
+finally:
+    assert "numpy" in sys.modules
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("Threads:")).strip(), file=sys.stderr)
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def blas_env(**overrides):
+    """child_env with no BLAS or OpenMP thread variable, then `overrides`."""
+    env = child_env()
+    for name in BLAS_THREAD_VARS:
+        env.pop(name, None)
+    return dict(env, **overrides)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize(
+    "overrides, threads",
+    [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)],
+)
+def test_the_cli_runs_blas_on_one_thread_unless_the_caller_says(tmp_path, overrides, threads):
+    if threads > 1 and len(os.sched_getaffinity(0)) < threads:
+        pytest.skip(f"needs {threads} usable CPUs")
+    write_array(np.random.default_rng(0).normal(size=(2, 32, 32)), tmp_path / "x.npy", "f64")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN_THREADS, "decompose", "--tensor", "x.npy",
+         "--out-high", "high.npy", "--out-low", "low.npy"],
+        cwd=tmp_path, env=blas_env(**overrides), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"Threads:\t{threads}\n"
+
+
+def test_only_the_entry_point_sets_the_blas_default():
+    probe = (
+        "import os, numpy, freqsel, freqsel.cli, freqsel.spectral\n"
+        "print(os.environ.get('OMP_NUM_THREADS'))\n"
+        "import freqsel.__main__\n"
+        "print(os.environ.get('OMP_NUM_THREADS'), freqsel.__main__.main is freqsel.cli.main)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=blas_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n1 True\n"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'freqsel = "freqsel.__main__:main"' in pyproject.splitlines()
 
 
 def test_import_freqsel_does_not_load_numpy():
