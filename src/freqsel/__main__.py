@@ -1,12 +1,10 @@
 """``python -m freqsel`` and the ``freqsel`` console script.
 
-BLAS runs on one thread unless the caller set a thread count: the CLI's
-own pools (``--threads``, ``simulate``'s workers) are its parallelism, and
-an idle OpenBLAS worker spins for about 0.1 s of CPU after numpy loads.
-OpenBLAS, MKL and BLIS each rank their own variable above
-``OMP_NUM_THREADS``, so any of them set by the caller still wins. This
-runs before ``cli`` is imported, and ``cli`` loads numpy only inside a
-command, so the default is in place before any BLAS library starts.
+BLAS runs on one thread unless the caller set a thread count (see
+``cli``). ``OMP_NUM_THREADS`` ranks below each BLAS library's own
+variable, so a caller's ``OPENBLAS_NUM_THREADS`` still wins; ``cli``
+loads numpy only inside a command, so the default is in place before
+any BLAS library starts.
 """
 import os
 import sys

@@ -208,18 +208,20 @@ def _check_not_inputs(manifest: DatasetManifest, grid: tuple[int, ...], out: Pat
     inputs, which the writer could replace before reading it. Paths compare
     resolved, both as the file an entry names and as its directory entry,
     so a symlink on either side does not hide the clash."""
-    inputs: dict[Path, str] = {}
+    root = out.resolve()
+    inputs: dict[str, str] = {}
     for entry in manifest.entries:
         path = manifest.resolve(entry)
-        inputs.setdefault(path.resolve(), entry.image_id)
-        inputs.setdefault(path.parent.resolve() / path.name, entry.image_id)
-    root = out.resolve()
+        for target in (path.resolve(), path.parent.resolve() / path.name):
+            if target.parent == root:
+                inputs.setdefault(target.name, entry.image_id)
     for i in range(len(manifest.entries)):
         for t in grid:
             name = _map_name(t, "i", i)
-            if root / name in inputs:
-                image_id = inputs[root / name]
-                raise IoFailure(f"cannot write {out / name}: it is input entry {image_id} of the manifest")
+            if name in inputs:
+                raise IoFailure(
+                    f"cannot write {out / name}: it is input entry {inputs[name]} of the manifest"
+                )
 
 
 def simulate_forward(
