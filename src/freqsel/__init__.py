@@ -26,11 +26,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "FeatureMap": "tensor_io",
     "FeatureMeta": "tensor_io",
-    "ManifestEntry": "tensor_io",
-    "DatasetManifest": "tensor_io",
     "read_tensor": "tensor_io",
-    "load_manifest": "tensor_io",
-    "save_manifest": "tensor_io",
+    "ManifestEntry": "manifest",
+    "DatasetManifest": "manifest",
+    "load_manifest": "manifest",
+    "save_manifest": "manifest",
     "DEFAULT_CUTOFF": "defaults",
     "Decomposition": "spectral",
     "hfr": "spectral",

@@ -12,7 +12,10 @@ Subcommands
 
 Only the array work imports numpy: each ``cmd_*`` imports the array
 modules it uses when it runs, so ``--help``, usage errors and
-``select --curve`` start without numpy.
+``select --curve`` start without numpy. A command that reads a dataset
+loads and checks its manifest first (:mod:`freqsel.manifest` needs no
+numpy), so a missing or malformed manifest, or an entry whose file is
+missing, fails before numpy loads.
 
 Exit codes: 0 success, 1 usage errors (bad flags/values), 2 data errors
 (malformed or missing files, empty datasets, degenerate statistics). Data
@@ -51,6 +54,7 @@ from .errors import (
     SeriesInvalid,
 )
 from .fileio import atomic_write_bytes, atomic_write_json
+from .manifest import load_manifest
 from .selection import (
     HfrCurve,
     average_hfr,
@@ -316,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_hfr(args) -> int:
-    from .tensor_io import load_manifest
-
     _check_out(args.out)
     manifest = load_manifest(args.manifest)
     curve = average_hfr(manifest, args.cutoff, args.timesteps, threads=args.threads)
@@ -350,8 +352,6 @@ def cmd_select(args) -> int:
     )
     _check_out(args.out)
     if args.manifest:
-        from .tensor_io import load_manifest
-
         manifest = load_manifest(args.manifest)
         curve = average_hfr(manifest, args.cutoff, args.timesteps, threads=args.threads)
     else:
@@ -387,9 +387,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_fisher(args) -> int:
-    from .discriminability import LabeledEmbeddingSet, fisher_score, pool_tokens
-    from .tensor_io import load_manifest, map_loaded
-
     _check_out(args.out)
     manifest = load_manifest(args.manifest)
     steps = args.timesteps if args.timesteps is not None else manifest.timesteps()
@@ -398,6 +395,9 @@ def cmd_fisher(args) -> int:
             raise ManifestSchemaError(
                 f"fisher needs a label on every entry; {entry.path} (t={entry.timestep}) has none"
             )
+    from .discriminability import LabeledEmbeddingSet, fisher_score, pool_tokens
+    from .tensor_io import map_loaded
+
     pooled: dict[int, list] = {t: [] for t in steps}
     for entry, embedding in map_loaded(manifest, pool_tokens, steps):
         pooled[entry.timestep].append((embedding, entry.label))
@@ -432,10 +432,9 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def cmd_simulate(args) -> int:
-    from .diffusion import simulate_forward
-    from .tensor_io import load_manifest
-
     manifest = load_manifest(args.manifest)
+    from .diffusion import simulate_forward
+
     schedule = _resolve_schedule(args.schedule, args.total_timesteps, args.alpha_index)
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(schedule.total_timesteps)
     result = simulate_forward(manifest, schedule, grid, args.seed, args.out, args.dtype, _usable_cpus())

@@ -54,16 +54,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .fileio import read_csv
+from .manifest import DatasetManifest, ManifestEntry, save_manifest
 from .spectral import _hartley, _radius_sq
-from .tensor_io import (
-    _PIECE,
-    DatasetManifest,
-    ManifestEntry,
-    _in_order,
-    map_loaded,
-    save_manifest,
-    write_pieces,
-)
+from .tensor_io import _PIECE, _in_order, map_loaded, write_pieces
 
 __all__ = [
     "DEFAULT_TOTAL_TIMESTEPS",

@@ -21,7 +21,7 @@ from .errors import EmptyCurve, SeriesInvalid
 from .fileio import atomic_write_json, atomic_write_text, csv_text, read_csv
 
 if TYPE_CHECKING:
-    from .tensor_io import DatasetManifest
+    from .manifest import DatasetManifest
 
 __all__ = [
     "HfrCurve",

@@ -1,4 +1,4 @@
-"""On-disk tensor container and dataset manifest handling.
+"""On-disk tensor files, and the load path that reads a dataset's tensors.
 
 Tensor container
 ----------------
@@ -42,18 +42,13 @@ that makes its values piece by piece never holds a map-sized payload.
 Every file written is byte-identical to ``np.save`` of its values in the
 file's dtype.
 
-Dataset manifest
-----------------
-JSON index binding tensor files to dataset identity::
-
-    {"total_timesteps": int,
-     "entries": [{"path": str, "image_id": str, "timestep": int,
-                  "group": str, "label": int|null, "accuracy": float|null}]}
-
-Relative entry paths resolve against the manifest's own directory. Tensors
-are read through ``_map_payloads``, the one load path, whose callers read
-each open file's payload themselves; :func:`map_loaded` is its form that
-hands them whole maps. It reports the first fault in manifest order for
+Load path
+---------
+A dataset's tensor files are listed by its manifest, which
+:mod:`freqsel.manifest` loads without numpy; its names are bound here
+too. Tensors are read through ``_map_payloads``, the one load path, whose
+callers read each open file's payload themselves; :func:`map_loaded` is
+its form that hands them whole maps. It reports the first fault in manifest order for
 any thread count: ``EmptyTimestep`` for a requested timestep without
 entries (before any read), ``MissingFile`` for an entry whose file has
 gone since the manifest was loaded, ``MetaMismatch`` for tensors at one
@@ -70,13 +65,11 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import math
 import os
 import struct
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -88,7 +81,6 @@ from .errors import (
     FreqselError,
     IoFailure,
     MalformedHeader,
-    ManifestSchemaError,
     MetaMismatch,
     MissingFile,
     NonFiniteValue,
@@ -96,18 +88,13 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDtype,
 )
-from .fileio import atomic_write_bytes, atomic_write_json, read_text
+from .fileio import atomic_write_bytes
+# the manifest's names stay bound here: callers and tracers that reach them
+# through this module get the same objects
+from .manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest  # noqa: F401
 from .reduction import max_abs
 
-__all__ = [
-    "FeatureMeta",
-    "FeatureMap",
-    "ManifestEntry",
-    "DatasetManifest",
-    "read_tensor",
-    "load_manifest",
-    "save_manifest",
-]
+__all__ = ["FeatureMeta", "FeatureMap", "read_tensor"]
 
 _MAGIC = b"\x93NUMPY"
 _VERSION = b"\x01\x00"
@@ -395,104 +382,6 @@ def write_array(values: np.ndarray, path, dtype: str) -> None:
     write_pieces((values,), values.shape, path, dtype)
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    path: str
-    image_id: str
-    timestep: int
-    group: str
-    label: int | None = None
-    accuracy: float | None = None
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    total_timesteps: int
-    entries: tuple[ManifestEntry, ...]
-    allow_ragged: bool = False
-    root: Path = field(default_factory=Path)
-
-    def resolve(self, entry: ManifestEntry) -> Path:
-        p = Path(entry.path)
-        return p if p.is_absolute() else self.root / p
-
-    def timesteps(self) -> tuple[int, ...]:
-        return tuple(sorted({e.timestep for e in self.entries}))
-
-
-def _schema(cond: bool, message: str) -> None:
-    if not cond:
-        raise ManifestSchemaError(message)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _parse_entry(raw, index: int, total: int, context: str) -> ManifestEntry:
-    where = f"{context}: entries[{index}]"
-    _schema(isinstance(raw, dict), f"{where} must be an object")
-    allowed = {"path", "image_id", "timestep", "group", "label", "accuracy"}
-    _schema(set(raw) <= allowed, f"{where} has unknown keys {sorted(set(raw) - allowed)}")
-    for key in ("path", "image_id", "timestep", "group"):
-        _schema(key in raw, f"{where} missing required key {key!r}")
-    _schema(isinstance(raw["path"], str) and raw["path"] != "", f"{where}: path must be a non-empty string")
-    _schema(isinstance(raw["image_id"], str), f"{where}: image_id must be a string")
-    _schema(isinstance(raw["group"], str), f"{where}: group must be a string")
-    t = raw["timestep"]
-    _schema(_is_int(t), f"{where}: timestep must be an integer")
-    _schema(1 <= t <= total, f"{where}: timestep {t} outside [1, {total}]")
-    label = raw.get("label")
-    _schema(label is None or _is_int(label), f"{where}: label must be an integer or null")
-    acc = raw.get("accuracy")
-    if acc is not None:
-        _schema(
-            isinstance(acc, (int, float)) and not isinstance(acc, bool) and 0.0 <= acc <= 1.0,
-            f"{where}: accuracy must be in [0, 1] or null",
-        )
-        acc = float(acc)
-    return ManifestEntry(raw["path"], raw["image_id"], t, raw["group"], label, acc)
-
-
-def load_manifest(path) -> DatasetManifest:
-    """Parse and validate a manifest; every referenced file must exist."""
-    p = Path(path)
-    try:
-        doc = json.loads(read_text(p, ManifestSchemaError))
-    except json.JSONDecodeError as exc:
-        raise ManifestSchemaError(f"{p}: not valid JSON ({exc})") from exc
-
-    _schema(isinstance(doc, dict), f"{p}: manifest must be a JSON object")
-    allowed = {"total_timesteps", "entries", "allow_ragged"}
-    _schema(set(doc) <= allowed, f"{p}: unknown keys {sorted(set(doc) - allowed)}")
-    _schema("total_timesteps" in doc and "entries" in doc, f"{p}: need total_timesteps and entries")
-    total = doc["total_timesteps"]
-    _schema(_is_int(total) and total >= 1, f"{p}: total_timesteps must be an integer >= 1")
-    ragged = doc.get("allow_ragged", False)
-    _schema(isinstance(ragged, bool), f"{p}: allow_ragged must be a boolean")
-    _schema(isinstance(doc["entries"], list), f"{p}: entries must be a list")
-
-    entries = tuple(
-        _parse_entry(raw, i, total, str(p)) for i, raw in enumerate(doc["entries"])
-    )
-    manifest = DatasetManifest(total, entries, ragged, p.parent)
-    for entry in entries:
-        target = manifest.resolve(entry)
-        if not target.is_file():
-            raise MissingFile(f"{p}: entry {entry.image_id!r} points at missing file {target}")
-    return manifest
-
-
-def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc: dict = {
-        "total_timesteps": manifest.total_timesteps,
-        "entries": [asdict(e) for e in manifest.entries],
-    }
-    if manifest.allow_ragged:
-        doc["allow_ragged"] = True
-    atomic_write_json(path, doc)
-
-
 def map_loaded(
     manifest: DatasetManifest, fn: Callable[[FeatureMap], object], timesteps=None, threads: int = 1
 ) -> Iterator[tuple[ManifestEntry, object]]:
@@ -556,6 +445,9 @@ def _in_order(job, items, threads: int, undo=None) -> Iterator:
     if threads <= 1:
         yield from map(job, items)
         return
+    # imported here: the one-thread paths never pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(threads)
     pending: deque = deque()
 

@@ -1,5 +1,5 @@
-"""The package surface: lazy exports, which commands load numpy, the CLI's
-BLAS thread default, and the scripts built on the library."""
+"""The package surface: lazy exports, which commands and calls load numpy,
+the CLI's BLAS thread default, and the scripts built on the library."""
 import importlib
 import os
 import subprocess
@@ -14,7 +14,7 @@ import freqsel
 from freqsel.tensor_io import write_array
 from util import child_env
 
-MODULES = ("tensor_io", "spectral", "diffusion", "discriminability", "selection")
+MODULES = ("manifest", "tensor_io", "spectral", "diffusion", "discriminability", "selection")
 
 
 def test_every_export_is_the_object_its_module_exports():
@@ -78,6 +78,31 @@ def test_curve_commands_and_usage_never_load_numpy(tmp_path, argv, code):
     assert proc.stderr.endswith("numpy loaded: False\n")
     if "--out" in argv:
         assert '"selected_t": 50' in (tmp_path / "r.json").read_text()
+
+
+ONE_ENTRY = '{"total_timesteps": 1, "entries": [{"path": "x.npy", "image_id": "x", "timestep": 1, "group": ""}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["hfr", "--manifest", "none.json", "--out", "c.csv"], "IoFailure"),
+        (["simulate", "--manifest", "none.json", "--out", "sim"], "IoFailure"),
+        (["fisher", "--manifest", "none.json"], "IoFailure"),
+        (["select", "--manifest", "bad.json"], "ManifestSchemaError"),
+        (["hfr", "--manifest", "m.json", "--out", "c.csv"], "MissingFile"),
+    ],
+)
+def test_commands_check_their_manifest_before_numpy_loads(tmp_path, argv, error):
+    (tmp_path / "bad.json").write_text('{"total_timesteps": 0, "entries": []}')
+    (tmp_path / "m.json").write_text(ONE_ENTRY)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN, *argv],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"{error}: "), proc.stderr
+    assert proc.stderr.endswith("numpy loaded: False\n")
 
 
 # Runs freqsel's __main__ with the given arguments, then reports on stderr
@@ -145,6 +170,22 @@ def test_import_freqsel_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['freqsel', 'freqsel.errors']"
+
+
+def test_load_manifest_loads_no_array_module(tmp_path):
+    (tmp_path / "x.npy").write_bytes(b"")
+    (tmp_path / "m.json").write_text(ONE_ENTRY)
+    probe = (
+        "import sys, freqsel; freqsel.load_manifest(sys.argv[1]); "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'freqsel', 'concurrent'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, tmp_path / "m.json"],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['freqsel', 'freqsel.errors', 'freqsel.fileio', 'freqsel.manifest']"
+    assert freqsel.tensor_io.load_manifest is freqsel.manifest.load_manifest
 
 
 def test_scripts_recover_the_planted_peak(tmp_path):

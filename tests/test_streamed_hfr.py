@@ -14,7 +14,7 @@ from freqsel import HfrCurve, average_hfr, hfr, load_manifest, read_tensor, spec
 from freqsel.errors import MalformedHeader, NonFiniteValue, ZeroEnergyFeature
 from freqsel.selection import curve_to_csv_text
 
-from util import child_peak_rss_kb, cli_peak_rss_kb, corrupt_corpus, hfr_one_scale
+from util import cli_peak_rss_kb, corrupt_corpus, hfr_one_scale
 
 THREADS = (1, 2, 4)
 
@@ -206,10 +206,13 @@ def hfr_threads_2_peak_kb(tmp_path, channels):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_hfr_threads_hold_no_map(tmp_path):
     # each scoring thread holds a 1 MiB chunk and half of one, not a map;
-    # the idle child scores nothing
+    # the idle child runs the same command, with the same code and pool, on
+    # maps too small to need chunk-sized scratch
     half_map_kb = 320 * 64 * 64 * 8 / 2 / 1024
-    idle = child_peak_rss_kb("import freqsel.spectral")
-    scoring = hfr_threads_2_peak_kb(tmp_path, 320)
+    (tmp_path / "idle").mkdir()
+    (tmp_path / "scoring").mkdir()
+    idle = hfr_threads_2_peak_kb(tmp_path / "idle", 1)
+    scoring = hfr_threads_2_peak_kb(tmp_path / "scoring", 320)
     assert scoring - idle < half_map_kb, (idle, scoring)
 
 
