@@ -9,10 +9,11 @@
 An optional ``"allow_ragged": true`` lets tensors at one timestep differ
 in shape. Relative entry paths resolve against the manifest's own
 directory. :func:`load_manifest` checks the schema and that every entry's
-file exists, and raises ``ManifestSchemaError`` or ``MissingFile`` naming
-the manifest. This module imports nothing that needs numpy, so a command
-checks its dataset before any array module loads; the tensors themselves
-are read by :mod:`freqsel.tensor_io`.
+file exists; each fault, a ``ManifestSchemaError``, a ``MissingFile`` or
+an ``IoFailure`` when the OS refuses the read, names the manifest. This
+module imports nothing that needs numpy, so a command checks its dataset
+before any array module loads; the tensors themselves are read by
+:mod:`freqsel.tensor_io`.
 """
 from __future__ import annotations
 

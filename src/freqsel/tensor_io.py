@@ -48,13 +48,13 @@ A dataset's tensor files are listed by its manifest, which
 :mod:`freqsel.manifest` loads without numpy; its names are bound here
 too. Tensors are read through ``_map_payloads``, the one load path, whose
 callers read each open file's payload themselves; :func:`map_loaded` is
-its form that hands them whole maps. It reports the first fault in manifest order for
-any thread count: ``EmptyTimestep`` for a requested timestep without
-entries (before any read), ``MissingFile`` for an entry whose file has
-gone since the manifest was loaded, ``MetaMismatch`` for tensors at one
-timestep whose headers differ in shape unless ``"allow_ragged": true``,
-and a ``FreqselError`` from reading or using a tensor as the same class,
-naming the file once.
+its form that hands them whole maps. It reports the first fault in
+manifest order for any thread count: ``EmptyTimestep`` for a requested
+timestep without entries (before any read), ``MissingFile`` for an entry
+whose file has gone since the manifest was loaded, ``MetaMismatch`` for
+tensors at one timestep whose headers differ in shape unless
+``"allow_ragged": true``, and a ``FreqselError`` from reading or using a
+tensor as the same class, naming the file once.
 
 Arrays are written by :func:`write_array` (one whole array) or
 :func:`write_pieces`, over one cast-and-check path; text files and the
