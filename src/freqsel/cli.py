@@ -396,10 +396,11 @@ def cmd_fisher(args) -> int:
                 f"fisher needs a label on every entry; {entry.path} (t={entry.timestep}) has none"
             )
     from .discriminability import LabeledEmbeddingSet, fisher_score, pool_tokens
-    from .tensor_io import map_loaded
+    from .tensor_io import _map_payloads
 
     pooled: dict[int, list] = {t: [] for t in steps}
-    for entry, embedding in map_loaded(manifest, pool_tokens, steps):
+    # each map is pooled chunk by chunk from its file, never held whole
+    for entry, embedding in _map_payloads(manifest, pool_tokens, steps):
         pooled[entry.timestep].append((embedding, entry.label))
     rows = []
     for t in steps:

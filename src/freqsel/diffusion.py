@@ -7,8 +7,9 @@ noise map: z_t = alpha * eps + (1 - alpha) * z0. At alpha = 0 this is the
 identity on z0 and at alpha = 1 the identity on eps, exactly (0 * x + 1 * y
 evaluates to y in IEEE-754 for finite x, y). The default schedule is linear,
 alpha_t = t / T for t = 1..T. :func:`simulate_forward` applies it to a
-whole dataset, holding one clean source in memory at a time, and noises
-and writes each map in pieces, so no map-sized noise array exists.
+whole dataset in pieces: each (source, timestep) job re-reads its clean
+source from the file, which the page cache keeps, piece by piece beside
+the noise it mixes with, so it holds pieces and no source, noise or map.
 
 Timestep t always mixes with the schedule's own alpha_t. The convention
 that mixes t with alpha_{t-1} (``simulate --alpha-index t-1``) is a
@@ -39,6 +40,7 @@ each map streamed to its file channel by channel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from .errors import (
     FreqselError,
     FrequencyTooHigh,
     IoFailure,
+    MetaMismatch,
     ProfileInvalid,
     ScheduleInvalid,
     ShapeMismatch,
@@ -56,7 +59,7 @@ from .errors import (
 from .fileio import read_csv
 from .manifest import DatasetManifest, ManifestEntry, save_manifest
 from .spectral import _hartley, _radius_sq
-from .tensor_io import _PIECE, _in_order, map_loaded, write_pieces
+from .tensor_io import _PIECE, FeatureMeta, _in_order, _map_payloads, _opened, write_pieces
 
 __all__ = [
     "DEFAULT_TOTAL_TIMESTEPS",
@@ -133,26 +136,39 @@ def _check_grid(timesteps, total_timesteps: int, invalid: type[FreqselError]) ->
     return grid
 
 
-def _write_noised(z0: np.ndarray, alpha: float, rng: np.random.Generator, path, dtype: str) -> None:
-    """Write z_t = alpha * eps + (1 - alpha) * z0 to `path`, eps the normals
-    `rng` draws in z0's shape, one piece of ``_PIECE`` elements at a time.
+def _write_noised(
+    source: tuple[Path, tuple[int, ...]], alpha: float, rng: np.random.Generator, path, dtype: str
+) -> None:
+    """Write z_t = alpha * eps + (1 - alpha) * z0 to `path`, z0 the clean
+    map in the tensor file ``source[0]``, of the (checked) shape
+    ``source[1]``, and eps the normals `rng` draws in that shape, one piece
+    of ``_PIECE`` elements at a time.
 
     Consecutive ``standard_normal(out=...)`` calls continue one stream, so
-    the pieces hold the bits of one whole-map draw, mixed by the same
-    operations; no map-sized noise, temporary or payload exists.
+    the pieces hold the bits of one whole-map draw. Each piece of z0 is
+    read from the file beside it, ``<f4`` widened exactly, and mixed in
+    float64 by the same operations as a whole map, in three buffers of one
+    piece; no map-sized source, noise, temporary or payload exists. A read
+    fault names the source and a write fault the output.
     """
-    flat = z0.reshape(-1)
+    file, shape = source
+    size = math.prod(shape)
+    mix, clean = np.empty(min(size, _PIECE)), np.empty(min(size, _PIECE))
 
-    def pieces():
-        buf = np.empty(min(flat.size, _PIECE))
-        for start in range(0, flat.size, _PIECE):
-            piece = buf[: min(_PIECE, flat.size - start)]
+    def mixed(payload):
+        if payload.shape != shape:
+            raise MetaMismatch(f"shape {payload.shape} is no longer the {shape} checked before")
+        stage = np.empty(clean.size, dtype="<f4") if payload.meta.dtype == "f32" else None
+        for start in range(0, size, _PIECE):
+            n = min(_PIECE, size - start)
+            piece, z0 = mix[:n], clean[:n]
             rng.standard_normal(out=piece)
             piece *= alpha
-            piece += (1.0 - alpha) * flat[start : start + piece.size]
+            raw, _ = payload.read(z0, stage)
+            piece += np.multiply(raw, 1.0 - alpha, out=z0, dtype=np.float64)
             yield piece
 
-    write_pieces(pieces(), z0.shape, path, dtype)
+    write_pieces(_opened(file, FeatureMeta(), mixed), shape, path, dtype)
 
 
 def _map_name(t: int, stem: str, i: int) -> str:
@@ -162,8 +178,8 @@ def _map_name(t: int, stem: str, i: int) -> str:
 def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total: int, ragged: bool):
     """Write each source's map at each timestep of `grid`, then the manifest.
 
-    `sources` yields (entry template, float64 array) pairs; ``make(i,
-    source, t, path)`` writes the map of source i at t, named
+    `sources` yields (entry template, source, element count) triples;
+    ``make(i, source, t, path)`` writes the map of source i at t, named
     ``t{t:04d}_{stem}{i:04d}.npy``. One source is held at a time. The
     timesteps of a source of at least one piece (``_PIECE`` elements) run
     on up to `threads` workers; a smaller one is written faster than a
@@ -178,9 +194,9 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
     # a counter, not enumerate or zip: their cached result tuple would keep
     # the last source alive while the next one is made
     i = 0
-    for entry, source in sources:
+    for entry, source, size in sources:
         tasks = [(t, out / _map_name(t, stem, i)) for t in grid]
-        workers = min(threads, len(grid)) if source.size >= _PIECE else 1
+        workers = min(threads, len(grid)) if size >= _PIECE else 1
         written = _in_order(
             lambda task: make(i, source, *task), tasks, workers,
             lambda task: task[1].unlink(missing_ok=True),
@@ -234,18 +250,27 @@ def simulate_forward(
     work is batched. The grid must be non-empty, strictly ascending and
     within the schedule (else ``ScheduleInvalid``), which is checked, and
     every alpha looked up, before any file is read or written; so is that
-    no map it writes is one of its inputs (else ``IoFailure``). Up to
-    `threads` workers each noise pieces of a map, not a map; the written
-    manifest keeps the input's ``allow_ragged``.
+    no map it writes is one of its inputs (else ``IoFailure``).
+
+    Each source's header is checked under the load path's rules, in
+    manifest order, before any of its maps is written. Each (source,
+    timestep) job then re-reads the source, from the page cache, in pieces
+    beside the noise: a fault in its values names the source, one in
+    writing names the map. Up to `threads` workers each hold pieces, not a
+    source or a map; the written manifest keeps the input's ``allow_ragged``.
     """
     timesteps = _check_grid(timesteps, schedule.total_timesteps, ScheduleInvalid)
     alphas = {t: schedule.alpha(t) for t in timesteps}
     _check_not_inputs(manifest, timesteps, Path(out_dir))
 
-    def noise(i: int, z0: np.ndarray, t: int, path: Path) -> None:
-        _write_noised(z0, alphas[t], _rng(seed, i, t), path, dtype)
+    def noise(i: int, source: tuple[Path, tuple[int, ...]], t: int, path: Path) -> None:
+        _write_noised(source, alphas[t], _rng(seed, i, t), path, dtype)
 
-    sources = map_loaded(manifest, lambda fmap: fmap.values)
+    # each header is checked as its source comes up; no payload is read here
+    sources = (
+        (entry, (manifest.resolve(entry), shape), math.prod(shape))
+        for entry, shape in _map_payloads(manifest, lambda payload: payload.shape)
+    )
     return _write_dataset(
         sources, timesteps, noise, "i", out_dir, threads, schedule.total_timesteps, manifest.allow_ragged
     )
@@ -372,9 +397,10 @@ def oracle_features(
 
     def backgrounds():
         for i in range(n_images):
-            yield ManifestEntry("", f"img{i:04d}", 1, "oracle"), _low_field(
-                (c, h, w), profile.base_low_freq_amplitude, _rng(seed, i, 0)
-            )
+            low = _low_field((c, h, w), profile.base_low_freq_amplitude, _rng(seed, i, 0))
+            yield ManifestEntry("", f"img{i:04d}", 1, "oracle"), low, low.size
+            # not held while the next background is made
+            del low
 
     def detail(i: int, low: np.ndarray, t: int, path: Path) -> None:
         phases = 2.0 * np.pi * _rng(seed, i, t).random(c)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fileio import read_csv
 from .reduction import pow2_scale
-from .tensor_io import FeatureMap
+from .tensor_io import _PIECE, FeatureMap, _Payload
 
 __all__ = [
     "LabeledEmbeddingSet",
@@ -96,7 +96,22 @@ def pool_tokens(source) -> np.ndarray:
 
     Each feature's tokens are summed as one contiguous row, so numpy's
     ``sum`` takes its pairwise path along them, after an exact power-of-two
-    scale of the row, so the means are finite over the whole float64 range."""
+    scale of the row, so the means are finite over the whole float64 range.
+    `source` may also be an open tensor file as ``tensor_io._map_payloads``
+    hands it over: its channels are then read in chunks of whole channels,
+    about one ``_PIECE`` each, and pooled row by row as they come, with the
+    same bits as from the map in memory."""
+    if isinstance(source, _Payload):
+        c, h, w = source.shape
+        step = max(1, _PIECE // (h * w))
+        chunk = np.empty((min(step, c), h * w))
+        stage = np.empty(chunk.size, dtype="<f4") if source.meta.dtype == "f32" else None
+        means: list = []
+        for start in range(0, c, step):
+            # <f4 rows are widened exactly, one at a time, by pow2_scale
+            rows, _ = source.read(chunk[: min(step, c - start)], stage)
+            means += _row_means(rows)
+        return np.array(means)
     if isinstance(source, FeatureMap):
         rows = source.values.reshape(source.channels, -1)
     else:
@@ -106,8 +121,12 @@ def pool_tokens(source) -> np.ndarray:
         rows = np.ascontiguousarray(tokens.T)
     if rows.shape[1] == 0:
         raise EmptyInput("cannot pool zero tokens")
-    # one row scaled at a time, so no map-sized copy exists
-    return np.array([np.ldexp(s.sum() / rows.shape[1], e) for s, e in map(pow2_scale, rows)])
+    return np.array(_row_means(rows))
+
+
+def _row_means(rows: np.ndarray) -> list:
+    # one row scaled at a time, so no copy of all the rows exists
+    return [np.ldexp(s.sum() / rows.shape[1], e) for s, e in map(pow2_scale, rows)]
 
 
 def fisher_score(data: LabeledEmbeddingSet) -> FisherResult:

@@ -21,19 +21,23 @@ payloads, Fortran order, zero dims, exotic dtypes, NaN/Inf values - is
 rejected with a specific exception rather than guessed at. Rank-2 files
 are promoted to a single-channel rank-3 map on load. The file is opened
 with Python's buffered reader, whose ``read`` and ``readinto`` return
-short only at the end of the file, by :func:`_opened`, the one place that
-puts a tensor file's path in front of an error. The reader has three
-parts, each check in one of them: ``_Payload`` reads and checks the
-header and the payload length on record when it is made; its ``read``
-takes the next values in order, ``<f8`` into the caller's float64 array
-and ``<f4`` into the caller's staging buffer, checks them for NaN/Inf by
-their max |x|, which it returns, and at the last value checks that the
-file ends there. :func:`read_tensor` fills a whole map from these reads,
-in pieces, so a map is in memory once; the widening is exact, and a
-read-write-read trip through either dtype is byte-identical. The HFR
-scorer reads each chunk of channels into its own scratch instead, so no
-map-sized array exists while a file is scored. Parsed headers are cached
-by their bytes.
+short only at the end of the file, by :func:`_opened`, the one place
+that puts a tensor file's path in front of an error: an error of the
+file's checks or of the code that reads it, not one of the code that
+consumes what is read, such as the writer of a map made from it. The
+reader has three parts, each check in one of them: ``_Payload`` reads
+and checks the header and the payload length on record when it is made;
+its ``read`` takes the next values in order, ``<f8`` into the caller's
+float64 array and ``<f4`` into the caller's staging buffer, checks them
+for NaN/Inf by their max |x|, which it returns, and at the last value
+checks that the file ends there. :func:`read_tensor` fills a whole map
+from these reads, in pieces, so a map is in memory once; the widening is
+exact, and a read-write-read trip through either dtype is
+byte-identical. The HFR scorer and the token pooler read each chunk of
+channels into their own scratch instead, and ``simulate`` reads each
+piece of a clean source beside the noise it mixes with, so no map-sized
+array exists while a file is scored, pooled or noised. Parsed headers
+are cached by their bytes.
 
 Writes are piecewise too: :func:`write_pieces` streams float64 pieces into
 the file, each cast to the file's dtype through one staging buffer,
@@ -46,15 +50,14 @@ Load path
 ---------
 A dataset's tensor files are listed by its manifest, which
 :mod:`freqsel.manifest` loads without numpy; its names are bound here
-too. Tensors are read through ``_map_payloads``, the one load path, whose
-callers read each open file's payload themselves; :func:`map_loaded` is
-its form that hands them whole maps. It reports the first fault in
-manifest order for any thread count: ``EmptyTimestep`` for a requested
-timestep without entries (before any read), ``MissingFile`` for an entry
-whose file has gone since the manifest was loaded, ``MetaMismatch`` for
-tensors at one timestep whose headers differ in shape unless
-``"allow_ragged": true``, and a ``FreqselError`` from reading or using a
-tensor as the same class, naming the file once.
+too. Tensors are read through ``_map_payloads``, the one load path,
+whose callers read each open file's payload themselves. It reports the
+first fault in manifest order for any thread count: ``EmptyTimestep``
+for a requested timestep without entries (before any read),
+``MissingFile`` for an entry whose file has gone since the manifest was
+loaded, ``MetaMismatch`` for tensors at one timestep whose headers
+differ in shape unless ``"allow_ragged": true``, and a ``FreqselError``
+from reading or using a tensor as the same class, naming the file once.
 
 Arrays are written by :func:`write_array` (one whole array) or
 :func:`write_pieces`, over one cast-and-check path; text files and the
@@ -293,14 +296,15 @@ class _Payload:
         return FeatureMap._owned(values, self.meta)
 
 
-def _opened(path, identity: FeatureMeta, use: Callable[[_Payload], object]):
-    """use(payload) for the tensor file at `path`, opened as the map
-    `identity` names. Every error raised while the file is open, by its
-    checks or by `use`, names the file once."""
+def _opened(path, identity: FeatureMeta, read: Callable[[_Payload], Iterable]) -> Iterator:
+    """Yield what read(payload) yields for the tensor file at `path`, opened
+    as the map `identity` names. Every error raised by the file's checks or
+    by `read` names the file once; one raised by the consumer between two
+    values is not this file's and names nothing."""
     p = Path(path)
     try:
         with open(p, "rb") as fh:
-            return use(_Payload(fh, identity))
+            yield from read(_Payload(fh, identity))
     except OSError as exc:
         raise IoFailure(f"cannot read {p}: {exc}") from exc
     except FreqselError as exc:
@@ -311,7 +315,8 @@ def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:
     """Load one tensor file. `meta` overrides identity; file dtype always
     wins. Every error names the file once."""
     p = Path(path)
-    return _opened(p, meta or FeatureMeta(image_id=p.stem), _Payload.feature_map)
+    (fmap,) = _opened(p, meta or FeatureMeta(image_id=p.stem), lambda payload: [payload.feature_map()])
+    return fmap
 
 
 def _tensor_chunks(pieces: Iterable[np.ndarray], shape: tuple[int, ...], path, dtype: str) -> Iterator:
@@ -382,14 +387,6 @@ def write_array(values: np.ndarray, path, dtype: str) -> None:
     write_pieces((values,), values.shape, path, dtype)
 
 
-def map_loaded(
-    manifest: DatasetManifest, fn: Callable[[FeatureMap], object], timesteps=None, threads: int = 1
-) -> Iterator[tuple[ManifestEntry, object]]:
-    """Yield (entry, fn(map)) for the wanted entries, in manifest order, each
-    map read whole; see :func:`_map_payloads` for the rules."""
-    return _map_payloads(manifest, lambda payload: fn(payload.feature_map()), timesteps, threads)
-
-
 def _map_payloads(
     manifest: DatasetManifest, use: Callable[[_Payload], object], timesteps=None, threads: int = 1
 ) -> Iterator[tuple[ManifestEntry, object]]:
@@ -420,7 +417,8 @@ def _map_payloads(
         if not target.is_file():
             raise MissingFile(f"entry {entry.image_id!r} points at missing file {target}")
         identity = FeatureMeta(entry.image_id, entry.timestep, entry.group)
-        return _opened(target, identity, lambda payload: (entry, payload.shape, use(payload)))
+        (loaded,) = _opened(target, identity, lambda payload: [(entry, payload.shape, use(payload))])
+        return loaded
 
     first: dict[int, tuple] = {}
     for entry, shape, value in _in_order(job, tasks, threads):

@@ -27,11 +27,12 @@ from freqsel.errors import (
     FrequencyTooHigh,
     IoFailure,
     MalformedHeader,
+    MetaMismatch,
     NonFiniteValue,
     ProfileInvalid,
     ScheduleInvalid,
 )
-from freqsel.tensor_io import map_loaded, write_array
+from freqsel.tensor_io import FeatureMap, FeatureMeta, _map_payloads, write_array
 
 from util import (
     child_env,
@@ -255,7 +256,7 @@ def test_simulate_forward_writes_expected_dataset(tmp_path):
     back = load_manifest(tmp_path / "noised" / "manifest.json")
     assert back.entries == out.entries
     # alpha = 1 at t = 10 for this schedule: output is pure seeded noise
-    noised_t10 = [values for _, values in map_loaded(back, lambda fmap: fmap.values, (10,))]
+    noised_t10 = [values for _, values in _map_payloads(back, lambda p: p.feature_map().values, (10,))]
     for i, values in enumerate(noised_t10):
         assert np.array_equal(values, _noise((1, 8, 8), 4, i, 10))
     # source identity survives alongside the new timestep
@@ -392,6 +393,78 @@ def test_simulate_read_fault_leaves_the_sources_before_it(tmp_path, threads):
     assert sorted(p.name for p in out.iterdir()) == [f"t{t:04d}_i0000.npy" for t in (1, 2, 3)]
 
 
+def _three_sources(tmp_path, dtype="f64"):
+    """A dataset of three clean sources of two pieces each, and the path of
+    the second, which the fault tests spoil."""
+    shape = (2, 200, 200)
+    assert 1 < np.prod(shape) / tensor_io._PIECE <= 2
+    clean = [FeatureMap(np.ones(shape), FeatureMeta(f"img{i}", 1, "", dtype)) for i in range(3)]
+    manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1))
+    return manifest, manifest.resolve(manifest.entries[1])
+
+
+def _simulate_fails_at_the_second_source(tmp_path, manifest, source, error, threads):
+    """Run simulate on `threads`, which must raise `error` naming `source`
+    first and leave the maps of the first source alone: no later map, no
+    *.tmp and no manifest.json."""
+    out = tmp_path / "out"
+    with pytest.raises(error) as err:
+        simulate_forward(manifest, linear_schedule(3), (1, 2, 3), 0, out, "f32", threads)
+    assert str(err.value).startswith(f"{source}: "), str(err.value)
+    assert sorted(p.name for p in out.iterdir()) == [f"t{t:04d}_i0000.npy" for t in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_simulate_nonfinite_value_in_a_source_names_the_source(tmp_path, bad, dtype, threads):
+    # the value is in the last piece, which each job reads after it has
+    # written the first piece of its map
+    manifest, source = _three_sources(tmp_path, dtype)
+    values = np.ones((2, 200, 200), dtype=tensor_io._DESCR_BY_DTYPE[dtype])
+    values[-1, -1, -1] = bad
+    np.save(source, values)
+    _simulate_fails_at_the_second_source(tmp_path, manifest, source, NonFiniteValue, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "change, when, error",
+    [
+        ("cut", "before_the_header_check", MalformedHeader),
+        ("cut", "after_the_header_check", MalformedHeader),
+        ("grow", "after_the_header_check", MetaMismatch),
+    ],
+)
+def test_simulate_source_changed_after_the_manifest_loaded_names_the_source(
+    tmp_path, monkeypatch, change, when, error, threads
+):
+    manifest, source = _three_sources(tmp_path)
+
+    def spoil():
+        if change == "cut":
+            with open(source, "r+b") as fh:
+                fh.truncate(source.stat().st_size - 8)
+        else:
+            # read as the checked shape, the new file would be cut silently
+            write_array(np.ones((3, 200, 200)), source, "f64")
+
+    if when == "before_the_header_check":
+        spoil()
+    else:
+        # the header check passes; the jobs that re-read the source find it changed
+        map_payloads = diffusion._map_payloads
+
+        def spoil_once_checked(manifest, use, *rest):
+            for entry, value in map_payloads(manifest, use, *rest):
+                if manifest.resolve(entry) == source:
+                    spoil()
+                yield entry, value
+
+        monkeypatch.setattr(diffusion, "_map_payloads", spoil_once_checked)
+    _simulate_fails_at_the_second_source(tmp_path, manifest, source, error, threads)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_oracle_fault_at_an_image_leaves_the_images_before_it(tmp_path, monkeypatch, threads):
     low_field, write_dataset_ = diffusion._low_field, diffusion._write_dataset
@@ -424,14 +497,20 @@ import sys
 import numpy.random
 import freqsel.diffusion
 from freqsel.cli import build_parser
-from freqsel.tensor_io import load_manifest, map_loaded
+from freqsel.tensor_io import load_manifest, read_tensor
 build_parser()
 """
 
-# reads the dataset's sources one at a time as simulate does, writing nothing
+# loads the manifest and reads no payload
+_LOAD_MANIFEST = _IMPORTS + """
+load_manifest(sys.argv[1])
+"""
+
+# reads the dataset's sources whole, one at a time, writing nothing
 _READ_SOURCES = _IMPORTS + """
-for _, values in map_loaded(load_manifest(sys.argv[1]), lambda fmap: fmap.values):
-    pass
+manifest = load_manifest(sys.argv[1])
+for entry in manifest.entries:
+    read_tensor(manifest.resolve(entry))
 """
 
 # what `simulate --timesteps 1,2 --dtype f32` runs, on argv[3] threads
@@ -455,13 +534,12 @@ def _simulate_peak_kb(tmp_path, manifest, threads):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_simulate_holds_one_source_and_no_map_sized_array(tmp_path):
     one, two = _sources(tmp_path, 1), _sources(tmp_path, 2)
-    read = child_peak_rss_kb(_READ_SOURCES, one)
-    single = _simulate_peak_kb(tmp_path, one, 1)
-    # the noise, the mix and the cast payload are pieces, not maps
-    assert single - read < _SOURCE_KB / 4, (read, single)
-    # the first source is released before the second is read
-    double = _simulate_peak_kb(tmp_path, two, 1)
-    assert double - single < _SOURCE_KB / 2, (single, double)
+    base = child_peak_rss_kb(_LOAD_MANIFEST, one)
+    # the source, the noise, the mix and the cast payload are pieces, not
+    # maps, for one source and for two
+    for manifest in (one, two):
+        peak = _simulate_peak_kb(tmp_path, manifest, 1)
+        assert peak - base < _SOURCE_KB / 4, (manifest, base, peak)
 
 
 # what `oracle --images 1 --shape 256,64,64 --timesteps 1,2 --dtype f32` runs
@@ -578,7 +656,7 @@ def test_oracle_per_image_hfr_monotone_in_amplitude(tmp_path):
     # same image at increasing detail amplitude must have increasing HFR
     profile = OracleProfile(5, 1.0, (0.0, 0.4, 0.8, 1.2, 1.6), 5)
     manifest = oracle_features(profile, 1, (1, 20, 20), seed=3, out_dir=tmp_path)
-    values = [value for _, value in map_loaded(manifest, lambda m: hfr(m, 30.0))]
+    values = [value for _, value in _map_payloads(manifest, lambda p: hfr(p, 30.0))]
     assert values == sorted(values)
     assert values[0] < values[-1]
 

@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqsel import (
+    FeatureMap,
+    FeatureMeta,
     LabeledEmbeddingSet,
     correlate,
     fisher_score,
+    load_manifest,
     pool_tokens,
     read_series_csv,
+    read_tensor,
 )
 from freqsel.cli import main
 from freqsel.errors import (
@@ -24,7 +28,9 @@ from freqsel.errors import (
     SeriesInvalid,
 )
 
-from util import cli_peak_rss_kb, fisher_scatter_oracle, make_map, write_dataset
+from freqsel.tensor_io import _map_payloads
+
+from util import cli_peak_rss_kb, fisher_scatter_oracle, make_map, map_loaded, write_dataset
 
 
 # --- pooling ------------------------------------------------------------------
@@ -56,6 +62,21 @@ def test_pool_tokens_within_1e_15_of_the_exactly_rounded_mean():
 def test_pool_tokens_finite_near_the_float64_maximum():
     pooled = pool_tokens(make_map(np.full((2, 4, 4), 1.5e308)))
     assert np.array_equal(pooled, [1.5e308, 1.5e308])
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(37, 64, 64), (3, 300, 300), (2, 5, 7)], ids=["chunks", "row_over_piece", "one_chunk"])
+def test_pool_tokens_from_the_file_has_the_bits_of_the_map(tmp_path, shape, dtype):
+    # 37 channels of 64x64 are read in chunks of 16, 16 and 5; a 300x300
+    # channel is more than one piece, and is read one at a time
+    # near the top of each dtype's range: the f64 rows would overflow an unscaled sum
+    values = np.random.default_rng(3).normal(size=shape) * (1e35 if dtype == "f32" else 1e305)
+    fmap = FeatureMap(values, FeatureMeta("a", 1, "", dtype))
+    manifest = load_manifest(write_dataset(tmp_path, [fmap], 1))
+    ((_, streamed),) = _map_payloads(manifest, pool_tokens)
+    (whole,) = map_loaded(manifest, pool_tokens)
+    assert streamed.tobytes() == whole[1].tobytes()
+    assert streamed.tobytes() == pool_tokens(read_tensor(manifest.resolve(manifest.entries[0]))).tobytes()
 
 
 # --- Fisher score -----------------------------------------------------------------

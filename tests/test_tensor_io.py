@@ -38,9 +38,9 @@ from freqsel.fileio import atomic_write_bytes, atomic_write_text
 from freqsel import tensor_io
 from freqsel.selection import average_hfr
 from freqsel.spectral import hfr
-from freqsel.tensor_io import _PIECE, map_loaded, write_array, write_pieces
+from freqsel.tensor_io import _PIECE, write_array, write_pieces
 
-from util import _raw_npy, corrupt_corpus, make_map, write_dataset
+from util import _raw_npy, corrupt_corpus, make_map, map_loaded, write_dataset
 
 
 # --- FeatureMap type ---------------------------------------------------------

@@ -37,7 +37,7 @@ from freqsel.errors import (
     UnsupportedDtype,
 )
 from freqsel.spectral import _gains, _hartley
-from freqsel.tensor_io import write_array
+from freqsel.tensor_io import _map_payloads, write_array
 
 
 # --- quadratic-time DFT oracle ---------------------------------------------
@@ -195,6 +195,13 @@ def cli_peak_rss_kb(*argv) -> int:
 
 
 # --- dataset builders ----------------------------------------------------------
+
+def map_loaded(manifest, fn, timesteps=None, threads: int = 1):
+    """(entry, fn(map)) for the wanted entries of `manifest`, in manifest
+    order, each map read whole through the load path
+    ``tensor_io._map_payloads``, under its rules."""
+    return _map_payloads(manifest, lambda payload: fn(payload.feature_map()), timesteps, threads)
+
 
 def make_map(values, image_id: str = "m", timestep: int = 1, group: str = "") -> FeatureMap:
     return FeatureMap(np.asarray(values, dtype=np.float64), FeatureMeta(image_id, timestep, group))
