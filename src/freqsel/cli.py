@@ -24,7 +24,7 @@ are written atomically, and reruns of the same command line produce
 byte-identical files; ``--threads`` only changes wall time, never bytes,
 which is why it is excluded from the config echoed into reports. It
 defaults to 1 for ``hfr`` and ``select``, whose threads each score a map
-as its file is read and hold about 1.5 MiB of chunk scratch, not the map.
+as its file is read and hold about 0.8 MiB of chunk scratch, not the map.
 ``simulate`` has no such flag: its threads each hold pieces of a map, so
 it runs on every CPU the process may use.
 

@@ -9,27 +9,29 @@ transform H_n[u, i] = cas(2 pi u i / n) / sqrt(n), cas = cos + sin
 each frequency axis, so H diagonalises the filter: with Z = H_h @ X @ H_w
 per channel, the high-pass part is H_h @ (G * Z) @ H_w and, by Parseval,
 
-    hfr = sum((G * Z)^2) / sum(Z^2) = sum(G^2 * P) / sum(P),  P = Z^2
+    hfr = sum((G * Z)^2) / sum(Z^2) = sum(G^2 * P) / sum(P)
 
-one real quadratic form with no complex spectrum and no subtraction, so
-it keeps its relative accuracy at every cutoff. G is -expm1(-D^2 / (2 *
+with P = sum_c Z_c^2 the (h, w) power summed over the channels: one real
+quadratic form with no complex spectrum and no subtraction, so it keeps
+its relative accuracy at every cutoff. G is -expm1(-D^2 / (2 *
 cutoff^2)) with its DC entry exactly 0, so 0 <= G^2 <= 1, G^2 * P <= P
 elementwise, and the ratio of the monotonically rounded sums lies in
 [0, 1]; it is invariant to rescaling the map.
 
-H is cached read-only per size and G per (height, width, cutoff), after
-the rule of :func:`freqsel.defaults.checked_cutoff`. A map is scored in
-chunks of whole channels by :func:`hfr`, from memory or straight from its
-open tensor file, as :func:`freqsel.average_hfr` hands it over, through
-one chunk loop. Each chunk k is scaled by its own power of
-two 2^e_k, the one that puts its peak into [0.5, 1), so its squares
-neither overflow nor underflow; its sums of P and G^2 * P, by numpy's
-pairwise ``sum``, are then multiplied by 2^(2 (e_min - e_k)), e_min the
-exponent of the map's peak. A power of two scales exactly in the normal
-range, so these partials are those of the map scaled by 2^e_min as a
-whole. The exactly rounded :func:`math.fsum` adds them, so a map's HFR has
-the same bits on every rerun, from memory or from the file, and whichever
-thread scores it.
+H is cached read-only per size and G and G^2 per (height, width,
+cutoff), after the rule of :func:`freqsel.defaults.checked_cutoff`. A map
+is scored in chunks of whole channels, 512 KiB at most, by :func:`hfr`,
+from memory or straight from its open tensor file, as
+:func:`freqsel.average_hfr` hands it over, through one chunk loop. Each
+chunk k is scaled by its own power of two 2^e_k, the one that puts its
+peak into [0.5, 1), so its squares neither overflow nor underflow; its
+power is summed over its channels into P_k, in channel order, and the
+sums of P_k and G^2 * P_k, by numpy's pairwise ``sum``, are then
+multiplied by 2^(2 (e_min - e_k)), e_min the exponent of the map's peak.
+A power of two scales exactly in the normal range, so these partials are
+those of the map scaled by 2^e_min as a whole. The exactly rounded
+:func:`math.fsum` adds them, so a map's HFR has the same bits on every
+rerun, from memory or from the file, and whichever thread scores it.
 """
 from __future__ import annotations
 
@@ -54,8 +56,10 @@ __all__ = [
 ]
 
 
-# hfr's chunk: at most 2^17 float64 elements (1 MiB) of whole channels
-_CHUNK_ELEMENTS = 1 << 17
+# hfr's chunk: at most 2^16 float64 elements (512 KiB) of whole channels.
+# 2^15 holds half as much, but its twice as many numpy calls per map cost
+# two scoring threads more CPU and wall time than the channel fold saves.
+_CHUNK_ELEMENTS = 1 << 16
 # Each thread keeps its hfr buffers for the next map of the same shape. A
 # buffer freed after every map lets malloc trim the heap top, and then it
 # is faulted in again for the next map (1280x16x16 maps: ~1700 minor
@@ -102,10 +106,14 @@ def _gains(h: int, w: int, cutoff: float) -> np.ndarray:
     return g
 
 
-def _basis(h: int, w: int, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H_h, H_w, G) for a height and width, after the cutoff rule."""
-    cutoff = checked_cutoff(cutoff)
-    return _hartley(h), _hartley(w), _gains(h, w, cutoff)
+@lru_cache(maxsize=128)
+def _basis(h: int, w: int, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(H_h, H_w, G, G^2) for a height and width, after the cutoff rule;
+    cached, so no map squares G again."""
+    gains = _gains(h, w, checked_cutoff(cutoff))
+    gains_sq = np.square(gains)
+    gains_sq.setflags(write=False)
+    return _hartley(h), _hartley(w), gains, gains_sq
 
 
 def _peak(values: np.ndarray, meta: FeatureMeta) -> float:
@@ -132,7 +140,7 @@ def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
     """Filter a map through the high-pass gains: H_h @ (G * Z) @ H_w per
     channel, with Z = H_h @ X @ H_w, all on the map pre-scaled by the
     power of two that puts max |x| into [0.5, 1)."""
-    hy, hx, gains = _basis(fmap.height, fmap.width, cutoff)
+    hy, hx, gains, _ = _basis(fmap.height, fmap.width, cutoff)
     scaled = np.empty(fmap.values.shape)
     exponent = _scale(fmap.values, _peak(fmap.values, fmap.meta), scaled)
     z = hy @ scaled @ hx
@@ -164,41 +172,42 @@ def _chunked_hfr(read, shape: tuple[int, int, int], cutoff: float, meta: Feature
     read into.
 
     The map is walked in chunks of whole channels, as many as fit in
-    _CHUNK_ELEMENTS (one if even one does not), through two buffers per
+    _CHUNK_ELEMENTS (one if even one does not), through three buffers per
     thread that do not grow with the channel count: a chunk-sized one for
-    the scaled channels, then Z, P and G^2 * P in place, and one of half
-    as many channels, rounded up, that stages ``<f4`` values and then holds
-    H_h @ X for each half of the chunk in turn. Each chunk is scaled by its
-    own power of two 2^e_k, the one that puts its peak into [0.5, 1),
-    widened and scaled in one ``ldexp``; an all-zero chunk adds nothing.
-    Its partial sums of P and G^2 * P are then brought to the scale of the
-    map's peak, 2^e_min, by 2^(2 (e_min - e_k)): scaling by a power of two
-    is exact in the normal range, so these are the partials of a map scaled
-    by 2^e_min as a whole. :func:`math.fsum` rounds the partials' totals
-    exactly.
+    the scaled channels, then Z in place; one of half as many channels,
+    rounded up, that stages ``<f4`` values and then holds H_h @ X for each
+    half of the chunk in turn; and one (h, w) array for the chunk's power
+    P, summed over its channels in order by one ``einsum`` pass, then
+    G^2 * P in place. At 2^16 elements that is 512 + 256 + 32 KiB for
+    64x64 channels. Each chunk is scaled by its own power of two 2^e_k,
+    the one that puts its peak into [0.5, 1), widened and scaled in one
+    ``ldexp``; an all-zero chunk adds nothing. Its partial sums of P and
+    G^2 * P are then brought to the scale of the map's peak, 2^e_min, by
+    2^(2 (e_min - e_k)): scaling by a power of two is exact in the normal
+    range, so these are the partials of a map scaled by 2^e_min as a
+    whole. :func:`math.fsum` rounds the partials' totals exactly.
     """
     c, h, w = shape
-    hy, hx, gains = _basis(h, w, cutoff)
+    hy, hx, _, gains_sq = _basis(h, w, cutoff)
     step = max(1, _CHUNK_ELEMENTS // (h * w))
     k = min(step, c)
     half = (k + 1) // 2
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or bufs[0].shape != (k, h, w):
-        bufs = _scratch.bufs = (np.empty((k, h, w)), np.empty((half, h, w)))
-    chunk, spare = bufs
+        bufs = _scratch.bufs = (np.empty((k, h, w)), np.empty((half, h, w)), np.empty((h, w)))
+    chunk, spare, power = bufs
     stage = spare.reshape(-1).view("<f4")
-    gains_sq = gains * gains
     high, total, exponents = [], [], []
     for start in range(0, c, step):
-        power = chunk[: min(step, c - start)]
-        values, peak = read(start, power, stage)
+        z = chunk[: min(step, c - start)]
+        values, peak = read(start, z, stage)
         if peak == 0.0:
             continue
-        exponent = _scale(values, peak, power)
-        for j in range(0, len(power), half):
-            part = power[j : j + half]
+        exponent = _scale(values, peak, z)
+        for j in range(0, len(z), half):
+            part = z[j : j + half]
             np.matmul(np.matmul(hy, part, out=spare[: len(part)]), hx, out=part)
-        np.square(power, out=power)
+        np.einsum("chw,chw->hw", z, z, out=power)
         total.append(power.sum())
         high.append(np.multiply(power, gains_sq, out=power).sum())
         exponents.append(exponent)

@@ -204,7 +204,9 @@ def test_non_finite_map_rejected_with_its_identity(bad):
      ((2, 96, 96), 12.5, 1.0), ((320, 64, 64), 30.0, 3.0),
      # several chunks with a ragged last one; an odd H*W; one channel above a chunk
      ((33, 64, 64), 30.0, 1.0), ((40, 96, 96), 12.5, 1e-200), ((300, 17, 19), 5.0, 1e250),
-     ((129, 32, 32), 7.5, 1.0), ((1, 512, 512), 30.0, 1.0)],
+     ((129, 32, 32), 7.5, 1.0), ((1, 512, 512), 30.0, 1.0),
+     # the longest channel sums: a whole chunk of 16x16 or 8x8 channels folds into each P
+     ((1280, 16, 16), 5.0, 1.0), ((2000, 8, 8), 1.0, 1e-200)],
 )
 def test_hfr_bits_match_the_per_step_path(shape, cutoff, scale):
     values = scale * np.random.default_rng(sum(shape)).normal(size=shape)

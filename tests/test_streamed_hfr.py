@@ -6,6 +6,7 @@ import math
 import os
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def normal(shape, seed, descr):
 
 # --- the same bits -----------------------------------------------------------------
 
-# (40, 64, 64): chunks of 32 channels and a ragged one of 8; (3, 300, 700):
+# (40, 64, 64): chunks of 16 channels and a ragged one of 8; (3, 300, 700):
 # each channel above a chunk; (96, 96) and (600, 300): rank-2 files
 @pytest.mark.parametrize("descr", ["<f4", "<f8"])
 @pytest.mark.parametrize("shape", [(40, 64, 64), (3, 300, 700), (96, 96), (600, 300), (1, 1, 1)])
@@ -78,8 +79,9 @@ def test_ragged_manifest_of_mixed_dtypes_and_shapes_on_threads(tmp_path):
 
 @pytest.mark.parametrize("descr", ["<f4", "<f8"])
 def test_chunks_scaled_apart_keep_the_one_scale_bits(tmp_path, descr):
-    # three chunks of 32 channels whose peaks lie 2^40 apart: each is scaled
-    # by its own power of two, and the partials are brought back exactly
+    # three runs of 32 channels, two chunks each, whose peaks lie 2^40
+    # apart: each chunk is scaled by its own power of two, and the partials
+    # are brought back exactly
     values = normal((96, 64, 64), 3, "<f8")
     values[:32] *= 2.0**-40
     values[64:] *= 2.0**40
@@ -203,17 +205,40 @@ def hfr_threads_2_peak_kb(tmp_path, channels):
                            "--out", tmp_path / "curve.csv")
 
 
+# a scoring thread's scratch for 64x64 channels: a chunk of 2^16 float64
+# elements (512 KiB), half a chunk (256 KiB) that also stages <f4 values,
+# and one channel's folded power (32 KiB)
+SCRATCH_64X64 = 1.5 * 8 * 2**16 + 8 * 64 * 64
+
+
+def test_a_scoring_thread_holds_a_half_mib_chunk_not_a_map(tmp_path):
+    manifest = write_manifest(tmp_path, [(1, normal((320, 64, 64), 0, "<f4"))])
+    held = []
+
+    def score():
+        average_hfr(manifest)
+        held.append(sum(b.nbytes for b in spectral._scratch.bufs))
+
+    thread = threading.Thread(target=score)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert held and held[0] <= SCRATCH_64X64, held
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_hfr_threads_hold_no_map(tmp_path):
-    # each scoring thread holds a 1 MiB chunk and half of one, not a map;
-    # the idle child runs the same command, with the same code and pool, on
-    # maps too small to need chunk-sized scratch
-    half_map_kb = 320 * 64 * 64 * 8 / 2 / 1024
+    # each of the two scoring threads holds its scratch, not a map; the
+    # idle child runs the same command, with the same code and pool, on
+    # one-channel maps, whose scratch is 96 KiB. The bound is the two
+    # threads' scratch and a quarter more for the allocator; 1 MiB chunks
+    # needed about 2.9 MB.
+    bound_kb = 2 * 1.25 * SCRATCH_64X64 / 1024
     (tmp_path / "idle").mkdir()
     (tmp_path / "scoring").mkdir()
     idle = hfr_threads_2_peak_kb(tmp_path / "idle", 1)
     scoring = hfr_threads_2_peak_kb(tmp_path / "scoring", 320)
-    assert scoring - idle < half_map_kb, (idle, scoring)
+    assert scoring - idle < bound_kb, (idle, scoring)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

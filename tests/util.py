@@ -36,6 +36,7 @@ from freqsel.errors import (
     RankError,
     UnsupportedDtype,
 )
+from freqsel import spectral
 from freqsel.spectral import _gains, _hartley
 from freqsel.tensor_io import _map_payloads, write_array
 
@@ -112,20 +113,23 @@ def hfr_per_step(values, cutoff: float) -> float:
     return math.fsum(high.ravel()) / math.fsum(power.ravel())
 
 
-def hfr_one_scale(values, cutoff: float, chunk_elements: int = 1 << 17) -> float:
+def hfr_one_scale(values, cutoff: float) -> float:
     """HFR in the chunks the library uses (whole channels, as many as fit in
-    `chunk_elements`), with the map scaled by one power of two, the one
-    that puts its peak into [0.5, 1): each chunk's P and G^2 * P summed by
-    numpy, the chunks' partials by math.fsum. Per-chunk scaling must give
-    these bits wherever the scaled values stay in the normal range."""
+    ``spectral._CHUNK_ELEMENTS``), with the map scaled by one power of two,
+    the one that puts its peak into [0.5, 1): each chunk's power summed
+    over its channels by the library's ``einsum``, the sums of that P and
+    G^2 * P by numpy, the chunks' partials by math.fsum. Per-chunk scaling
+    must give these bits wherever the scaled values stay in the normal
+    range."""
     x = np.asarray(values, dtype=np.float64)
     scaled = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
     c, h, w = x.shape
     hy, hx, gains_sq = _hartley(h), _hartley(w), np.square(_gains(h, w, cutoff))
-    step = max(1, chunk_elements // (h * w))
+    step = max(1, spectral._CHUNK_ELEMENTS // (h * w))
     high, total = [], []
     for start in range(0, c, step):
-        power = np.square(hy @ scaled[start : start + step] @ hx)
+        z = hy @ scaled[start : start + step] @ hx
+        power = np.einsum("chw,chw->hw", z, z)
         total.append(power.sum())
         high.append((power * gains_sq).sum())
     return math.fsum(high) / math.fsum(total)
