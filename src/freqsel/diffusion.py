@@ -144,31 +144,41 @@ def _write_noised(
     ``source[1]``, and eps the normals `rng` draws in that shape, one piece
     of ``_PIECE`` elements at a time.
 
-    Consecutive ``standard_normal(out=...)`` calls continue one stream, so
-    the pieces hold the bits of one whole-map draw. Each piece of z0 is
-    read from the file beside it, ``<f4`` widened exactly, and mixed in
-    float64 by the same operations as a whole map, in three buffers of one
-    piece; no map-sized source, noise, temporary or payload exists. A read
-    fault names the source and a write fault the output.
+    Each piece of z0 is read from the file, ``<f4`` widened exactly, and
+    scaled by 1 - alpha in place in one float64 piece; eps is drawn into a
+    half-piece buffer, half a piece at a time, scaled by alpha and added.
+    Consecutive ``standard_normal(out=...)`` calls continue one stream and
+    IEEE addition commutes, so each value has the bits of the formula on
+    one whole-map draw. The reader's ``<f4`` stage, free once its z0 is
+    mixed, is lent to the writer for the cast to ``<f4``: a job holds one
+    piece, half a piece of noise and, for an ``f32`` source or output, a
+    ``<f4`` stage; no map-sized source, noise, temporary or payload exists.
+    A read fault names the source and a write fault the output.
     """
     file, shape = source
     size = math.prod(shape)
-    mix, clean = np.empty(min(size, _PIECE)), np.empty(min(size, _PIECE))
+    mix = np.empty(min(size, _PIECE))
+    eps = np.empty((mix.size + 1) // 2)
+    stage = np.empty(mix.size, dtype="<f4") if dtype == "f32" else None
 
     def mixed(payload):
+        nonlocal stage
         if payload.shape != shape:
             raise MetaMismatch(f"shape {payload.shape} is no longer the {shape} checked before")
-        stage = np.empty(clean.size, dtype="<f4") if payload.meta.dtype == "f32" else None
+        if stage is None and payload.meta.dtype == "f32":
+            stage = np.empty(mix.size, dtype="<f4")
         for start in range(0, size, _PIECE):
-            n = min(_PIECE, size - start)
-            piece, z0 = mix[:n], clean[:n]
-            rng.standard_normal(out=piece)
-            piece *= alpha
-            raw, _ = payload.read(z0, stage)
-            piece += np.multiply(raw, 1.0 - alpha, out=z0, dtype=np.float64)
+            piece = mix[: min(_PIECE, size - start)]
+            raw, _ = payload.read(piece, stage)
+            np.multiply(raw, 1.0 - alpha, out=piece, dtype=np.float64)
+            for j in range(0, piece.size, eps.size):
+                noise = eps[: min(eps.size, piece.size - j)]
+                rng.standard_normal(out=noise)
+                noise *= alpha
+                piece[j : j + noise.size] += noise
             yield piece
 
-    write_pieces(_opened(file, FeatureMeta(), mixed), shape, path, dtype)
+    write_pieces(_opened(file, FeatureMeta(), mixed), shape, path, dtype, stage=stage)
 
 
 def _map_name(t: int, stem: str, i: int) -> str:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -232,16 +233,54 @@ def test_pieces_write_what_one_whole_draw_writes(tmp_path, dtype, threads):
     # stream and the last, short piece is mixed like the rest
     shape = (3, 300, 700)
     assert shape[0] * shape[1] * shape[2] % tensor_io._PIECE != 0
+    _assert_whole_draw(tmp_path, shape, "f64", dtype, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("source_dtype", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(1, 5, 3), (3, 301, 701)], ids=["below_a_piece", "odd_last_piece"])
+def test_pieces_of_odd_maps_write_what_one_whole_draw_writes(tmp_path, shape, source_dtype, dtype, threads):
+    # a map smaller than a piece, whose noise is drawn in halves of 8 and
+    # 7 values, and one whose short, odd last piece takes a whole half and
+    # a short rest; an f32 source is widened before it is mixed
+    assert shape[0] * shape[1] * shape[2] % 2 == 1
+    _assert_whole_draw(tmp_path, shape, source_dtype, dtype, threads)
+
+
+def _assert_whole_draw(tmp_path, shape, source_dtype, dtype, threads):
+    """simulate of a normal z0 of `shape` stored as `source_dtype` writes,
+    as `dtype` on `threads`, what the formula on one whole-map draw does."""
     z0 = np.random.default_rng(9).normal(size=shape)
-    clean = [make_map(z0, "img0", 1)]
-    manifest = load_manifest(write_dataset(tmp_path / "clean", clean, 1))
-    sched = NoiseSchedule((0.25, 0.5))
-    simulate_forward(manifest, sched, (1, 2), 17, tmp_path / "sim", dtype, threads)
-    for t in (1, 2):
+    z0[0, 0, 0] = -0.0
+    clean = FeatureMap(z0, FeatureMeta("img0", 1, "", source_dtype))
+    manifest = load_manifest(write_dataset(tmp_path / "clean", [clean], 1))
+    z0 = z0.astype(tensor_io._DESCR_BY_DTYPE[source_dtype]).astype(np.float64)
+    # alpha = 0 adds noise of either sign of zero to z0's -0.0
+    sched = NoiseSchedule((0.0, 0.25, 0.5, 1.0))
+    simulate_forward(manifest, sched, (1, 2, 3, 4), 17, tmp_path / "sim", dtype, threads)
+    for t in (1, 2, 3, 4):
         alpha = sched.alpha(t)
         write_array(alpha * _noise(shape, 17, 0, t) + (1 - alpha) * z0, tmp_path / "want.npy", dtype)
         got = (tmp_path / "sim" / f"t{t:04d}_i0000.npy").read_bytes()
         assert got == (tmp_path / "want.npy").read_bytes()
+
+
+def test_a_noise_job_holds_pieces_not_a_map(tmp_path):
+    # one piece of the mix, half a piece of noise and one <f4 stage that
+    # the reader and the writer share, 2.5 pieces of float64 with the
+    # writer's finiteness mask; a stage of their own for each and a second
+    # float64 piece for the widened source took 3 float64 pieces
+    shape = (320, 64, 64)
+    np.save(tmp_path / "z0.npy", np.random.default_rng(1).normal(size=shape).astype("<f4"))
+    rng = diffusion._rng(0, 0, 1)
+    tracemalloc.start()
+    try:
+        diffusion._write_noised((tmp_path / "z0.npy", shape), 0.5, rng, tmp_path / "zt.npy", "f32")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * tensor_io._PIECE + 65536, peak
 
 
 # --- forward simulation over a dataset ------------------------------------------------
@@ -351,8 +390,8 @@ def test_simulate_pools_only_maps_of_at_least_one_piece(tmp_path, monkeypatch):
         write(*task)
 
     monkeypatch.setattr(diffusion, "_write_noised", spy)
-    side = int(tensor_io._PIECE ** 0.5)
-    clean = [make_map(np.ones((1, side, side - 1)), "small", 1), make_map(np.ones((1, side, side)), "one", 1)]
+    width = tensor_io._PIECE // 64
+    clean = [make_map(np.ones((1, 64, width - 1)), "small", 1), make_map(np.ones((1, 64, width)), "one", 1)]
     manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1, allow_ragged=True))
     simulate_forward(manifest, linear_schedule(2), (1, 2), 0, tmp_path / "out", "f32", 2)
     here = threading.get_ident()
@@ -393,10 +432,14 @@ def test_simulate_read_fault_leaves_the_sources_before_it(tmp_path, threads):
     assert sorted(p.name for p in out.iterdir()) == [f"t{t:04d}_i0000.npy" for t in (1, 2, 3)]
 
 
+# 1.25 pieces: the last piece of a source is a short one
+_TWO_PIECES = (2, 64, 5 * tensor_io._PIECE // 512)
+
+
 def _three_sources(tmp_path, dtype="f64"):
     """A dataset of three clean sources of two pieces each, and the path of
     the second, which the fault tests spoil."""
-    shape = (2, 200, 200)
+    shape = _TWO_PIECES
     assert 1 < np.prod(shape) / tensor_io._PIECE <= 2
     clean = [FeatureMap(np.ones(shape), FeatureMeta(f"img{i}", 1, "", dtype)) for i in range(3)]
     manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1))
@@ -421,7 +464,7 @@ def test_simulate_nonfinite_value_in_a_source_names_the_source(tmp_path, bad, dt
     # the value is in the last piece, which each job reads after it has
     # written the first piece of its map
     manifest, source = _three_sources(tmp_path, dtype)
-    values = np.ones((2, 200, 200), dtype=tensor_io._DESCR_BY_DTYPE[dtype])
+    values = np.ones(_TWO_PIECES, dtype=tensor_io._DESCR_BY_DTYPE[dtype])
     values[-1, -1, -1] = bad
     np.save(source, values)
     _simulate_fails_at_the_second_source(tmp_path, manifest, source, NonFiniteValue, threads)
@@ -447,7 +490,7 @@ def test_simulate_source_changed_after_the_manifest_loaded_names_the_source(
                 fh.truncate(source.stat().st_size - 8)
         else:
             # read as the checked shape, the new file would be cut silently
-            write_array(np.ones((3, 200, 200)), source, "f64")
+            write_array(np.ones((3,) + _TWO_PIECES[1:]), source, "f64")
 
     if when == "before_the_header_check":
         spoil()
