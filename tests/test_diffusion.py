@@ -267,10 +267,10 @@ def _assert_whole_draw(tmp_path, shape, source_dtype, dtype, threads):
 
 
 def test_a_noise_job_holds_pieces_not_a_map(tmp_path):
-    # one piece of the mix, half a piece of noise and one <f4 stage that
-    # the reader and the writer share, 2.5 pieces of float64 with the
-    # writer's finiteness mask; a stage of their own for each and a second
-    # float64 piece for the widened source took 3 float64 pieces
+    # a float64 piece of the mix, half a piece of noise, one <f4 stage that
+    # the reader and the writer share, and the writer's finiteness mask:
+    # 17 bytes per piece element. A second float64 piece for the widened
+    # source and a stage each for the reader and the writer took 25.
     shape = (320, 64, 64)
     np.save(tmp_path / "z0.npy", np.random.default_rng(1).normal(size=shape).astype("<f4"))
     rng = diffusion._rng(0, 0, 1)
