@@ -10,7 +10,9 @@ which never materialises a d x d scatter matrix and therefore scales to
 wide embeddings. The traces satisfy tr(S_b) + tr(S_w) = total scatter
 around the global mean. Each class block is summed by numpy's pairwise
 ``sum`` and the per-class parts by the exactly rounded :func:`math.fsum`,
-so the result is independent of class iteration order.
+so the result is independent of class iteration order. The embeddings
+of maps are their channel means, pooled by :func:`pool_tokens` as
+``tensor_io._channel_chunks`` walks each map, from memory or its file.
 
 Correlations come in both flavours: Pearson on raw values and Spearman as
 Pearson on average-tie ranks, ties grouped by :func:`numpy.unique` (so
@@ -33,7 +35,8 @@ from .errors import (
 )
 from .fileio import read_csv
 from .reduction import pow2_scale
-from .tensor_io import _PIECE, FeatureMap, _Payload
+from .spectral import _buffers
+from .tensor_io import FeatureMap, _Payload, _channel_chunks
 
 __all__ = [
     "LabeledEmbeddingSet",
@@ -96,32 +99,23 @@ def pool_tokens(source) -> np.ndarray:
 
     Each feature's tokens are summed as one contiguous row, so numpy's
     ``sum`` takes its pairwise path along them, after an exact power-of-two
-    scale of the row, so the means are finite over the whole float64 range.
-    `source` may also be an open tensor file as ``tensor_io._map_payloads``
-    hands it over: its channels are then read in chunks of whole channels,
-    about one ``_PIECE`` each, and pooled row by row as they come, with the
-    same bits as from the map in memory."""
-    if isinstance(source, _Payload):
-        c, h, w = source.shape
-        step = max(1, _PIECE // (h * w))
-        chunk = np.empty((min(step, c), h * w))
-        stage = np.empty(chunk.size, dtype="<f4") if source.meta.dtype == "f32" else None
+    scale of the row, so the means are finite over the whole float64 range;
+    a NaN or Inf is a ``NonFiniteValue``. `source` may also be an open
+    tensor file as ``tensor_io._map_payloads`` hands it over, with the bits
+    of the map in memory."""
+    if isinstance(source, (FeatureMap, _Payload)):
+        # this thread's hfr scratch; pow2_scale widens <f4 rows exactly, one at a time
+        chunk, spare, _ = _buffers(source.shape)
         means: list = []
-        for start in range(0, c, step):
-            # <f4 rows are widened exactly, one at a time, by pow2_scale
-            rows, _ = source.read(chunk[: min(step, c - start)], stage)
-            means += _row_means(rows)
+        for _, values, _ in _channel_chunks(source, chunk, spare.reshape(-1).view("<f4")):
+            means += _row_means(values.reshape(len(values), -1))
         return np.array(means)
-    if isinstance(source, FeatureMap):
-        rows = source.values.reshape(source.channels, -1)
-    else:
-        tokens = np.asarray(source, dtype=np.float64)
-        if tokens.ndim != 2:
-            raise EmptyInput(f"token matrix must be (N, d), got shape {tokens.shape}")
-        rows = np.ascontiguousarray(tokens.T)
-    if rows.shape[1] == 0:
+    tokens = np.asarray(source, dtype=np.float64)
+    if tokens.ndim != 2:
+        raise EmptyInput(f"token matrix must be (N, d), got shape {tokens.shape}")
+    if tokens.shape[0] == 0:
         raise EmptyInput("cannot pool zero tokens")
-    return np.array(_row_means(rows))
+    return np.array(_row_means(np.ascontiguousarray(tokens.T)))
 
 
 def _row_means(rows: np.ndarray) -> list:

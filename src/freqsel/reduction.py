@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import NonFiniteValue
+
 
 def max_abs(values: np.ndarray) -> float:
     """max |values| without an |values| temporary: NaN if any value is NaN,
@@ -22,7 +24,10 @@ def pow2_scale(values) -> tuple[np.ndarray, int]:
     """(scaled, exponent) with values == ldexp(scaled, exponent) and max |scaled| in
     [0.5, 1) (exponent 0 if all zero): squares of `scaled` neither overflow nor
     underflow, and the scaling is exact, so in-range results keep their bits.
-    `scaled` is always a new array."""
+    `scaled` is always a new array. A NaN or Inf is a ``NonFiniteValue``."""
     a = np.asarray(values, dtype=np.float64)
-    exponent = math.frexp(max_abs(a))[1]
+    peak = max_abs(a)
+    if not math.isfinite(peak):
+        raise NonFiniteValue("values contain NaN or Inf")
+    exponent = math.frexp(peak)[1]
     return np.ldexp(a, -exponent), exponent

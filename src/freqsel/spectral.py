@@ -19,19 +19,21 @@ elementwise, and the ratio of the monotonically rounded sums lies in
 [0, 1]; it is invariant to rescaling the map.
 
 H is cached read-only per size and G and G^2 per (height, width,
-cutoff), after the rule of :func:`freqsel.defaults.checked_cutoff`. A map
-is scored in chunks of whole channels, 512 KiB at most, by :func:`hfr`,
-from memory or straight from its open tensor file, as
-:func:`freqsel.average_hfr` hands it over, through one chunk loop. Each
-chunk k is scaled by its own power of two 2^e_k, the one that puts its
-peak into [0.5, 1), so its squares neither overflow nor underflow; its
-power is summed over its channels into P_k, in channel order, and the
-sums of P_k and G^2 * P_k, by numpy's pairwise ``sum``, are then
-multiplied by 2^(2 (e_min - e_k)), e_min the exponent of the map's peak.
-A power of two scales exactly in the normal range, so these partials are
-those of the map scaled by 2^e_min as a whole. The exactly rounded
-:func:`math.fsum` adds them, so a map's HFR has the same bits on every
-rerun, from memory or from the file, and whichever thread scores it.
+cutoff), after the rule of :func:`freqsel.defaults.checked_cutoff`. The
+HFR and the filter walk a map in chunks of whole channels, 512 KiB at
+most, as ``tensor_io._channel_chunks`` yields them from memory or, for
+:func:`hfr`, straight from an open tensor file, through per-thread
+scratch that does not grow with the channel count. Each chunk k is
+scaled by its own power of two 2^e_k, the one that puts its peak into
+[0.5, 1), so its squares neither overflow nor underflow. The filter
+unscales each chunk's high part into its output; the HFR sums each
+chunk's power over its channels into P_k, in channel order, and
+multiplies the sums of P_k and G^2 * P_k, by numpy's pairwise ``sum``,
+by 2^(2 (e_min - e_k)), e_min the exponent of the map's peak. A power of
+two scales exactly in the normal range, so both give the bits of the map
+scaled as a whole. The exactly rounded :func:`math.fsum` adds the
+partials, so a map's HFR has the same bits on every rerun, from memory
+or from the file, and whichever thread scores it.
 """
 from __future__ import annotations
 
@@ -43,9 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
-from .errors import NonFiniteValue, ZeroEnergyFeature
-from .reduction import max_abs
-from .tensor_io import FeatureMap, FeatureMeta, _Payload
+from .errors import ZeroEnergyFeature
+from .tensor_io import _PIECE, FeatureMap, _Payload, _channel_chunks
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -56,10 +57,6 @@ __all__ = [
 ]
 
 
-# hfr's chunk: at most 2^16 float64 elements (512 KiB) of whole channels.
-# 2^15 holds half as much, but its twice as many numpy calls per map cost
-# two scoring threads more CPU and wall time than the channel fold saves.
-_CHUNK_ELEMENTS = 1 << 16
 # Each thread keeps its hfr buffers for the next map of the same shape. A
 # buffer freed after every map lets malloc trim the heap top, and then it
 # is faulted in again for the next map (1280x16x16 maps: ~1700 minor
@@ -116,14 +113,6 @@ def _basis(h: int, w: int, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return _hartley(h), _hartley(w), gains, gains_sq
 
 
-def _peak(values: np.ndarray, meta: FeatureMeta) -> float:
-    """max |values| of the map `meta` names, after the NaN/Inf check."""
-    peak = max_abs(values)
-    if not math.isfinite(peak):
-        raise NonFiniteValue(f"feature map {meta.image_id!r} (t={meta.timestep}) contains NaN or Inf")
-    return peak
-
-
 def _scale(values: np.ndarray, peak: float, out: np.ndarray) -> int:
     """Write `values` times 2^e into the float64 `out`, e the exponent that
     puts `peak`, their max |x|, into [0.5, 1) (0 for 0), and return e. The
@@ -136,87 +125,69 @@ def _scale(values: np.ndarray, peak: float, out: np.ndarray) -> int:
     return exponent
 
 
+def _buffers(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's scratch for maps of `shape`, kept for the next map of
+    that shape: a chunk of as many whole channels as fit in ``_PIECE``
+    elements (one if even one does not) for the scaled channels and then
+    Z; half as many, rounded up, to stage ``<f4`` values and hold H_h @ X;
+    and one (h, w) array: 512 + 256 + 32 KiB for 64x64 channels."""
+    c, h, w = shape
+    k = min(c, max(1, _PIECE // (h * w)))
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].shape != (k, h, w):
+        bufs = _scratch.bufs = (np.empty((k, h, w)), np.empty(((k + 1) // 2, h, w)), np.empty((h, w)))
+    return bufs
+
+
+def _transform(hy: np.ndarray, hx: np.ndarray, z: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
+    """out = H_h @ z @ H_w per channel, through `spare` as many channels at
+    a time as it holds; `out` may be `z`."""
+    for j in range(0, len(z), len(spare)):
+        part = z[j : j + len(spare)]
+        np.matmul(np.matmul(hy, part, out=spare[: len(part)]), hx, out=out[j : j + len(part)])
+
+
 def extract_high_freq(fmap: FeatureMap, cutoff: float) -> FeatureMap:
     """Filter a map through the high-pass gains: H_h @ (G * Z) @ H_w per
-    channel, with Z = H_h @ X @ H_w, all on the map pre-scaled by the
-    power of two that puts max |x| into [0.5, 1)."""
+    channel, with Z = H_h @ X @ H_w, on each chunk scaled as :func:`hfr`
+    scales it, then unscaled into the one output array."""
     hy, hx, gains, _ = _basis(fmap.height, fmap.width, cutoff)
-    scaled = np.empty(fmap.values.shape)
-    exponent = _scale(fmap.values, _peak(fmap.values, fmap.meta), scaled)
-    z = hy @ scaled @ hx
-    high = hy @ np.multiply(z, gains, out=z) @ hx
-    return FeatureMap._owned(np.ldexp(high, -exponent, out=high), fmap.meta)
+    chunk, spare, _ = _buffers(fmap.shape)
+    high = np.empty(fmap.shape)
+    for start, values, peak in _channel_chunks(fmap, chunk, None):
+        z, part = chunk[: len(values)], high[start : start + len(values)]
+        exponent = _scale(values, peak, z)
+        _transform(hy, hx, z, spare, z)
+        _transform(hy, hx, np.multiply(z, gains, out=z), spare, part)
+        np.ldexp(part, -exponent, out=part)
+    return FeatureMap._owned(high, fmap.meta)
 
 
 def hfr(fmap: FeatureMap | _Payload, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """High-frequency energy ratio of one map, channels pooled; see
-    :func:`_chunked_hfr`. `fmap` may also be an open tensor file as
+    """High-frequency energy ratio of one map, channels pooled; see the
+    module docstring. `fmap` may also be an open tensor file as
     ``tensor_io._map_payloads`` hands it over: its values are then read
     chunk by chunk into the scratch that scores them, so no map-sized
-    array exists."""
-    if isinstance(fmap, _Payload):
-        return _chunked_hfr(lambda start, out, stage: fmap.read(out, stage), fmap.shape, cutoff, fmap.meta)
-    values, meta = fmap.values, fmap.meta
-
-    def read(start: int, out: np.ndarray, stage: np.ndarray) -> tuple[np.ndarray, float]:
-        chunk = values[start : start + len(out)]
-        return chunk, _peak(chunk, meta)
-
-    return _chunked_hfr(read, values.shape, cutoff, meta)
-
-
-def _chunked_hfr(read, shape: tuple[int, int, int], cutoff: float, meta: FeatureMeta) -> float:
-    """The HFR of the (c, h, w) map whose channels ``read(start, out,
-    stage)`` gives, in order, as (values, max |values|) in `out`'s shape;
-    `stage` is a ``<f4`` array as large as `out` that the values may be
-    read into.
-
-    The map is walked in chunks of whole channels, as many as fit in
-    _CHUNK_ELEMENTS (one if even one does not), through three buffers per
-    thread that do not grow with the channel count: a chunk-sized one for
-    the scaled channels, then Z in place; one of half as many channels,
-    rounded up, that stages ``<f4`` values and then holds H_h @ X for each
-    half of the chunk in turn; and one (h, w) array for the chunk's power
-    P, summed over its channels in order by one ``einsum`` pass, then
-    G^2 * P in place. At 2^16 elements that is 512 + 256 + 32 KiB for
-    64x64 channels. Each chunk is scaled by its own power of two 2^e_k,
-    the one that puts its peak into [0.5, 1), widened and scaled in one
-    ``ldexp``; an all-zero chunk adds nothing. Its partial sums of P and
-    G^2 * P are then brought to the scale of the map's peak, 2^e_min, by
-    2^(2 (e_min - e_k)): scaling by a power of two is exact in the normal
-    range, so these are the partials of a map scaled by 2^e_min as a
-    whole. :func:`math.fsum` rounds the partials' totals exactly.
-    """
-    c, h, w = shape
+    array exists. Each chunk is transformed in place, its power folded
+    over its channels by one ``einsum`` pass into an (h, w) buffer, then
+    G^2 * P in place; an all-zero chunk adds nothing."""
+    _, h, w = fmap.shape
     hy, hx, _, gains_sq = _basis(h, w, cutoff)
-    step = max(1, _CHUNK_ELEMENTS // (h * w))
-    k = min(step, c)
-    half = (k + 1) // 2
-    bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[0].shape != (k, h, w):
-        bufs = _scratch.bufs = (np.empty((k, h, w)), np.empty((half, h, w)), np.empty((h, w)))
-    chunk, spare, power = bufs
-    stage = spare.reshape(-1).view("<f4")
+    chunk, spare, power = _buffers(fmap.shape)
     high, total, exponents = [], [], []
-    for start in range(0, c, step):
-        z = chunk[: min(step, c - start)]
-        values, peak = read(start, z, stage)
+    for _, values, peak in _channel_chunks(fmap, chunk, spare.reshape(-1).view("<f4")):
         if peak == 0.0:
             continue
-        exponent = _scale(values, peak, z)
-        for j in range(0, len(z), half):
-            part = z[j : j + half]
-            np.matmul(np.matmul(hy, part, out=spare[: len(part)]), hx, out=part)
+        z = chunk[: len(values)]
+        exponents.append(_scale(values, peak, z))
+        _transform(hy, hx, z, spare, z)
         np.einsum("chw,chw->hw", z, z, out=power)
         total.append(power.sum())
         high.append(np.multiply(power, gains_sq, out=power).sum())
-        exponents.append(exponent)
     top = min(exponents, default=0)
     energy = math.fsum(math.ldexp(s, 2 * (top - e)) for s, e in zip(total, exponents))
     if energy == 0.0:
-        raise ZeroEnergyFeature(
-            f"zero-energy feature map (image {meta.image_id!r}, t={meta.timestep})"
-        )
+        raise ZeroEnergyFeature(f"zero-energy feature map (image {fmap.meta.image_id!r}, t={fmap.meta.timestep})")
     return math.fsum(math.ldexp(s, 2 * (top - e)) for s, e in zip(high, exponents)) / energy
 
 

@@ -33,11 +33,12 @@ for NaN/Inf by their max |x|, which it returns, and at the last value
 checks that the file ends there. :func:`read_tensor` fills a whole map
 from these reads, in pieces, so a map is in memory once; the widening is
 exact, and a read-write-read trip through either dtype is
-byte-identical. The HFR scorer and the token pooler read each chunk of
-channels into their own scratch instead, and ``simulate`` reads each
-piece of a clean source beside the noise it mixes with, so no map-sized
-array exists while a file is scored, pooled or noised. Parsed headers
-are cached by their bytes.
+byte-identical. ``_channel_chunks`` walks a map in memory or in its
+file in runs of whole channels, reading a file's into its caller's
+scratch, for the HFR, the high-pass filter and the token pooler, and
+``simulate`` reads each piece of a clean source beside the noise it
+mixes with, so no map-sized array exists while a file is scored, pooled
+or noised. Parsed headers are cached by their bytes.
 
 Writes are piecewise too: :func:`write_pieces` streams float64 pieces into
 the file, each cast to the file's dtype through one staging buffer, which
@@ -109,6 +110,8 @@ _HEADER_KEYS = {"descr", "fortran_order", "shape"}
 # place. A piece is still in cache when it is checked and widened. CPU per
 # read_tensor of a 320x64x64 <f4 map, one thread: 1.23, 1.12, 1.24 and
 # 1.39 ms at 2^15, 2^16, 2^17 and 2^18 (<f8: 1.48, 1.51, 1.53, 1.66 ms).
+# It also sizes the channel chunks that the HFR walks: at 2^15, twice the
+# numpy calls per map cost two scoring threads more CPU and wall time.
 _PIECE = 1 << 16
 
 
@@ -169,6 +172,10 @@ class FeatureMap:
         object.__setattr__(fmap, "values", values)
         object.__setattr__(fmap, "meta", meta)
         return fmap
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.values.shape
 
     @property
     def channels(self) -> int:
@@ -311,6 +318,28 @@ def _opened(path, identity: FeatureMeta, read: Callable[[_Payload], Iterable]) -
         raise IoFailure(f"cannot read {p}: {exc}") from exc
     except FreqselError as exc:
         raise type(exc)(f"{p}: {exc}") from exc
+
+
+def _channel_chunks(
+    source: FeatureMap | _Payload, out: np.ndarray, stage: np.ndarray | None
+) -> Iterator[tuple[int, np.ndarray, float]]:
+    """(start, values, max |values|) for each run of ``len(out)`` whole
+    channels of `source` in order, the last run holding what is left, each
+    checked for NaN and Inf. A file's runs are read by
+    :meth:`_Payload.read`, ``<f8`` into the float64 `out` and ``<f4`` into
+    the ``<f4`` `stage`; a map's runs are views of its values, and a NaN or
+    Inf among them names the map. Only here do the two sources differ."""
+    step = len(out)
+    for start in range(0, source.shape[0], step):
+        if isinstance(source, _Payload):
+            values, peak = source.read(out[: min(step, source.shape[0] - start)], stage)
+        else:
+            values = source.values[start : start + step]
+            peak = max_abs(values)
+            if not math.isfinite(peak):
+                meta = source.meta
+                raise NonFiniteValue(f"feature map {meta.image_id!r} (t={meta.timestep}) contains NaN or Inf")
+        yield start, values, peak
 
 
 def read_tensor(path, meta: FeatureMeta | None = None) -> FeatureMap:

@@ -25,6 +25,7 @@ from freqsel.errors import (
     DegenerateWithinScatter,
     EmptyInput,
     InvalidEmbeddingSet,
+    NonFiniteValue,
     SeriesInvalid,
 )
 
@@ -48,6 +49,9 @@ def test_pool_tokens_matrix_and_empty():
     assert np.array_equal(pool_tokens(mat), [2.0, 20.0])
     with pytest.raises(EmptyInput):
         pool_tokens(np.zeros((0, 4)))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NonFiniteValue, match="contain NaN or Inf"):
+            pool_tokens(np.array([[1.0, 2.0], [2.0, bad]]))
 
 
 def test_pool_tokens_within_1e_15_of_the_exactly_rounded_mean():

@@ -13,13 +13,23 @@ from freqsel import (
     decompose,
     extract_high_freq,
     hfr,
+    pool_tokens,
     spectral,
 )
 from freqsel.errors import NonFiniteValue, NonPositiveCutoff, ZeroEnergyFeature
 from freqsel.spectral import _gains, _hartley
 from freqsel.tensor_io import write_array
 
-from util import cli_peak_rss_kb, energy, hfr_per_step, kernel_gains, make_map, reference_gains, rel_err
+from util import (
+    cli_peak_rss_kb,
+    energy,
+    hfr_per_step,
+    high_freq_whole_map,
+    kernel_gains,
+    make_map,
+    reference_gains,
+    rel_err,
+)
 
 
 def rand_map(c, h, w, seed, scale=1.0):
@@ -191,7 +201,8 @@ def test_non_finite_map_rejected_with_its_identity(bad):
     values = np.ones((2, 8, 8))
     values[1, 3, 4] = bad
     fmap = make_map(values, image_id="img0007", timestep=42)
-    for call in (lambda: hfr(fmap), lambda: decompose(fmap, 3.0)):
+    for call in (lambda: hfr(fmap), lambda: decompose(fmap, 3.0), lambda: extract_high_freq(fmap, 3.0),
+                 lambda: pool_tokens(fmap)):
         with pytest.raises(NonFiniteValue, match=r"'img0007' \(t=42\)"):
             call()
 
@@ -218,7 +229,7 @@ def test_hfr_bits_match_the_per_step_path(shape, cutoff, scale):
 @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 17, 29), (40, 17, 29), (3, 64, 64), (130, 8, 8)])
 def test_hfr_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk, shape):
     values = np.random.default_rng(sum(shape)).normal(size=shape)
-    monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(spectral, "_PIECE", chunk)
     want = hfr_per_step(values, 5.0)
     assert abs(hfr(make_map(values), 5.0) - want) <= 1e-15 * want
 
@@ -267,6 +278,25 @@ def test_hfr_peak_rss_of_large_odd_channels_grows_only_by_the_read_copies(tmp_pa
     extra_kb = 2 * 1023 * 1023 * 8 / 1024  # the float64 array of the two extra channels
     small, large = hfr_peak_kb(tmp_path, (1, 1023, 1023)), hfr_peak_kb(tmp_path, (3, 1023, 1023))
     assert large - small < extra_kb + 4 * 1024, (small, large)
+
+
+def decompose_peak_kb(tmp_path, channels):
+    """VmHWM of `decompose` on one <f4 map of channels x 64 x 64, in kB."""
+    src = tmp_path / f"{channels}.npy"
+    write_array(np.random.default_rng(channels).normal(size=(channels, 64, 64)), src, "f32")
+    return cli_peak_rss_kb("decompose", "--tensor", src, "--out-high", tmp_path / f"{channels}_high.npy",
+                           "--out-low", tmp_path / f"{channels}_low.npy")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_decompose_peak_rss_grows_by_its_input_and_two_parts(tmp_path):
+    # the float64 input, the high part and the low part grow with the 256
+    # extra channels, three float64 map-deltas (24 MiB); the filter's scratch
+    # and the f64 parts' encoding, views of the parts, do not. A whole-map
+    # filter also holds a scaled copy and Z: about 40 MiB in all.
+    delta_kb = 256 * 64 * 64 * 8 / 1024
+    small, large = decompose_peak_kb(tmp_path, 64), decompose_peak_kb(tmp_path, 320)
+    assert large - small < 3.5 * delta_kb, (small, large)
 
 
 def test_non_finite_peak_is_the_nan_check():
@@ -325,6 +355,24 @@ def test_filter_exact_under_pow2_scaling_up_to_the_float64_limit():
         want = np.ldexp(extract_high_freq(make_map(values), 3.0).values, exponent)
         assert np.array_equal(extract_high_freq(big, 3.0).values, want)
         assert np.array_equal(decompose(big, 3.0).low.values, big.values - want)
+
+
+# (40, 64, 64): chunks of 16 channels and a ragged one of 8; (3, 300, 700):
+# each channel above a chunk; (300, 17, 19): 202 channels and a ragged 98.
+# Every other chunk's peak is 1e5 above its neighbours'.
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("shape", [(40, 64, 64), (3, 300, 700), (300, 17, 19)])
+def test_filter_bits_match_the_whole_map_path(shape, scale):
+    c, h, w = shape
+    per_chunk = max(1, spectral._PIECE // (h * w))
+    apart = np.where(np.arange(c) // per_chunk % 2, 1e5, 1.0)[:, None, None]
+    values = scale * apart * np.random.default_rng(sum(shape)).normal(size=shape)
+    want = high_freq_whole_map(values, 12.5)
+    fmap = make_map(values)
+    parts = decompose(fmap, 12.5)
+    assert extract_high_freq(fmap, 12.5).values.tobytes() == want.tobytes()
+    assert parts.high.values.tobytes() == want.tobytes()
+    assert parts.low.values.tobytes() == (values - want).tobytes()
 
 
 def test_extract_impulse_recovers_mask_kernel():

@@ -8,7 +8,9 @@ materialises full scatter matrices, and the noise generator is rebuilt
 from numpy by the documented keying rule.
 The per-step HFR path does use the library's basis and gains, and sums the
 whole map exactly rounded: it checks the chunked kernel's summation, not
-its transform.
+its transform. The whole-map filter likewise uses the library's basis and
+gains on the map scaled as a whole: it checks the chunked filter's
+scaling, not its transform.
 """
 from __future__ import annotations
 
@@ -115,7 +117,7 @@ def hfr_per_step(values, cutoff: float) -> float:
 
 def hfr_one_scale(values, cutoff: float) -> float:
     """HFR in the chunks the library uses (whole channels, as many as fit in
-    ``spectral._CHUNK_ELEMENTS``), with the map scaled by one power of two,
+    ``spectral._PIECE`` elements), with the map scaled by one power of two,
     the one that puts its peak into [0.5, 1): each chunk's power summed
     over its channels by the library's ``einsum``, the sums of that P and
     G^2 * P by numpy, the chunks' partials by math.fsum. Per-chunk scaling
@@ -125,7 +127,7 @@ def hfr_one_scale(values, cutoff: float) -> float:
     scaled = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
     c, h, w = x.shape
     hy, hx, gains_sq = _hartley(h), _hartley(w), np.square(_gains(h, w, cutoff))
-    step = max(1, spectral._CHUNK_ELEMENTS // (h * w))
+    step = max(1, spectral._PIECE // (h * w))
     high, total = [], []
     for start in range(0, c, step):
         z = hy @ scaled[start : start + step] @ hx
@@ -133,6 +135,20 @@ def hfr_one_scale(values, cutoff: float) -> float:
         total.append(power.sum())
         high.append((power * gains_sq).sum())
     return math.fsum(high) / math.fsum(total)
+
+
+def high_freq_whole_map(values, cutoff: float) -> np.ndarray:
+    """The high-pass part H_h @ (G * Z) @ H_w, Z = H_h @ X @ H_w, of the
+    whole map scaled by one power of two, the one that puts its peak into
+    [0.5, 1), then unscaled. Per-chunk scaling must give these bits
+    wherever the scaled values stay in the normal range."""
+    x = np.asarray(values, dtype=np.float64)
+    exponent = -math.frexp(float(np.max(np.abs(x))))[1]
+    h, w = x.shape[-2:]
+    hy, hx = _hartley(h), _hartley(w)
+    z = hy @ np.ldexp(x, exponent) @ hx
+    high = hy @ (z * _gains(h, w, cutoff)) @ hx
+    return np.ldexp(high, -exponent)
 
 
 # --- Fisher oracle via explicit scatter matrices ------------------------------
