@@ -10,12 +10,27 @@ Subcommands
   oracle     write a synthetic dataset with a known correct answer
   correlate  Pearson/Spearman between two t,value series
 
-Only the array work imports numpy: each ``cmd_*`` imports the array
-modules it uses when it runs, so ``--help``, usage errors and
-``select --curve`` start without numpy. A command that reads a dataset
-loads and checks its manifest first (:mod:`freqsel.manifest` needs no
-numpy), so a missing or malformed manifest, or an entry whose file is
-missing, fails before numpy loads.
+Each process loads only what its command runs:
+
+* :func:`main` builds the parser of the command its first argument
+  names, and no other. ``--help``, a missing command and an unknown
+  command build all seven, whose names their messages list.
+* Only the array work imports numpy: each ``cmd_*`` imports the array
+  modules it uses when it runs, so ``--help``, usage errors and
+  ``select --curve`` start without numpy. A command that reads a dataset
+  loads and checks its manifest first (:mod:`freqsel.manifest` needs no
+  numpy), so a missing or malformed manifest, or an entry whose file is
+  missing, fails before numpy loads.
+* The manifest and report records are ``NamedTuple`` classes and the
+  curve a small slotted class, not dataclasses: ``dataclasses`` imports
+  ``inspect`` and ``ast``, about 12 ms, so those same paths load neither.
+  The records of the array modules stay dataclasses, since numpy imports
+  ``inspect``.
+
+A process started as ``freqsel`` or ``python -m freqsel`` freezes its
+heap after :func:`main` returns (see :mod:`freqsel.__main__`), so that
+interpreter shutdown does not walk numpy's objects. :func:`main` itself
+never freezes: a caller in the same process goes on using its heap.
 
 Exit codes: 0 success, 1 usage errors (bad flags/values), 2 data errors
 (malformed or missing files, empty datasets, degenerate statistics). Data
@@ -223,11 +238,7 @@ def _resolve_schedule(spec_text: str, total_timesteps: int, alpha_index: str):
     return schedule
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="freqsel", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("hfr", help="mean HFR curve over a dataset -> CSV")
+def _hfr_arguments(p) -> None:
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     _add_cutoff(p)
     _add_timesteps(p, "grid to evaluate (default: every timestep in the manifest)")
@@ -235,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output curve CSV path")
     p.set_defaults(run=cmd_hfr)
 
-    p = sub.add_parser("select", help="argmax of the mean-HFR curve -> report")
+
+def _select_arguments(p) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--manifest", help="dataset manifest JSON")
     source.add_argument("--curve", help="precomputed curve CSV (t,mean_hfr,n)")
@@ -251,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional report JSON path")
     p.set_defaults(run=cmd_select)
 
-    p = sub.add_parser("decompose", help="split one tensor into high/low parts")
+
+def _decompose_arguments(p) -> None:
     p.add_argument("--tensor", required=True, help="input tensor file")
     _add_cutoff(p)
     p.add_argument("--out-high", required=True, help="output path for the high-pass part")
@@ -259,13 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dtype(p)
     p.set_defaults(run=cmd_decompose)
 
-    p = sub.add_parser("fisher", help="label-based separability per timestep (diagnostic)")
+
+def _fisher_arguments(p) -> None:
     p.add_argument("--manifest", required=True, help="dataset manifest JSON with labels")
     _add_timesteps(p, "grid to evaluate (default: every timestep in the manifest)")
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(run=cmd_fisher)
 
-    p = sub.add_parser("simulate", help="noise clean features along a schedule")
+
+def _simulate_arguments(p) -> None:
     p.add_argument("--manifest", required=True, help="manifest of clean feature tensors")
     p.add_argument(
         "--schedule",
@@ -290,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dtype(p)
     p.set_defaults(run=cmd_simulate)
 
-    p = sub.add_parser("oracle", help="synthetic dataset with a known best timestep")
+
+def _oracle_arguments(p) -> None:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--images", type=_positive_int, default=16, help="images per timestep (default 16)")
     p.add_argument("--shape", type=_shape_arg, default=(1, 32, 32), help="channels,height,width (default 1,32,32)")
@@ -310,13 +326,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dtype(p)
     p.set_defaults(run=cmd_oracle)
 
-    p = sub.add_parser("correlate", help="Pearson/Spearman between two t,value series")
+
+def _correlate_arguments(p) -> None:
     p.add_argument("--xs", required=True, help="first series CSV (t,value)")
     p.add_argument("--ys", required=True, help="second series CSV (t,value)")
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(run=cmd_correlate)
 
+
+# command -> its line in --help, and the function that adds its arguments.
+# Each of those names its cmd_* function when the parser is built, so a
+# caller that rebinds a cmd_* name in this module (a tracer) is heard.
+_COMMANDS = {
+    "hfr": ("mean HFR curve over a dataset -> CSV", _hfr_arguments),
+    "select": ("argmax of the mean-HFR curve -> report", _select_arguments),
+    "decompose": ("split one tensor into high/low parts", _decompose_arguments),
+    "fisher": ("label-based separability per timestep (diagnostic)", _fisher_arguments),
+    "simulate": ("noise clean features along a schedule", _simulate_arguments),
+    "oracle": ("synthetic dataset with a known best timestep", _oracle_arguments),
+    "correlate": ("Pearson/Spearman between two t,value series", _correlate_arguments),
+}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The parser of the named `commands`, in their order."""
+    parser = _Parser(prog="freqsel", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in commands:
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    return _parser(_COMMANDS)
 
 
 def cmd_hfr(args) -> int:
@@ -488,7 +532,11 @@ def cmd_correlate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, a missing and an unknown command need every command's parser
+    # for their message; a named command needs its own alone
+    commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    parser = _parser(commands)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -41,7 +41,7 @@ each map streamed to its file channel by channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +214,7 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
         for _ in written:
             pass
         for (t, path), row in zip(tasks, by_timestep):
-            row.append(replace(entry, path=path.name, timestep=t))
+            row.append(entry._replace(path=path.name, timestep=t))
         i += 1
         del source
     manifest = DatasetManifest(total, tuple(e for row in by_timestep for e in row), ragged, out)

@@ -13,13 +13,16 @@ file exists; each fault, a ``ManifestSchemaError``, a ``MissingFile`` or
 an ``IoFailure`` when the OS refuses the read, names the manifest. This
 module imports nothing that needs numpy, so a command checks its dataset
 before any array module loads; the tensors themselves are read by
-:mod:`freqsel.tensor_io`.
+:mod:`freqsel.tensor_io`. Its records are ``NamedTuple`` classes,
+not dataclasses: ``dataclasses`` imports ``inspect`` and ``ast``, which would
+cost every process about 12 ms before it reads its first file. Derive a
+changed record with ``_replace``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ManifestSchemaError, MissingFile
 from .fileio import atomic_write_json, read_text
@@ -27,8 +30,7 @@ from .fileio import atomic_write_json, read_text
 __all__ = ["ManifestEntry", "DatasetManifest", "load_manifest", "save_manifest"]
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     path: str
     image_id: str
     timestep: int
@@ -37,12 +39,11 @@ class ManifestEntry:
     accuracy: float | None = None
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(NamedTuple):
     total_timesteps: int
     entries: tuple[ManifestEntry, ...]
     allow_ragged: bool = False
-    root: Path = field(default_factory=Path)
+    root: Path = Path()
 
     def resolve(self, entry: ManifestEntry) -> Path:
         p = Path(entry.path)
@@ -118,7 +119,7 @@ def load_manifest(path) -> DatasetManifest:
 def save_manifest(manifest: DatasetManifest, path) -> None:
     doc: dict = {
         "total_timesteps": manifest.total_timesteps,
-        "entries": [asdict(e) for e in manifest.entries],
+        "entries": [e._asdict() for e in manifest.entries],
     }
     if manifest.allow_ragged:
         doc["allow_ragged"] = True

@@ -7,14 +7,16 @@ of the maximum is reported so near-ties are visible rather than silently
 resolved.
 
 Curves, selection and reports need no numpy: only :func:`average_hfr`
-imports the array modules, when it is called.
+imports the array modules, when it is called. Nor do they need
+``dataclasses``, which imports ``inspect`` and ``ast``: a report is a
+``NamedTuple`` (derive a changed one with ``_replace``) and a curve a
+small immutable class, so ``select --curve`` loads neither.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .defaults import DEFAULT_CUTOFF, checked_cutoff
 from .errors import EmptyCurve, SeriesInvalid
@@ -38,19 +40,24 @@ __all__ = [
 _CURVE_HEADER = ("t", "mean_hfr", "n")
 
 
-@dataclass(frozen=True)
 class HfrCurve:
-    """Mean HFR per timestep, with the sample count behind each mean."""
+    """Mean HFR per timestep, with the sample count behind each mean.
 
+    Immutable: the columns are checked and normalised to tuples of int,
+    float and int on construction, and a curve is compared and hashed by
+    its four fields.
+    """
+
+    __slots__ = ("timesteps", "mean_hfr", "counts", "cutoff")
     timesteps: tuple[int, ...]
     mean_hfr: tuple[float, ...]
     counts: tuple[int, ...]
-    cutoff: float = DEFAULT_CUTOFF
+    cutoff: float
 
-    def __post_init__(self) -> None:
-        ts = tuple(int(t) for t in self.timesteps)
-        vs = tuple(float(v) for v in self.mean_hfr)
-        ns = tuple(int(n) for n in self.counts)
+    def __init__(self, timesteps, mean_hfr, counts, cutoff: float = DEFAULT_CUTOFF) -> None:
+        ts = tuple(int(t) for t in timesteps)
+        vs = tuple(float(v) for v in mean_hfr)
+        ns = tuple(int(n) for n in counts)
         if not (len(ts) == len(vs) == len(ns)):
             raise SeriesInvalid(
                 f"curve columns disagree: {len(ts)} timesteps, {len(vs)} values, {len(ns)} counts"
@@ -61,22 +68,53 @@ class HfrCurve:
             raise SeriesInvalid("curve values must be finite and in [0, 1]")
         if any(n < 1 for n in ns):
             raise SeriesInvalid("curve counts must be >= 1")
-        object.__setattr__(self, "timesteps", ts)
-        object.__setattr__(self, "mean_hfr", vs)
-        object.__setattr__(self, "counts", ns)
-        object.__setattr__(self, "cutoff", checked_cutoff(self.cutoff))
+        for name, value in zip(self.__slots__, (ts, vs, ns, checked_cutoff(cutoff))):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.timesteps, self.mean_hfr, self.counts, self.cutoff)
 
     def __len__(self) -> int:
         return len(self.timesteps)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
-@dataclass(frozen=True)
-class SelectionReport:
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "{}(timesteps={!r}, mean_hfr={!r}, counts={!r}, cutoff={!r})".format(
+            type(self).__name__, *self._values()
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle rebuild a curve through its constructor, not by
+    # setting its slots
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SelectionReport(NamedTuple):
+    """The selected timestep, its mean HFR, every timestep within the tie
+    distance, the curve, and the config echoed into the report JSON.
+
+    ``config`` has no default: a NamedTuple's default is one object shared
+    by every instance, and a dict must not be.
+    """
+
     selected_timestep: int
     max_mean_hfr: float
     ties: tuple[int, ...]
     curve: HfrCurve
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 def average_hfr(

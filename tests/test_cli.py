@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,8 @@ import pytest
 import scipy.stats
 
 from freqsel import NoiseSchedule, linear_schedule, load_manifest, read_tensor, simulate_forward
-from freqsel.cli import _threads_arg, default_probe_grid, main, parse_timestep_grid
+from freqsel import cli
+from freqsel.cli import _threads_arg, build_parser, default_probe_grid, main, parse_timestep_grid
 from freqsel.tensor_io import write_array
 
 from util import child_env, corrupt_corpus, make_map, write_dataset, write_series_text
@@ -84,6 +87,60 @@ def test_help_exits_0(capsys):
     assert run("select", "--help") == 0
     out = capsys.readouterr().out
     assert "select" in out
+
+
+# one command line per command, giving each flag with a typed value
+COMMAND_LINES = {
+    "hfr": ("--manifest", "m.json", "--cutoff", "12.5", "--timesteps", "1..9..4", "--threads", "2",
+            "--out", "c.csv"),
+    "select": ("--curve", "c.csv", "--tie-epsilon", "0", "--timesteps", "1,5", "--out", "r.json"),
+    "decompose": ("--tensor", "x.npy", "--out-high", "h.npy", "--out-low", "l.npy", "--dtype", "f32"),
+    "fisher": ("--manifest", "m.json", "--timesteps", "3", "--out", "f.json"),
+    "simulate": ("--manifest", "m.json", "--schedule", "s.csv", "--total-timesteps", "9",
+                 "--timesteps", "1,9", "--seed", "-1", "--alpha-index", "t-1", "--out", "sim"),
+    "oracle": ("--out", "o", "--images", "2", "--shape", "2,8,8", "--peak-timestep", "4",
+               "--peak-amplitude", "0.5", "--curve-width", "3", "--detail-frequency", "2",
+               "--dtype", "f32"),
+    "correlate": ("--xs", "x.csv", "--ys", "y.csv", "--out", "c.json"),
+}
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", COMMAND_LINES)
+def test_one_command_parser_matches_the_full_parser(command):
+    assert list(COMMAND_LINES) == list(cli._COMMANDS)
+    full, one = build_parser(), cli._parser([command])
+    assert list(subparsers(one)) == [command]
+    assert subparsers(one)[command].format_help() == subparsers(full)[command].format_help()
+    argv = [command, *COMMAND_LINES[command]]
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+def test_main_builds_the_named_command_alone(monkeypatch, capsys):
+    built = []
+    real = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda commands: built.append(list(commands)) or real(commands))
+    assert run("select", "--curve", "c.csv", "--bogus") == 1
+    assert run("correlate", "--help") == 0
+    for argv in ((), ("--help",), ("no-such-command",), ("-h", "hfr")):
+        assert run(*argv) == (0 if argv[:1] in (("--help",), ("-h",)) else 1)
+    assert built == [["select"], ["correlate"]] + [list(COMMAND_LINES)] * 4
+
+
+def test_help_lists_every_command_and_an_unknown_one_is_refused(capsys):
+    assert run("--help") == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^    (\w+)", out, re.M) == list(COMMAND_LINES)
+    assert all(line in out for line, _ in cli._COMMANDS.values())
+    assert run("no-such-command") == 1
+    assert capsys.readouterr().err == (
+        "usage: freqsel [-h] command ...\n"
+        "freqsel: error: argument command: invalid choice: 'no-such-command' (choose from "
+        "'hfr', 'select', 'decompose', 'fisher', 'simulate', 'oracle', 'correlate')\n"
+    )
 
 
 def test_data_errors_exit_2_with_error_class(tmp_path, capsys):

@@ -3,7 +3,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ def test_simulate_rejects_an_output_named_as_a_linked_input(tmp_path):
     out.mkdir()
     link = out / "t0001_i0000.npy"
     link.symlink_to(manifest.resolve(manifest.entries[0]))
-    linked = replace(manifest, entries=(replace(manifest.entries[0], path=str(link)),))
+    linked = manifest._replace(entries=(manifest.entries[0]._replace(path=str(link)),))
     with pytest.raises(IoFailure, match=f"^cannot write {link}: it is input entry a of the manifest$"):
         simulate_forward(linked, linear_schedule(5), (1, 3), seed=0, out_dir=out)
     assert link.is_symlink() and list(out.iterdir()) == [link]

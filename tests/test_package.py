@@ -1,5 +1,6 @@
 """The package surface: lazy exports, which commands and calls load numpy,
 the CLI's BLAS thread default, and the scripts built on the library."""
+import gc
 import importlib
 import os
 import subprocess
@@ -46,16 +47,20 @@ def test_star_import_binds_every_export():
     assert namespace["hfr"] is freqsel.spectral.hfr
 
 
-# Runs freqsel's __main__ with the given arguments, then reports on stderr
-# whether numpy was imported, whatever the exit status.
+# Runs freqsel's __main__ with the given arguments, then reports on stderr,
+# whatever the exit status, which of numpy, dataclasses and inspect it
+# loaded, and whether it froze the heap.
 _RUN_MAIN = """
-import runpy, sys
+import gc, runpy, sys
 sys.argv = ["freqsel", *sys.argv[1:]]
 try:
     runpy.run_module("freqsel", run_name="__main__", alter_sys=True)
 finally:
-    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+    print("loaded:", [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules], file=sys.stderr)
+    print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr)
 """
+
+CURVE = "t,mean_hfr,n\n1,0.25,3\n50,0.5,3\n"
 
 
 @pytest.mark.parametrize(
@@ -68,16 +73,30 @@ finally:
         (["select", "--curve", "c.csv", "--timesteps", "7"], 2),
     ],
 )
-def test_curve_commands_and_usage_never_load_numpy(tmp_path, argv, code):
-    (tmp_path / "c.csv").write_text("t,mean_hfr,n\n1,0.25,3\n50,0.5,3\n")
+def test_curve_commands_and_usage_load_no_numpy_or_dataclasses(tmp_path, argv, code):
+    (tmp_path / "c.csv").write_text(CURVE)
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_MAIN, *argv],
         cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.endswith("numpy loaded: False\n")
+    assert proc.stderr.endswith("loaded: []\nfrozen: True\n")
     if "--out" in argv:
         assert '"selected_t": 50' in (tmp_path / "r.json").read_text()
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path, capsys):
+    (tmp_path / "c.csv").write_text(CURVE)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN, "select", "--curve", "c.csv"],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("frozen: True\n")
+    before = gc.get_freeze_count()
+    assert freqsel.cli.main(["select", "--curve", str(tmp_path / "c.csv")]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out == "selected t=50 mean_hfr=0.5 ties=[50]\n"
 
 
 ONE_ENTRY = '{"total_timesteps": 1, "entries": [{"path": "x.npy", "image_id": "x", "timestep": 1, "group": ""}]}'
@@ -102,7 +121,7 @@ def test_commands_check_their_manifest_before_numpy_loads(tmp_path, argv, error)
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"{error}: "), proc.stderr
-    assert proc.stderr.endswith("numpy loaded: False\n")
+    assert proc.stderr.endswith("loaded: []\nfrozen: True\n")
 
 
 # Runs freqsel's __main__ with the given arguments, then reports on stderr
@@ -152,13 +171,13 @@ def test_only_the_entry_point_sets_the_blas_default():
         "import os, numpy, freqsel, freqsel.cli, freqsel.spectral\n"
         "print(os.environ.get('OMP_NUM_THREADS'))\n"
         "import freqsel.__main__\n"
-        "print(os.environ.get('OMP_NUM_THREADS'), freqsel.__main__.main is freqsel.cli.main)\n"
+        "print(os.environ.get('OMP_NUM_THREADS'), freqsel.__main__.main.__module__)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=blas_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "None\n1 True\n"
+    assert proc.stdout == "None\n1 freqsel.__main__\n"
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'freqsel = "freqsel.__main__:main"' in pyproject.splitlines()
 
@@ -176,8 +195,8 @@ def test_load_manifest_loads_no_array_module(tmp_path):
     (tmp_path / "x.npy").write_bytes(b"")
     (tmp_path / "m.json").write_text(ONE_ENTRY)
     probe = (
-        "import sys, freqsel; freqsel.load_manifest(sys.argv[1]); "
-        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'freqsel', 'concurrent'))))"
+        "import sys, freqsel; freqsel.load_manifest(sys.argv[1]); print(sorted(m for m in sys.modules "
+        "if m.startswith(('numpy', 'freqsel', 'concurrent', 'dataclasses', 'inspect'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, tmp_path / "m.json"],

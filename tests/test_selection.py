@@ -1,8 +1,12 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from freqsel import (
     HfrCurve,
+    SelectionReport,
     average_hfr,
     hfr,
     load_manifest,
@@ -108,6 +112,34 @@ def test_curve_validation():
     with pytest.raises(SeriesInvalid):
         HfrCurve((1, 2), (0.5, 0.5), (1, 0))
     assert len(HfrCurve((), (), ())) == 0
+
+
+def test_curve_is_an_immutable_value():
+    curve = HfrCurve([1, 5], [0.5, 1], [2, 2], cutoff=8)
+    assert (curve.timesteps, curve.mean_hfr, curve.counts, curve.cutoff) == ((1, 5), (0.5, 1.0), (2, 2), 8.0)
+    assert type(curve.mean_hfr[1]) is float and type(curve.cutoff) is float
+    same = HfrCurve((1, 5), (0.5, 1.0), (2, 2), 8.0)
+    assert curve == same and hash(curve) == hash(same)
+    assert curve != HfrCurve((1, 5), (0.5, 1.0), (2, 2)) and curve != curve.timesteps
+    assert repr(curve) == "HfrCurve(timesteps=(1, 5), mean_hfr=(0.5, 1.0), counts=(2, 2), cutoff=8.0)"
+    assert copy.deepcopy(curve) == pickle.loads(pickle.dumps(curve)) == curve
+    with pytest.raises(AttributeError):
+        curve.cutoff = 9.0
+    with pytest.raises(AttributeError):
+        del curve.timesteps
+    with pytest.raises(AttributeError):
+        curve.extra = 1
+    assert curve == same
+
+
+def test_each_report_holds_its_own_config():
+    curve = HfrCurve((1,), (0.5,), (1,))
+    first, second = select_timestep(curve), select_timestep(curve)
+    first.config["command"] = "select"
+    assert second.config == {}
+    assert first._replace(config={}) == second
+    with pytest.raises(TypeError):
+        SelectionReport(1, 0.5, (1,), curve)
 
 
 @pytest.mark.parametrize("cutoff", [float("inf"), float("nan"), 0.0, -3.0])

@@ -559,6 +559,11 @@ def test_save_manifest_roundtrip(tmp_path):
     back = load_manifest(tmp_path / "m.json")
     assert back.entries == manifest.entries
     assert back.total_timesteps == 7
+    entry = {"path": "a.npy", "image_id": "a", "timestep": 2, "group": "grp", "label": 4, "accuracy": 0.5}
+    doc = {"total_timesteps": 7, "entries": [entry]}
+    assert (tmp_path / "m.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    save_manifest(back._replace(allow_ragged=True), tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text() == json.dumps(dict(doc, allow_ragged=True), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
