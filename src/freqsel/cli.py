@@ -27,8 +27,9 @@ Each process loads only what its command runs:
   The records of the array modules stay dataclasses, since numpy imports
   ``inspect``.
 
-A process started as ``freqsel`` or ``python -m freqsel`` freezes its
-heap after :func:`main` returns (see :mod:`freqsel.__main__`), so that
+A process started as ``freqsel`` or ``python -m freqsel`` keeps OpenSSL's
+``_hashlib`` out, which ``numpy.random`` would load, and freezes its heap
+after :func:`main` returns (see :mod:`freqsel.__main__`), so that
 interpreter shutdown does not walk numpy's objects. :func:`main` itself
 never freezes: a caller in the same process goes on using its heap.
 
@@ -60,7 +61,7 @@ import math
 import os
 import sys
 
-from .defaults import DEFAULT_CUTOFF, DEFAULT_TOTAL_TIMESTEPS
+from .defaults import DEFAULT_CUTOFF, DEFAULT_TOTAL_TIMESTEPS, MAX_TIMESTEPS
 from .errors import (
     EmptyTimestep,
     FreqselError,
@@ -136,11 +137,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _timestep_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_TIMESTEPS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_TIMESTEPS}, got {text}")
+    return value
+
+
 def parse_timestep_grid(text: str) -> tuple[int, ...]:
     """Grid syntax: comma list ``1,50,100`` or range ``start..stop..step``.
 
     Ranges include both endpoints: ``1..200..50`` is 1, 51, 101, 151, 200.
-    The grid is deduplicated and sorted ascending.
+    A range of more than ``MAX_TIMESTEPS`` timesteps is refused before any
+    is built. The grid is deduplicated and sorted ascending.
     """
     text = text.strip()
     try:
@@ -154,7 +163,11 @@ def parse_timestep_grid(text: str) -> tuple[int, ...]:
                 raise ValueError("step must be >= 1")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            values = set(range(start, stop + 1, step)) | {start, stop}
+            steps = range(start, stop + 1, step)
+            count = len(steps) + (steps[-1] != stop)
+            if count > MAX_TIMESTEPS:
+                raise ValueError(f"range holds {count} timesteps, more than {MAX_TIMESTEPS}")
+            values = set(steps) | {stop}
         else:
             values = {int(p) for p in text.split(",") if p.strip() != ""}
         if not values:
@@ -289,7 +302,7 @@ def _simulate_arguments(p) -> None:
     )
     p.add_argument(
         "--total-timesteps",
-        type=_positive_int,
+        type=_timestep_count,
         default=DEFAULT_TOTAL_TIMESTEPS,
         help=f"T for the linear schedule (default {DEFAULT_TOTAL_TIMESTEPS})",
     )
@@ -312,7 +325,7 @@ def _oracle_arguments(p) -> None:
     p.add_argument("--shape", type=_shape_arg, default=(1, 32, 32), help="channels,height,width (default 1,32,32)")
     p.add_argument(
         "--total-timesteps",
-        type=_positive_int,
+        type=_timestep_count,
         default=DEFAULT_TOTAL_TIMESTEPS,
         help=f"T (default {DEFAULT_TOTAL_TIMESTEPS})",
     )

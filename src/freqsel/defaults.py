@@ -9,13 +9,18 @@ import math
 
 from .errors import NonPositiveCutoff
 
-__all__ = ["DEFAULT_CUTOFF", "DEFAULT_TOTAL_TIMESTEPS", "checked_cutoff"]
+__all__ = ["DEFAULT_CUTOFF", "DEFAULT_TOTAL_TIMESTEPS", "MAX_TIMESTEPS", "checked_cutoff"]
 
 # published default for the Gaussian high-pass cutoff D0
 DEFAULT_CUTOFF = 30.0
 
 # T of the default linear noise schedule
 DEFAULT_TOTAL_TIMESTEPS = 1000
+
+# the most timesteps a command line may ask for, as T or as one range of
+# its grid: a thousand times the default T, far above any published
+# schedule, so that a typo is a usage error and not every value built first
+MAX_TIMESTEPS = 1_000_000
 
 
 def checked_cutoff(cutoff: float) -> float:

@@ -112,6 +112,7 @@ _HEADER_KEYS = {"descr", "fortran_order", "shape"}
 # 1.39 ms at 2^15, 2^16, 2^17 and 2^18 (<f8: 1.48, 1.51, 1.53, 1.66 ms).
 # It also sizes the channel chunks that the HFR walks: at 2^15, twice the
 # numpy calls per map cost two scoring threads more CPU and wall time.
+# simulate reads and writes in its own, smaller pieces (diffusion._NOISE_PIECE).
 _PIECE = 1 << 16
 
 
@@ -361,12 +362,12 @@ def _tensor_chunks(
     is asked for, so no file is finished that :func:`read_tensor` would
     reject. Each piece is cast to the file's dtype in slices of ``_PIECE``
     elements (``<f4`` through one staging buffer, `stage` if given, a
-    ``<f4`` array of at least ``min(prod(shape), _PIECE)`` elements that
-    the maker of `pieces` may lend between two pieces; ``<f8`` with no copy
-    on a little-endian host), and each slice is checked for NaN and Inf after
-    the cast, so a value beyond the f32 range is a ``NonFiniteValue``, not
-    an Inf on disk. Pieces that do not add up to the shape are a
-    ``ShapeMismatch``.
+    ``<f4`` array at least as long as the largest piece, ``_PIECE``
+    elements sufficing for any, that the maker of `pieces` may lend
+    between two pieces; ``<f8`` with no copy on a little-endian host), and
+    each slice is checked for NaN and Inf after the cast, so a value
+    beyond the f32 range is a ``NonFiniteValue``, not an Inf on disk.
+    Pieces that do not add up to the shape are a ``ShapeMismatch``.
     """
     context = str(path)
     if dtype not in _DESCR_BY_DTYPE:

@@ -13,6 +13,7 @@ import scipy.stats
 from freqsel import NoiseSchedule, linear_schedule, load_manifest, read_tensor, simulate_forward
 from freqsel import cli
 from freqsel.cli import _threads_arg, build_parser, default_probe_grid, main, parse_timestep_grid
+from freqsel.defaults import MAX_TIMESTEPS
 from freqsel.tensor_io import write_array
 
 from util import child_env, corrupt_corpus, make_map, write_dataset, write_series_text
@@ -58,6 +59,7 @@ def test_usage_errors_exit_1(capsys):
     for argv in (
         (*hfr, "--cutoff", "abc"),
         (*oracle, "--images", "0"),
+        (*oracle, "--total-timesteps", str(MAX_TIMESTEPS + 1)),
         (*oracle, "--images", "x"),
         (*hfr, "--timesteps", "1..5..0"),
         (*hfr, "--timesteps", "1..2..3..4"),
@@ -313,6 +315,58 @@ def test_default_probe_grid():
     assert default_probe_grid(1000)[:3] == (1, 50, 100)
     assert default_probe_grid(1000)[-1] == 1000
     assert default_probe_grid(30) == (1,)
+
+
+def test_grid_ranges_are_bounded():
+    # the stop counts too when the steps miss it
+    assert len(parse_timestep_grid(f"1..{MAX_TIMESTEPS}")) == MAX_TIMESTEPS
+    assert len(parse_timestep_grid(f"1..{100 * MAX_TIMESTEPS - 99}..100")) == MAX_TIMESTEPS
+    for text in (f"1..{MAX_TIMESTEPS + 1}", f"1..{100 * MAX_TIMESTEPS - 98}..100"):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"holds {MAX_TIMESTEPS + 1} timesteps, more than"):
+            parse_timestep_grid(text)
+
+
+# Caps the child's address space at its first argument, in bytes, then runs
+# freqsel's __main__ with the other arguments: a count built before it is
+# checked ends in a MemoryError instead of taking the host's memory.
+_RUN_CAPPED = """
+import resource, runpy, sys
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.argv = ["freqsel", *sys.argv[2:]]
+runpy.run_module("freqsel", run_name="__main__", alter_sys=True)
+"""
+
+
+_HUGE = "100000000000"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs resource.RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv, flag, detail",
+    [
+        (["hfr", "--manifest", "m.json", "--out", "c.csv", "--timesteps", f"1..{_HUGE}"], "--timesteps",
+         f"bad timestep grid '1..{_HUGE}': range holds {_HUGE} timesteps, more than {MAX_TIMESTEPS}"),
+        (["simulate", "--manifest", "m.json", "--out", "sim", "--total-timesteps", _HUGE, "--timesteps", "1,2"],
+         "--total-timesteps", f"must be <= {MAX_TIMESTEPS}, got {_HUGE}"),
+        (["oracle", "--out", "o", "--peak-timestep", "5", "--total-timesteps", _HUGE],
+         "--total-timesteps", f"must be <= {MAX_TIMESTEPS}, got {_HUGE}"),
+    ],
+    ids=["hfr_grid", "simulate", "oracle"],
+)
+def test_oversized_timestep_counts_are_usage_errors(tmp_path, argv, flag, detail):
+    # in 512 MiB of address space, a count built before its check ends in
+    # a MemoryError traceback, not in the OOM killer
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CAPPED, str(512 << 20), *argv],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    *usage, error = proc.stderr.splitlines()
+    assert usage[0].startswith(f"usage: freqsel {argv[0]} "), proc.stderr
+    assert all(line.startswith(" ") for line in usage[1:]), proc.stderr
+    assert error == f"freqsel {argv[0]}: error: argument {flag}: {detail}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_range_grid_row_count_via_cli(tmp_path, capsys):

@@ -226,12 +226,13 @@ def test_numpy_keeps_the_normals_simulate_writes(tmp_path):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_pieces_write_what_one_whole_draw_writes(tmp_path, dtype, threads):
-    # simulate draws, mixes and writes each map in pieces of _PIECE elements;
-    # 3*300*700 is several pieces and not a whole number of them, so this
-    # holds only if consecutive standard_normal(out=...) calls continue one
-    # stream and the last, short piece is mixed like the rest
+    # simulate draws, mixes and writes each map in pieces of _NOISE_PIECE
+    # elements; 3*300*700 is several pieces and not a whole number of them,
+    # so this holds only if consecutive standard_normal(out=...) calls
+    # continue one stream and the last, short piece is mixed like the rest
     shape = (3, 300, 700)
     assert shape[0] * shape[1] * shape[2] % tensor_io._PIECE != 0
+    assert shape[0] * shape[1] * shape[2] % diffusion._NOISE_PIECE != 0
     _assert_whole_draw(tmp_path, shape, "f64", dtype, threads)
 
 
@@ -244,6 +245,7 @@ def test_pieces_of_odd_maps_write_what_one_whole_draw_writes(tmp_path, shape, so
     # 7 values, and one whose short, odd last piece takes a whole half and
     # a short rest; an f32 source is widened before it is mixed
     assert shape[0] * shape[1] * shape[2] % 2 == 1
+    assert shape[0] * shape[1] * shape[2] % diffusion._NOISE_PIECE != 0
     _assert_whole_draw(tmp_path, shape, source_dtype, dtype, threads)
 
 
@@ -279,7 +281,7 @@ def test_a_noise_job_holds_pieces_not_a_map(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * tensor_io._PIECE + 65536, peak
+    assert peak <= 20 * diffusion._NOISE_PIECE + 65536, peak
 
 
 # --- forward simulation over a dataset ------------------------------------------------

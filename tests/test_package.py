@@ -1,7 +1,11 @@
 """The package surface: lazy exports, which commands and calls load numpy,
-the CLI's BLAS thread default, and the scripts built on the library."""
+the CLI's process-wide defaults (BLAS threads, no OpenSSL), and the
+scripts built on the library."""
+import ast
 import gc
+import hmac
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,9 +15,10 @@ import numpy as np
 import pytest
 
 import freqsel
+import freqsel.cli
 
 from freqsel.tensor_io import write_array
-from util import child_env
+from util import child_env, make_map, write_dataset
 
 MODULES = ("manifest", "tensor_io", "spectral", "diffusion", "discriminability", "selection")
 
@@ -180,6 +185,99 @@ def test_only_the_entry_point_sets_the_blas_default():
     assert proc.stdout == "None\n1 freqsel.__main__\n"
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'freqsel = "freqsel.__main__:main"' in pyproject.splitlines()
+
+
+# Marks absent the modules its first argument lists (comma-separated), runs
+# freqsel's __main__ with the other arguments, then prints as the last line
+# of stdout, whatever the exit status, a dict: whether the process holds
+# _hashlib and freqsel.spectral, what hashlib's and hmac's SHA-256 give, and,
+# where /proc/self/maps exists, whether any libcrypto is mapped.
+_RUN_MAIN_HASHES = """
+import os, runpy, sys
+blocked, *argv = sys.argv[1:]
+for name in filter(None, blocked.split(",")):
+    sys.modules[name] = None
+sys.argv = ["freqsel", *argv]
+try:
+    runpy.run_module("freqsel", run_name="__main__", alter_sys=True)
+finally:
+    import hashlib, hmac
+    report = {
+        "_hashlib": sys.modules.get("_hashlib") is not None,
+        "spectral": "freqsel.spectral" in sys.modules,
+        "sha256": hashlib.sha256(b"abc").hexdigest(),
+        "hmac": hmac.new(b"key", b"msg", "sha256").hexdigest(),
+    }
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            report["libcrypto"] = "libcrypto" in fh.read()
+    print(report)
+"""
+
+
+def run_main_hashes(cwd, blocked, *argv) -> dict:
+    """The report of _RUN_MAIN_HASHES, which must exit 0 with an empty stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN_HASHES, ",".join(blocked), *argv],
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def hashes(**report) -> dict:
+    """`report` plus the SHA-256 and HMAC-SHA-256 digests the child must give."""
+    return dict(
+        report,
+        sha256="ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        hmac=hmac.new(b"key", b"msg", "sha256").hexdigest(),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, spectral",
+    [
+        (["simulate", "--manifest", "clean/manifest.json", "--total-timesteps", "4",
+          "--timesteps", "1,4", "--dtype", "f32", "--out", "sim"], False),
+        (["oracle", "--out", "oracle", "--images", "1", "--shape", "2,8,8", "--total-timesteps", "4",
+          "--timesteps", "1,4", "--peak-timestep", "2", "--detail-frequency", "3"], True),
+    ],
+    ids=["simulate", "oracle"],
+)
+def test_the_cli_keeps_openssl_out_and_hashes_still_work(tmp_path, argv, spectral):
+    # numpy.random imports secrets -> hmac -> hashlib, which fall back to
+    # CPython's own hashes; only the oracle loads the spectral kernel
+    write_dataset(tmp_path / "clean", [make_map(np.ones((2, 8, 8)), "img0", 1)], 1)
+    report = run_main_hashes(tmp_path, [], *argv)
+    if os.path.exists("/proc/self/maps"):
+        assert report.pop("libcrypto") is False
+    assert report == hashes(_hashlib=False, spectral=spectral)
+    stem = "img" if spectral else "i"
+    written = sorted(p.name for p in (tmp_path / argv[argv.index("--out") + 1]).iterdir())
+    assert written == ["manifest.json", f"t0001_{stem}0000.npy", f"t0004_{stem}0000.npy"]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="needs OpenSSL's _hashlib")
+def test_an_interpreter_without_a_builtin_hash_keeps_hashlib(tmp_path):
+    # without _md5, hashlib would log an error for md5 if _hashlib were absent
+    (tmp_path / "c.csv").write_text(CURVE)
+    report = run_main_hashes(tmp_path, ["_md5"], "select", "--curve", "c.csv")
+    report.pop("libcrypto", None)
+    assert report == hashes(_hashlib=True, spectral=False)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="needs OpenSSL's _hashlib")
+def test_only_the_entry_point_keeps_hashlib_out():
+    probe = (
+        "import sys, freqsel.cli, freqsel.diffusion, numpy.random\n"
+        "print(sys.modules.get('_hashlib') is not None)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_import_freqsel_does_not_load_numpy():
