@@ -38,13 +38,16 @@ Exit codes: 0 success, 1 usage errors (bad flags/values), 2 data errors
 errors print a single ``ErrorClass: detail`` line on stderr. File outputs
 are written atomically, and reruns of the same command line produce
 byte-identical files; ``--threads`` only changes wall time, never bytes,
-which is why it is excluded from the config echoed into reports. It
-defaults to 1 for ``hfr`` and ``select``, whose threads each score a map
-as its file is read and hold about 0.8 MiB of chunk scratch, not the map.
-``simulate`` has no such flag: its threads each hold pieces of a map, so
-it runs on every CPU the process may use.
+which is why it is excluded from the config echoed into reports.
+``--threads N`` runs N workers: the calling thread and N - 1 helper
+threads (plain ``threading``; no executor, so neither
+``concurrent.futures`` nor ``logging`` is loaded). It defaults to 1 for
+``hfr`` and ``select``, whose workers each score a map as its file is
+read and hold about 0.8 MiB of chunk scratch, not the map. ``simulate``
+has no such flag: its workers each hold pieces of a map, so it runs one
+per CPU the process may use, the calling thread among them.
 
-These pools are the CLI's only parallelism: run as ``python -m freqsel``
+These workers are the CLI's only parallelism: run as ``python -m freqsel``
 or the ``freqsel`` script, it runs BLAS on one thread unless a BLAS or
 OpenMP thread variable is set (``__main__`` sets ``OMP_NUM_THREADS=1``
 before numpy loads). An idle OpenBLAS worker spins for about 0.1 s of CPU
@@ -501,8 +504,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .diffusion import OracleProfile, gaussian_bump_curve, oracle_features
+    from .diffusion import OracleProfile, _check_oracle, gaussian_bump_curve, oracle_features
 
+    # refused before a curve of up to MAX_TIMESTEPS values is built
+    _check_oracle(args.shape, args.images, args.detail_frequency)
     total = args.total_timesteps
     grid = args.timesteps if args.timesteps is not None else default_probe_grid(total)
     profile = OracleProfile(

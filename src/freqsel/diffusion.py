@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .defaults import DEFAULT_TOTAL_TIMESTEPS
+from .defaults import DEFAULT_TOTAL_TIMESTEPS, MAX_TIMESTEPS
 from .errors import (
     FreqselError,
     FrequencyTooHigh,
@@ -110,9 +110,10 @@ class NoiseSchedule:
 
 
 def linear_schedule(total_timesteps: int = DEFAULT_TOTAL_TIMESTEPS) -> NoiseSchedule:
-    """alpha_t = t / T; reaches exactly 1 at t = T."""
-    if total_timesteps < 1:
-        raise ScheduleInvalid(f"total_timesteps must be >= 1, got {total_timesteps}")
+    """alpha_t = t / T; reaches exactly 1 at t = T. T is checked against
+    [1, ``MAX_TIMESTEPS``] before any alpha is built."""
+    if not 1 <= total_timesteps <= MAX_TIMESTEPS:
+        raise ScheduleInvalid(f"total_timesteps must be in [1, {MAX_TIMESTEPS}], got {total_timesteps}")
     return NoiseSchedule(tuple(t / total_timesteps for t in range(1, total_timesteps + 1)))
 
 
@@ -201,8 +202,9 @@ def _write_dataset(sources, grid, make, stem: str, out_dir, threads: int, total:
     ``make(i, source, t, path)`` writes the map of source i at t, named
     ``t{t:04d}_{stem}{i:04d}.npy``. One source is held at a time. The
     timesteps of a source of at least one piece (``_PIECE`` elements) run
-    on up to `threads` workers; a smaller one is written faster than a
-    thread picks it up, so it stays on the calling thread. Under
+    on up to `threads` workers, the calling thread and helpers that are
+    joined before the next source; a smaller one is written faster than a
+    helper picks it up, so it runs on the calling thread alone. Under
     ``_in_order`` a fault is the first in (source, timestep) order and
     leaves the maps one thread would have left, and no manifest. The
     manifest lists the maps timestep-major.
@@ -340,8 +342,11 @@ def gaussian_bump_curve(
 
     The peak is set to its exact A: below width ~1.5e-154, 2 * width^2
     underflows to 0 and the formula would give 0/0 there, while every
-    other t correctly goes to exp(-inf) = 0.
+    other t correctly goes to exp(-inf) = 0. T above ``MAX_TIMESTEPS`` is
+    refused before any value is built.
     """
+    if total_timesteps > MAX_TIMESTEPS:
+        raise ProfileInvalid(f"total_timesteps must be <= {MAX_TIMESTEPS}, got {total_timesteps}")
     if width <= 0.0:
         raise ProfileInvalid(f"width must be > 0, got {width}")
     t = np.arange(1, total_timesteps + 1, dtype=np.float64)
@@ -376,6 +381,23 @@ def _low_field(shape: tuple[int, int, int], amplitude: float, rng: np.random.Gen
     return low
 
 
+def _check_oracle(shape, n_images: int, detail_frequency: int) -> tuple[int, int, int]:
+    """(c, h, w) of an oracle of `shape`, checked with its image count and
+    detail frequency as :func:`oracle_features` checks them, so a caller can
+    refuse them before it builds a profile."""
+    c, h, w = (int(d) for d in shape)
+    if min(c, h, w) < 1:
+        raise ShapeMismatch(f"oracle shape must be positive, got {shape}")
+    if n_images < 1:
+        raise ProfileInvalid(f"need at least one image, got {n_images}")
+    if 2 * detail_frequency >= min(h, w):
+        raise FrequencyTooHigh(
+            f"detail frequency {detail_frequency} needs a grid larger than "
+            f"{h}x{w} (require 2 * frequency < min(H, W))"
+        )
+    return c, h, w
+
+
 def oracle_features(
     profile: OracleProfile,
     n_images: int,
@@ -400,16 +422,7 @@ def oracle_features(
     A degenerate background at image k is reported after images 0..k-1
     are written, and no manifest is written then.
     """
-    c, h, w = (int(d) for d in shape)
-    if min(c, h, w) < 1:
-        raise ShapeMismatch(f"oracle shape must be positive, got {shape}")
-    if n_images < 1:
-        raise ProfileInvalid(f"need at least one image, got {n_images}")
-    if 2 * profile.detail_frequency >= min(h, w):
-        raise FrequencyTooHigh(
-            f"detail frequency {profile.detail_frequency} needs a grid larger than "
-            f"{h}x{w} (require 2 * frequency < min(H, W))"
-        )
+    c, h, w = _check_oracle(shape, n_images, profile.detail_frequency)
     total = profile.total_timesteps
     grid = _check_grid(range(1, total + 1) if timesteps is None else timesteps, total, ProfileInvalid)
 

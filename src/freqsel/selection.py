@@ -127,7 +127,10 @@ def average_hfr(
 
     Each map is scored as its file is read, chunk by chunk, by
     :func:`~freqsel.tensor_io._map_payloads`, under its rules; ``threads``
-    only parallelises that per-map work. Each mean is the exactly rounded
+    only parallelises that per-map work, on the calling thread and
+    ``threads - 1`` helpers. The calling thread scores maps at any count,
+    so it keeps its ~0.8 MiB of scratch afterwards, as at ``threads=1``;
+    the helpers' scratch goes with them. Each mean is the exactly rounded
     :func:`math.fsum` of its timestep's values over the count, so the curve
     is bit-identical for any thread count and any order of the manifest's
     entries.

@@ -73,9 +73,11 @@ import io
 import math
 import os
 import struct
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -435,8 +437,9 @@ def _map_payloads(
     """Yield (entry, use(payload)) for the wanted entries, in manifest
     order, `use` reading the open file's payload itself; the payload's
     ``meta`` is the entry's identity and the file's dtype. With ``threads >
-    1`` up to ``2 * threads`` entries are read and used ahead on a pool,
-    shut down when the generator ends or is closed. A fault names its file
+    1`` up to ``2 * threads`` entries are read and used ahead by the
+    calling thread and ``threads - 1`` helpers (:func:`_in_order`), joined
+    when the generator ends or is closed. A fault names its file
     once: the missing-file check names it, and :func:`_opened` puts it in
     front of every error raised while the file is open, by the reader's
     checks or by `use`. The shape rule takes each map's shape from its
@@ -476,37 +479,62 @@ def _map_payloads(
 
 
 def _in_order(job, items, threads: int, undo=None) -> Iterator:
-    """job(item) for each item, in order. With ``threads > 1`` at most
-    ``2 * threads`` jobs run ahead on a pool, shut down when the generator
-    ends or is closed. At the first fault the later jobs are cancelled,
-    ``undo(item)`` runs for each later job that had already finished, and
+    """job(item) for each item, in order. With ``threads > 1`` the calling
+    thread and ``threads - 1`` helper threads run at most ``2 * threads``
+    jobs ahead, the caller while the job it yields next is unfinished. At
+    the first fault the queued later jobs are dropped, the running ones
+    awaited, and ``undo(item)`` run for each later one that finished, then
     the fault is raised: what a failed run leaves does not depend on
-    `threads`."""
+    `threads`. The helpers are joined when the generator ends or is closed."""
     if threads <= 1:
         yield from map(job, items)
         return
-    # imported here: the one-thread paths never pay for concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
+    # slots [item, outcome]: None until the job ends, then (True, value) or (False, fault)
+    pending, queued, helpers, cond = deque(), deque(), [], threading.Condition()
+    stopped = failed = False
 
-    pool = ThreadPoolExecutor(threads)
-    pending: deque = deque()
-
-    def head():
-        _, future = pending.popleft()
-        if future.exception() is not None:
-            for _, later in pending:
-                later.cancel()
-            for item, later in pending:
-                if undo is not None and not later.cancelled() and later.exception() is None:
-                    undo(item)
-        return future.result()
+    def work(until) -> None:
+        """Run queued jobs on this thread until until() holds."""
+        while True:
+            with cond:
+                cond.wait_for(lambda: queued or until())
+                if until():
+                    return
+                slot = queued.popleft()
+            try:
+                slot[1] = (True, job(slot[0]))
+            except BaseException as exc:  # raised in order, by the caller
+                slot[1] = (False, exc)
+            with cond:
+                cond.notify_all()
 
     try:
-        for item in items:
-            pending.append((item, pool.submit(job, item)))
-            if len(pending) == 2 * threads:
-                yield head()
-        while pending:
-            yield head()
+        for _ in range(threads - 1):
+            (helper := threading.Thread(target=work, args=(lambda: stopped,), daemon=True)).start()
+            helpers.append(helper)
+        items = iter(items)
+        while True:
+            for item in islice(items, 2 * threads - len(pending)):
+                pending.append([item, None])
+                with cond:
+                    queued.append(pending[-1])
+                    cond.notify()
+            if not pending:
+                return
+            slot = pending.popleft()
+            work(lambda: slot[1] is not None)
+            if not slot[1][0]:
+                failed = True
+                raise slot[1][1]
+            # popped: the value is not held while the next jobs run
+            yield slot.pop()[1]
     finally:
-        pool.shutdown(cancel_futures=True)
+        with cond:
+            stopped = True
+            queued.clear()
+            cond.notify_all()
+        for helper in helpers:
+            helper.join()
+        for item, outcome in pending if failed and undo is not None else ():
+            if outcome is not None and outcome[0]:
+                undo(item)

@@ -16,7 +16,7 @@ from freqsel.cli import _threads_arg, build_parser, default_probe_grid, main, pa
 from freqsel.defaults import MAX_TIMESTEPS
 from freqsel.tensor_io import write_array
 
-from util import child_env, corrupt_corpus, make_map, write_dataset, write_series_text
+from util import CAP_HEADROOM, child_env, corrupt_corpus, make_map, write_dataset, write_series_text
 
 
 def run(*argv):
@@ -366,6 +366,24 @@ def test_oversized_timestep_counts_are_usage_errors(tmp_path, argv, flag, detail
     assert usage[0].startswith(f"usage: freqsel {argv[0]} "), proc.stderr
     assert all(line.startswith(" ") for line in usage[1:]), proc.stderr
     assert error == f"freqsel {argv[0]}: error: argument {flag}: {detail}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_oracle_refuses_its_grid_before_it_builds_a_curve(tmp_path):
+    # with 32 MiB of headroom, a curve of 10^6 timesteps built before the
+    # frequency check ends in a MemoryError traceback
+    argv = ["oracle", "--out", "o", "--shape", "1,8,8", "--total-timesteps", "1000000",
+            "--timesteps", "1,5", "--peak-timestep", "3"]
+    script = CAP_HEADROOM + "sys.exit(freqsel.cli.main(sys.argv[2:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(32 << 20), *argv],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "FrequencyTooHigh: detail frequency 8 needs a grid larger than 8x8 (require 2 * frequency < min(H, W))"
+    ]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import threading
@@ -23,6 +24,7 @@ from freqsel import (
     simulate_forward,
 )
 from freqsel import cli, diffusion, tensor_io
+from freqsel.defaults import MAX_TIMESTEPS
 from freqsel.errors import (
     FrequencyTooHigh,
     IoFailure,
@@ -35,6 +37,7 @@ from freqsel.errors import (
 from freqsel.tensor_io import FeatureMap, FeatureMeta, _map_payloads, write_array
 
 from util import (
+    CAP_HEADROOM,
     child_env,
     child_peak_rss_kb,
     cli_peak_rss_kb,
@@ -387,17 +390,22 @@ def test_simulate_pools_only_maps_of_at_least_one_piece(tmp_path, monkeypatch):
     write = diffusion._write_noised
 
     def spy(*task):
-        threads_seen.append(threading.get_ident())
+        threads_seen.append(threading.current_thread())
         write(*task)
 
     monkeypatch.setattr(diffusion, "_write_noised", spy)
     width = tensor_io._PIECE // 64
     clean = [make_map(np.ones((1, 64, width - 1)), "small", 1), make_map(np.ones((1, 64, width)), "one", 1)]
     manifest = load_manifest(write_dataset(tmp_path / "in", clean, 1, allow_ragged=True))
+    before = set(threading.enumerate())
     simulate_forward(manifest, linear_schedule(2), (1, 2), 0, tmp_path / "out", "f32", 2)
-    here = threading.get_ident()
-    assert threads_seen[:2] == [here, here]
-    assert here not in threads_seen[2:] and len(threads_seen) == 4
+    here = threading.current_thread()
+    assert threads_seen[:2] == [here, here] and len(threads_seen) == 4
+    # the pooled source runs on the caller and at most one helper, which
+    # is gone once simulate_forward returns
+    assert len(set(threads_seen[2:])) <= 2
+    assert not any(thread.is_alive() for thread in set(threads_seen[2:]) - {here})
+    assert set(threading.enumerate()) == before
 
 
 def test_simulate_fault_and_leftovers_do_not_depend_on_threads(tmp_path):
@@ -649,6 +657,41 @@ def test_gaussian_bump_curve_peaks_where_asked():
     assert curve[19] == 2.0
     with pytest.raises(ProfileInvalid):
         gaussian_bump_curve(50, 20, 2.0, 0.0)
+
+
+def test_library_timestep_counts_are_bounded():
+    with pytest.raises(ScheduleInvalid, match=f"in \\[1, {MAX_TIMESTEPS}\\], got {MAX_TIMESTEPS + 1}$"):
+        linear_schedule(MAX_TIMESTEPS + 1)
+    with pytest.raises(ProfileInvalid, match=f"<= {MAX_TIMESTEPS}, got {MAX_TIMESTEPS + 1}$"):
+        gaussian_bump_curve(MAX_TIMESTEPS + 1, 5, 1.0, 10.0)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("linear_schedule(10**11)", "ScheduleInvalid: total_timesteps must be in [1, 1000000], got 100000000000"),
+        ("gaussian_bump_curve(10**11, 5, 1.0, 10.0)",
+         "ProfileInvalid: total_timesteps must be <= 1000000, got 100000000000"),
+    ],
+    ids=["linear_schedule", "gaussian_bump_curve"],
+)
+def test_oversized_library_timestep_counts_build_nothing(call, error):
+    # with 32 MiB of headroom, a count built before its check ends in a
+    # MemoryError, not in the named error
+    script = CAP_HEADROOM + f"""
+from freqsel.diffusion import gaussian_bump_curve, linear_schedule
+from freqsel.errors import FreqselError
+try:
+    {call}
+except FreqselError as exc:
+    print(f"{{type(exc).__name__}}: {{exc}}")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(32 << 20)], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [error]
 
 
 @pytest.mark.parametrize("width", [1e-300, 1e-200, 1e-160])

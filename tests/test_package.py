@@ -267,6 +267,39 @@ def test_an_interpreter_without_a_builtin_hash_keeps_hashlib(tmp_path):
     assert report == hashes(_hashlib=True, spectral=False)
 
 
+# Runs freqsel.cli.main with the given arguments, then prints its exit code
+# and which of concurrent.futures and logging the process has loaded.
+_RUN_CLI_POOL_MODULES = """
+import sys
+from freqsel.cli import main
+code = main(sys.argv[1:])
+print(code, [m for m in ("concurrent.futures", "logging") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hfr", "--manifest", "clean/manifest.json", "--out", "c.csv", "--threads", "2"],
+        ["simulate", "--manifest", "clean/manifest.json", "--out", "sim", "--timesteps", "1,2,3",
+         "--total-timesteps", "4", "--dtype", "f32"],
+    ],
+    ids=["hfr_threads_2", "simulate"],
+)
+def test_pooled_commands_load_no_executor_or_logging(tmp_path, argv):
+    # maps of one piece each, so simulate pools their timesteps on every
+    # usable CPU, and hfr scores them on two threads
+    rng = np.random.default_rng(0)
+    maps = [make_map(rng.normal(size=(1, 64, 1024)), f"img{i}", 1) for i in range(3)]
+    write_dataset(tmp_path / "clean", maps, 1)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI_POOL_MODULES, *argv],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="needs OpenSSL's _hashlib")
 def test_only_the_entry_point_keeps_hashlib_out():
     probe = (

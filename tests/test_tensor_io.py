@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import math
 import os
 import re
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -526,6 +528,92 @@ def test_in_order_undoes_the_later_jobs_that_finished_after_a_fault():
     assert pulled == list(range(k + depth))
     assert k + 1 in undone
     assert sorted(undone) == sorted(x for x in finished if x > k)
+
+
+def test_in_order_runs_jobs_on_the_caller_and_a_helper_at_once():
+    # each job waits for the other at the barrier, so the run finishes only
+    # if two threads run them at once: the caller and one helper
+    barrier, ran, lock = threading.Barrier(2, timeout=30), [], threading.Lock()
+
+    def job(x):
+        barrier.wait()
+        with lock:
+            ran.append(threading.current_thread())
+        return x
+
+    before = set(threading.enumerate())
+    assert list(tensor_io._in_order(job, [0, 1], 2)) == [0, 1]
+    assert set(threading.enumerate()) == before
+    here = threading.current_thread()
+    assert len(set(ran)) == 2 and here in ran
+    assert not any(thread.is_alive() for thread in set(ran) - {here})
+
+
+def test_in_order_yields_the_head_before_a_later_fault_on_the_caller():
+    # a helper takes job 0, which waits until jobs 1 and 2 have run on the
+    # caller, job 1 failing; job 0's value comes first, then job 1's fault,
+    # and job 2, which finished, is undone
+    started, later_done = threading.Event(), threading.Event()
+    ran, undone, lock = {}, [], threading.Lock()
+
+    def items():
+        yield 0
+        # the caller pulls the next item only once a helper runs job 0
+        assert started.wait(timeout=30)
+        yield from (1, 2)
+
+    def job(x):
+        with lock:
+            ran[x] = threading.current_thread()
+        if x == 0:
+            started.set()
+            assert later_done.wait(timeout=30)
+        elif x == 1:
+            raise ValueError("job 1")
+        else:
+            later_done.set()
+        return x
+
+    before = set(threading.enumerate())
+    results = tensor_io._in_order(job, items(), 2, undone.append)
+    assert next(results) == 0
+    with pytest.raises(ValueError, match="^job 1$"):
+        next(results)
+    assert set(threading.enumerate()) == before
+    here = threading.current_thread()
+    assert ran[0] is not here and ran[1] is here and ran[2] is here
+    assert undone == [2]
+
+
+@pytest.mark.parametrize("fail_at", [None, 150])
+def test_in_order_under_rapid_thread_switches(fail_at):
+    # four workers on fewer cores, switching every microsecond: each job
+    # runs once, values come in order, and after a fault exactly the later
+    # jobs that finished are undone
+    runs, undone, lock = [], [], threading.Lock()
+
+    def job(x):
+        with lock:
+            runs.append(x)
+        if x == fail_at:
+            raise ValueError(f"job {x}")
+        return x * x
+
+    before, interval = set(threading.enumerate()), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    got = []
+    try:
+        with pytest.raises(ValueError) if fail_at else contextlib.nullcontext():
+            for value in tensor_io._in_order(job, range(300), 4, undone.append):
+                got.append(value)
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(threading.enumerate()) == before
+    end = 300 if fail_at is None else fail_at
+    assert got == [x * x for x in range(end)]
+    assert sorted(runs) == sorted(set(runs)) and set(range(end)) <= set(runs)
+    assert max(runs) < end + 8
+    assert sorted(undone) == sorted(x for x in runs if fail_at is not None and x > fail_at)
 
 
 def test_map_loaded_names_each_file_once(tmp_path):

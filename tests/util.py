@@ -181,6 +181,20 @@ def child_env(**overrides):
     return env
 
 
+# Starts a child's script: loads numpy.random and freqsel's array modules,
+# then caps the address space at what the child maps by then plus
+# int(sys.argv[1]) bytes, so what the rest of the script builds must fit in
+# that headroom however much the loaded modules map on this host. Linux
+# only: it reads /proc/self/statm.
+CAP_HEADROOM = """
+import resource, sys
+import numpy.random, freqsel.cli, freqsel.diffusion
+with open("/proc/self/statm") as fh:
+    cap = int(fh.read().split()[0]) * resource.getpagesize() + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+"""
+
+
 # Appended to a child's script: prints the process's own peak RSS in kB.
 # VmHWM belongs to the address space the child built after exec; ru_maxrss
 # may carry the peak of the parent it was forked from.
