@@ -66,6 +66,8 @@ def test_schedule_validation():
         NoiseSchedule((0.5, 1.5))
     with pytest.raises(ScheduleInvalid):
         linear_schedule(0)
+    with pytest.raises(ScheduleInvalid, match=f"in \\[1, {MAX_TIMESTEPS}\\], got {MAX_TIMESTEPS + 1}$"):
+        linear_schedule(MAX_TIMESTEPS + 1)
     sched = linear_schedule(10)
     with pytest.raises(ScheduleInvalid):
         sched.alpha(0)
@@ -657,11 +659,6 @@ def test_gaussian_bump_curve_peaks_where_asked():
     assert curve[19] == 2.0
     with pytest.raises(ProfileInvalid):
         gaussian_bump_curve(50, 20, 2.0, 0.0)
-
-
-def test_library_timestep_counts_are_bounded():
-    with pytest.raises(ScheduleInvalid, match=f"in \\[1, {MAX_TIMESTEPS}\\], got {MAX_TIMESTEPS + 1}$"):
-        linear_schedule(MAX_TIMESTEPS + 1)
     with pytest.raises(ProfileInvalid, match=f"<= {MAX_TIMESTEPS}, got {MAX_TIMESTEPS + 1}$"):
         gaussian_bump_curve(MAX_TIMESTEPS + 1, 5, 1.0, 10.0)
 

@@ -184,8 +184,8 @@ def child_env(**overrides):
 # Starts a child's script: loads numpy.random and freqsel's array modules,
 # then caps the address space at what the child maps by then plus
 # int(sys.argv[1]) bytes, so what the rest of the script builds must fit in
-# that headroom however much the loaded modules map on this host. Linux
-# only: it reads /proc/self/statm.
+# that headroom however much the loaded modules map. Linux only: it reads
+# /proc/self/statm.
 CAP_HEADROOM = """
 import resource, sys
 import numpy.random, freqsel.cli, freqsel.diffusion
